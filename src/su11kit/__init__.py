@@ -30,10 +30,8 @@ from .linops import (
     identity,
     interior_projector,
     maxabs_norm,
-    merge_reports,
     tensor,
     unitary_exp,
-    zeros,
 )
 from .reduction import (
     ModelParams,
@@ -95,7 +93,6 @@ __all__ = [
     "interior_projector",
     "masked_interior",
     "maxabs_norm",
-    "merge_reports",
     "mp_realization",
     "p0_of",
     "pair_energy_closed_form",
@@ -109,5 +106,4 @@ __all__ = [
     "unitary_exp",
     "verify_reduction",
     "villain_spin",
-    "zeros",
 ]

@@ -29,11 +29,10 @@ from .reps import HYPERBOLIC, SPIN, AlgebraTriple, circle_momentum
 
 @dataclass(frozen=True)
 class CheckSpec:
-    """Margin, tolerance and label shared by a batch of residual checks."""
+    """Margin and tolerance shared by a batch of residual checks."""
 
     margin: int = 2
     tolerance: float = 1e-10
-    label: str = ""
 
     def __post_init__(self) -> None:
         if int(self.margin) != self.margin or self.margin < 0:
@@ -108,7 +107,7 @@ def check_commutators(triple: AlgebraTriple, spec: CheckSpec = CheckSpec()) -> C
         Check(name, _projected_residual(proj, op), spec.tolerance, dict(metadata))
         for name, op in items
     )
-    return CheckReport(spec.label or "commutators", checks)
+    return CheckReport(checks)
 
 
 def check_adjointness(triple: AlgebraTriple, spec: CheckSpec = CheckSpec()) -> CheckReport:
@@ -118,7 +117,6 @@ def check_adjointness(triple: AlgebraTriple, spec: CheckSpec = CheckSpec()) -> C
     if triple.params.fidelity is not None:
         metadata["fidelity"] = triple.params.fidelity
     return CheckReport(
-        spec.label or "adjointness",
         (Check("K+ vs (K-)^dag", gap, spec.tolerance, metadata),),
     )
 
@@ -174,7 +172,6 @@ def check_casimir(triple: AlgebraTriple, spec: CheckSpec = CheckSpec()) -> Check
             metadata[f"candidate[{label}]"] = repr(value)
             metadata[f"residual[{label}]"] = repr(residuals[label])
         return CheckReport(
-            spec.label or "casimir",
             (Check("casimir closed form", residuals[best], spec.tolerance, metadata),),
         )
 
@@ -198,7 +195,6 @@ def check_casimir(triple: AlgebraTriple, spec: CheckSpec = CheckSpec()) -> Check
         observed = np.diag(computed.entries)[kept]
         metadata["observed_first"] = repr(complex(observed[0]).real)
     return CheckReport(
-        spec.label or "casimir",
         (Check("casimir closed form", residual, spec.tolerance, metadata),),
     )
 
@@ -232,7 +228,6 @@ def check_transfo(
     residual = _projected_residual(proj, lhs - rhs)
     metadata = {"margin": str(spec.margin), "beta": str(beta), "n": str(n)}
     return CheckReport(
-        spec.label or "shift-identity",
         (Check(f"E+^{beta} P^{n} E-^{beta} - (P-{beta})^{n}", residual,
                spec.tolerance, metadata),),
     )
@@ -252,4 +247,4 @@ def compare_triples(
         Check("delta[k+]", maxabs_norm(a.kplus - b.kplus), spec.tolerance, dict(metadata)),
         Check("delta[k-]", maxabs_norm(a.kminus - b.kminus), spec.tolerance, dict(metadata)),
     )
-    return CheckReport(spec.label or "compare", checks)
+    return CheckReport(checks)

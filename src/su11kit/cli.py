@@ -23,15 +23,25 @@ from dataclasses import dataclass
 
 from .algebra import (
     CheckSpec,
+    check_adjointness,
     check_casimir,
     check_commutators,
     check_transfo,
     compare_triples,
     masked_interior,
 )
-from .linops import Check, CheckReport, CircleBasis, commutator, identity, maxabs_norm
+from .linops import (
+    MIN_BASIS_DIM,
+    Check,
+    CheckReport,
+    CircleBasis,
+    commutator,
+    identity,
+    maxabs_norm,
+)
 from .reduction import ModelParams, verify_reduction
 from .reps import (
+    _validate_spin,
     hp_spin,
     mp_realization,
     perelomov_realization,
@@ -125,7 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="interior margin for residual projection")
         p.add_argument("--tol", type=float, default=None, dest="tol",
                        help="pass/fail tolerance for residuals")
-        p.add_argument("--format", choices=FORMATS, default=None, dest="fmt",
+        p.add_argument("--format", choices=FORMATS, default=None,
                        help="output format (default text)")
         p.add_argument("--config", default=None,
                        help="JSON file with the same field names as the flags; "
@@ -173,116 +183,77 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_file(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+    except OSError as exc:
+        raise ValueError(f"cannot read --config file: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"--config file {path} must hold a JSON object")
     return data
 
 
-_CONFIG_KEYS = {
-    "rep", "k", "spin", "p0", "lam", "dim", "p_min", "margin", "tol",
-    "fidelity", "format", "epsilon", "phi1", "phi2", "pairs", "beta", "n",
+# Each config key (which is also the flag's dest) with the type it is read as;
+# the choice keys are checked against their choices instead.
+_CONVERTERS = {
+    "k": float, "spin": float, "lam": float, "dim": int, "p_min": float,
+    "margin": int, "tol": float, "epsilon": float, "phi1": float, "phi2": float,
+    "pairs": int, "beta": int, "n": int,
+    "p0": lambda v: parse_complex(v) if isinstance(v, str) else complex(v),
 }
+_CHOICES = {"rep": REPS, "fidelity": FIDELITY_CHOICES, "format": FORMATS}
+# Config keys whose RunConfig field has another name.
+_FIELDS = {"tol": "tolerance", "format": "fmt"}
 
 
 def _resolve(ns: argparse.Namespace) -> RunConfig:
-    """Merge flags over the optional config file and validate the result."""
-    file_values: dict = {}
-    if getattr(ns, "config", None):
-        file_values = _load_config_file(ns.config)
-        unknown = set(file_values) - _CONFIG_KEYS
-        if unknown:
-            raise ValueError(f"unknown keys in --config file: {sorted(unknown)}")
+    """Merge flags over the optional config file and fill the rep defaults.
 
-    def pick(flag: str, default, file_key: str | None = None):
-        value = getattr(ns, flag, None)
-        if value is not None:
-            return value
-        key = file_key or flag
-        if key in file_values:
-            return file_values[key]
-        return default
+    The domain rules (spin, margin, tolerance, the singular coupling) are the
+    library's own checks; k, lam, pairs, beta and n are checked by the
+    constructors when :func:`run` builds them.
+    """
+    given = _load_config_file(ns.config) if ns.config else {}
+    unknown = set(given) - set(_CONVERTERS) - set(_CHOICES)
+    if unknown:
+        raise ValueError(f"unknown keys in --config file: {sorted(unknown)}")
+    given.update((key, value) for key, value in vars(ns).items()
+                 if value is not None and key not in ("command", "config"))
+    values: dict = {}
+    for key, value in given.items():
+        if key in _CHOICES:
+            if value not in _CHOICES[key]:
+                raise ValueError(f"--{key} must be one of {_CHOICES[key]}, got {value!r}")
+            values[_FIELDS.get(key, key)] = value
+        elif value is not None:  # a JSON null keeps the default
+            try:
+                values[_FIELDS.get(key, key)] = _CONVERTERS[key](value)
+            except (TypeError, OverflowError):
+                raise ValueError(
+                    f"--config value for {key} is not a finite number: {value!r}"
+                ) from None
 
-    command = ns.command
-    rep = pick("rep", "all")
-    if rep not in REPS:
-        raise ValueError(f"--rep must be one of {REPS}, got {rep!r}")
-    fidelity = pick("fidelity", "corrected")
-    if fidelity not in FIDELITY_CHOICES:
-        raise ValueError(f"--fidelity must be one of {FIDELITY_CHOICES}, got {fidelity!r}")
-
-    spin = float(pick("spin", 1.0))
-    if spin <= 0 or abs(2 * spin - round(2 * spin)) > 1e-9:
-        raise ValueError(f"--spin must be a positive half-integer, got {spin}")
-
-    k = float(pick("k", 1.0))
-    if command in ("check", "casimir") and rep == "mp" and k <= 0:
-        raise ValueError(f"--k must be > 0, got {k}")
-    lam = float(pick("lam", 1.0))
-    if command in ("check", "casimir") and rep == "perelomov" and lam <= 0:
-        raise ValueError(f"--lam must be > 0, got {lam}")
-
-    p0_raw = pick("p0", 0.5 + 1.0j)
-    p0 = parse_complex(p0_raw) if isinstance(p0_raw, str) else complex(p0_raw)
-
-    if pick("dim", None) is not None:
-        dim = int(pick("dim", 0))
-    elif rep == "two_mode":
-        dim = TWO_MODE_DIM
+    rep = values.get("rep", RunConfig.rep)
+    block = int(round(2 * _validate_spin(values.get("spin", RunConfig.spin)))) + 1
+    if rep == "hp":
+        # The Holstein-Primakoff block is the (2S+1)-space, exact to its edges.
+        if values.setdefault("dim", block) != block:
+            raise ValueError(f"--dim must be 2S+1 = {block} for hp, got {values['dim']}")
+        values.setdefault("margin", 0)
     elif rep == "villain":
-        dim = int(round(2 * spin)) + 1 + 2 * VILLAIN_PAD
-    else:
-        dim = SINGLE_MODE_DIM
-    if dim < 2:
-        raise ValueError(f"--dim must be >= 2, got {dim}")
+        values.setdefault("dim", block + 2 * VILLAIN_PAD)
+    elif rep == "two_mode":
+        values.setdefault("dim", TWO_MODE_DIM)
+    if ns.command == "reduce":
+        values.setdefault("tolerance", 1e-9)
 
-    p_min = pick("p_min", None)
-    p_min = None if p_min is None else float(p_min)
-
-    if pick("margin", None) is not None:
-        margin = int(pick("margin", 0))
-    else:
-        # The Holstein-Primakoff block is exact on its full (2S+1)-space.
-        margin = 0 if rep == "hp" else 2
-    if margin < 0:
-        raise ValueError(f"--margin must be >= 0, got {margin}")
-
-    tolerance = float(pick("tol", 1e-9 if command == "reduce" else 1e-10))
-    if not tolerance > 0:
-        raise ValueError(f"--tol must be > 0, got {tolerance}")
-
-    fmt = pick("fmt", "text", file_key="format")
-    if fmt not in FORMATS:
-        raise ValueError(f"--format must be one of {FORMATS}, got {fmt!r}")
-
-    epsilon = float(pick("epsilon", 1.0))
-    phi1 = float(pick("phi1", 0.1))
-    phi2 = float(pick("phi2", 0.3))
-    pairs = int(pick("pairs", 16))
-    beta = int(pick("beta", 1))
-    n = int(pick("n", 1))
-
-    if command == "reduce":
-        if abs(2.0 * phi1 + phi2) < 1e-8:
-            raise ValueError(
-                f"--phi1/--phi2 give a singular coupling 2*phi1 + phi2 = "
-                f"{2.0 * phi1 + phi2!r}"
-            )
-        if pairs < 2:
-            raise ValueError(f"--pairs must be >= 2, got {pairs}")
-    if command == "transfo":
-        if beta < 1:
-            raise ValueError(f"--beta must be a positive integer, got {beta}")
-        if n not in (1, 2, 3):
-            raise ValueError(f"--n must be 1, 2 or 3, got {n}")
-
-    return RunConfig(
-        command=command, rep=rep, k=k, spin=spin, p0=p0, lam=lam, dim=dim,
-        p_min=p_min, margin=margin, tolerance=tolerance, fidelity=fidelity,
-        fmt=fmt, epsilon=epsilon, phi1=phi1, phi2=phi2, pairs=pairs,
-        beta=beta, n=n,
-    )
+    config = RunConfig(command=ns.command, **values)
+    if config.dim < MIN_BASIS_DIM:
+        raise ValueError(f"--dim must be >= {MIN_BASIS_DIM}, got {config.dim}")
+    CheckSpec(config.margin, config.tolerance)
+    if config.command == "reduce":
+        ModelParams(config.epsilon, config.phi1, config.phi2)
+    return config
 
 
 def parse_args(argv: list[str]) -> RunConfig:
@@ -351,15 +322,13 @@ def _prefixed(prefix: str, report: CheckReport) -> list[Check]:
     ]
 
 
-def _aggregate(prefix: str, reports: list[CheckReport], extra: dict | None = None) -> list[Check]:
+def _aggregate(prefix: str, reports: list[CheckReport]) -> list[Check]:
     """Per check position, keep the worst residual across a family of runs."""
     out = []
     for i, first in enumerate(reports[0].checks):
         residual = max(r.checks[i].residual for r in reports)
         metadata = dict(first.metadata)
         metadata["aggregated_over"] = str(len(reports))
-        if extra:
-            metadata.update(extra)
         out.append(Check(f"{prefix}/{first.name}", residual, first.tolerance, metadata))
     return out
 
@@ -382,8 +351,7 @@ def _discrepancy_ledger(tolerance: float) -> list[Check]:
         {"documented_offset": "-2"},
     ))
 
-    hp = hp_spin(0.5, "as_printed")
-    gap = maxabs_norm(hp.splus - hp.sminus.dag())
+    gap = check_adjointness(hp_spin(0.5, "as_printed")).checks[0].residual
     expected_gap = 2.0 ** 0.5 - 1.0
     checks.append(Check(
         "ledger/hp[as_printed,S=1/2]: adjointness gap = sqrt(2)-1",
@@ -561,10 +529,10 @@ def run(config: RunConfig) -> tuple[str, int]:
         basis = _centered_circle(config.dim, config.p_min)
         spec = CheckSpec(margin=config.margin, tolerance=config.tolerance)
         report = check_transfo(basis, config.beta, config.n, spec)
-        params = {
-            "beta": config.beta, "n": config.n, "dim": config.dim,
-            "margin": config.margin, "tolerance": config.tolerance,
-        }
+        params = {"beta": config.beta, "n": config.n, "dim": config.dim}
+        if config.p_min is not None:
+            params["p_min"] = config.p_min
+        params.update(margin=config.margin, tolerance=config.tolerance)
         payload, code = _checks_payload(config, params, list(report.checks))
     elif config.command == "reduce":
         result = verify_reduction(
@@ -575,29 +543,20 @@ def run(config: RunConfig) -> tuple[str, int]:
             "epsilon": config.epsilon, "phi1": config.phi1, "phi2": config.phi2,
             "pairs": config.pairs, "tolerance": config.tolerance,
         }
-        payload = {
-            "version": SCHEMA_VERSION,
-            "command": "reduce",
-            "params": params,
-            "checks": [{
-                "name": "max-spectral-deviation",
-                "residual": result.max_deviation,
-                "tolerance": result.tolerance,
-                "passed": result.passed,
-                "metadata": {"levels": str(config.pairs)},
-            }],
-            "overall_passed": result.passed,
-            "p0": result.p0,
-            "h0": result.h0,
-            "mass": result.mass,
-            "condensate": result.condensate,
-            "spectra": {
+        check = Check("max-spectral-deviation", result.max_deviation, result.tolerance,
+                      {"levels": str(config.pairs)})
+        payload, code = _checks_payload(config, params, [check])
+        payload.update(
+            p0=result.p0,
+            h0=result.h0,
+            mass=result.mass,
+            condensate=result.condensate,
+            spectra={
                 "direct": list(result.direct_spectrum),
                 "predicted": list(result.predicted_spectrum),
             },
-            "max_deviation": result.max_deviation,
-        }
-        code = 0 if result.passed else 1
+            max_deviation=result.max_deviation,
+        )
     else:
         raise ValueError(f"unknown command {config.command!r}")
 

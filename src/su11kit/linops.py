@@ -169,10 +169,6 @@ def identity(basis: BasisSpec) -> OperatorMatrix:
     return OperatorMatrix(basis, np.eye(basis.dim, dtype=np.complex128))
 
 
-def zeros(basis: BasisSpec) -> OperatorMatrix:
-    return OperatorMatrix(basis, np.zeros((basis.dim, basis.dim), dtype=np.complex128))
-
-
 def diagonal(basis: BasisSpec, values) -> OperatorMatrix:
     """Diagonal operator from a length-``dim`` sequence of values."""
     vals = np.asarray(values, dtype=np.complex128)
@@ -294,7 +290,6 @@ class Check:
 class CheckReport:
     """Ordered collection of checks from one verification run."""
 
-    label: str
     checks: tuple[Check, ...]
 
     def __post_init__(self) -> None:
@@ -306,14 +301,3 @@ class CheckReport:
 
     def failed(self) -> tuple[Check, ...]:
         return tuple(c for c in self.checks if not c.passed)
-
-    def __iter__(self):
-        return iter(self.checks)
-
-
-def merge_reports(label: str, reports) -> CheckReport:
-    """Concatenate several reports into one, preserving check order."""
-    checks: list[Check] = []
-    for report in reports:
-        checks.extend(report.checks)
-    return CheckReport(label, tuple(checks))

@@ -8,10 +8,11 @@ conserves each mode's occupation, so the equal-occupation (pair) subspace is
 exactly invariant. Written through the pair-boson triple, H becomes a
 polynomial in K0 and K+K-, and substituting the shift-affine realization with
 the right constant momentum offset completes the square: on the pair ladder
-the spectrum is that of a free particle, H0 + P^2/(2m). The routines here
-build both sides and measure the agreement level by level, through three
-independent routes (matrix diagonalization, the closed-form pair diagonal,
-and the free-particle formula).
+the spectrum is that of a free particle, H0 + P^2/(2m). :func:`verify_reduction`
+measures the agreement level by level between two routes: diagonalizing the
+two-oscillator matrix on the pair subspace, and the free-particle formula.
+:func:`pair_energy_closed_form` gives the pair diagonal without matrices; the
+tests use it as an oracle, but verify_reduction does not run it.
 """
 
 from __future__ import annotations
@@ -166,8 +167,7 @@ def free_params(params: ModelParams) -> tuple[float, float]:
 
 def pair_energy_closed_form(params: ModelParams, n: int) -> float:
     """Diagonal energy of the pair state |n, n>:
-    (2 Phi1 + Phi2) n^2 + 2 (eps - Phi1) n. Used as a third, matrix-free
-    route when cross-checking the reduction."""
+    (2 Phi1 + Phi2) n^2 + 2 (eps - Phi1) n, computed without matrices."""
     n = float(n)
     return params.pair_coupling * n ** 2 + 2.0 * (params.epsilon - params.phi1) * n
 

@@ -116,25 +116,6 @@ class AlgebraTriple:
     def sminus(self) -> OperatorMatrix:
         return self.kminus
 
-    def rebased(self, basis: BasisSpec) -> "AlgebraTriple":
-        """Retag the generators onto an equal-dimension basis.
-
-        Entries are unchanged; this exists for comparing realizations whose
-        natural bases differ but whose indexings align (e.g. the occupation
-        index n against the momentum index p + S of the same spin block).
-        """
-        if basis.dim != self.basis.dim:
-            raise BasisMismatchError(
-                f"target basis has dimension {basis.dim}, triple has {self.basis.dim}"
-            )
-        return AlgebraTriple(
-            self.kind,
-            OperatorMatrix(basis, self.k0.entries),
-            OperatorMatrix(basis, self.kplus.entries),
-            OperatorMatrix(basis, self.kminus.entries),
-            self.params,
-        )
-
 
 def bose_ladder(dim: int) -> tuple[OperatorMatrix, OperatorMatrix]:
     """Annihilation/creation pair on a truncated Fock space.

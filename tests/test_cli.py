@@ -195,3 +195,111 @@ class TestMain:
         main(argv)
         second = capsys.readouterr().out
         assert first == second
+
+
+# Each usage or domain rule that exits 2, run through main. A config entry is
+# the text of the --config file, "<missing>" for a path that does not exist,
+# or "<dir>" for a path that cannot be read as a file.
+EXIT_2_CASES = [
+    pytest.param(["check", "--rep", "mp", "--k", "0"], None, id="mp-k"),
+    pytest.param(["casimir", "--rep", "perelomov", "--lam", "0"], None, id="perelomov-lam"),
+    pytest.param(["check", "--rep", "hp", "--spin", "0.7"], None, id="spin"),
+    pytest.param(["check", "--rep", "saf", "--dim", "1"], None, id="dim"),
+    pytest.param(["check", "--rep", "saf", "--margin", "-1"], None, id="margin"),
+    pytest.param(["check", "--rep", "saf", "--tol", "0"], None, id="tol"),
+    pytest.param(["reduce", "--phi1", "0.5", "--phi2", "-1"], None, id="singular-coupling"),
+    pytest.param(["reduce", "--pairs", "1"], None, id="pairs"),
+    pytest.param(["transfo", "--beta", "0"], None, id="beta"),
+    pytest.param(["transfo", "--n", "4"], None, id="n"),
+    pytest.param(["check", "--rep", "hp", "--spin", "1", "--dim", "5"], None, id="hp-dim"),
+    pytest.param(["check"], "<missing>", id="config-missing"),
+    pytest.param(["check"], "<dir>", id="config-unreadable"),
+    pytest.param(["check"], '{"spin": [1]}', id="config-spin-list"),
+    pytest.param(["check"], '{"p0": [1]}', id="config-p0-list"),
+]
+
+
+class TestExitTwo:
+    @pytest.mark.parametrize("argv,config", EXIT_2_CASES)
+    def test_rule_exits_2(self, argv, config, tmp_path, capsys):
+        argv = list(argv)
+        if config is not None:
+            path = tmp_path / "run.json"
+            if config == "<dir>":
+                path.mkdir()
+            elif config != "<missing>":
+                path.write_text(config)
+            argv += ["--config", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error" in captured.err.strip().splitlines()[-1]
+
+
+class TestReportedParams:
+    def test_hp_reports_the_built_dim(self):
+        for argv in (["check", "--rep", "hp", "--spin", "1.5"],
+                     ["casimir", "--rep", "hp", "--spin", "1.5", "--dim", "4"]):
+            output, code = run(parse_args(argv + ["--format", "json"]))
+            assert code == 0
+            assert json.loads(output)["params"]["dim"] == 4
+
+    def test_transfo_echoes_p_min(self):
+        output, _ = run(parse_args(["transfo", "--p-min", "-10", "--format", "json"]))
+        assert json.loads(output)["params"]["p_min"] == -10.0
+        output, _ = run(parse_args(["transfo", "--format", "json"]))
+        assert "p_min" not in json.loads(output)["params"]
+
+
+HYPERBOLIC_BRACKETS = ("[K0,K+]-K+", "[K0,K-]+K-", "[K+,K-]+2K0")
+SPIN_BRACKETS = ("[Sz,S+]-S+", "[Sz,S-]+S-", "[S+,S-]-2Sz")
+CASIMIR_SUITE = [
+    f"{rep}/casimir closed form"
+    for rep in ("mp[k=1.75]", "saf[p0=0.5+1i]", "perelomov[lam=1]", "two_mode[24x24]",
+                "hp[corrected,S=5/2]", "villain[corrected,S=5/2]")
+]
+LEDGER = [
+    "ledger/villain[as_printed,S=1]: [S+,S-]-2Sz = -2 on unclamped interior",
+    "ledger/hp[as_printed,S=1/2]: adjointness gap = sqrt(2)-1",
+    "ledger/perelomov[lam=1]: casimir matches -1/4-lam^2, not -1/4-lam^2/4",
+]
+CHECK_SUITE = (
+    [f"{family}/{b}"
+     for family in ("mp[k=0.5]", "mp[k=1]", "mp[k=1.75]", "saf[25-point P0 grid]",
+                    "perelomov[lam in {0.6,1,2}]", "two_mode[24x24]")
+     for b in HYPERBOLIC_BRACKETS]
+    + [f"{family}/{b}"
+       for family in ("hp[corrected,S in {1/2,1,5/2}]", "villain[corrected,S in {1/2,1,5/2}]")
+       for b in SPIN_BRACKETS]
+    + [f"bose_{form}[dim=64]/{b}" for form in ("form1", "form2") for b in HYPERBOLIC_BRACKETS]
+    + [f"casimir/{name}" for name in CASIMIR_SUITE]
+    + [f"transfo/E+^{b} P^{n} E-^{b} - (P-{b})^{n}" for b in (1, 2) for n in (1, 2, 3)]
+    + [f"mapping[perelomov vs saf, lam={lam}]/delta[{g}]"
+       for lam in ("0.6", "1", "2") for g in ("k0", "k+", "k-")]
+    + ["reduction[eps=1,phi1=0.1,phi2=0.3]/max-spectral-deviation"]
+    + LEDGER
+)
+
+
+class TestSuites:
+    def _payload(self, command, capsys):
+        assert main([command, "--rep", "all", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["overall_passed"] is True
+        assert all(c["passed"] for c in payload["checks"])
+        return payload
+
+    def test_check_all(self, capsys):
+        payload = self._payload("check", capsys)
+        assert len(CHECK_SUITE) == 55
+        assert [c["name"] for c in payload["checks"]] == CHECK_SUITE
+        ledger = {c["name"]: c for c in payload["checks"][-3:]}
+        assert list(ledger) == LEDGER
+        assert float(ledger[LEDGER[1]]["metadata"]["gap"]) == pytest.approx(
+            2.0 ** 0.5 - 1.0, abs=1e-12
+        )
+        assert ledger[LEDGER[2]]["metadata"]["matches"] == "-1/4 - lam^2"
+
+    def test_casimir_all(self, capsys):
+        payload = self._payload("casimir", capsys)
+        assert [c["name"] for c in payload["checks"]] == CASIMIR_SUITE

@@ -18,7 +18,6 @@ from su11kit.linops import (
     maxabs_norm,
     tensor,
     unitary_exp,
-    zeros,
 )
 from su11kit.reps import bose_ladder, quadratures
 
@@ -160,7 +159,7 @@ class TestEigensystem:
 class TestUnitaryExp:
     def test_zero_gives_identity(self):
         basis = FockBasis((4,))
-        u = unitary_exp(zeros(basis), +1)
+        u = unitary_exp(0 * identity(basis), +1)
         np.testing.assert_allclose(u.entries, np.eye(4), atol=1e-15)
 
     def test_scalar_phases(self):
@@ -262,7 +261,7 @@ class TestInteriorProjector:
 
 class TestMaxAbsNorm:
     def test_zero_matrix(self):
-        assert maxabs_norm(zeros(FockBasis((3,)))) == 0.0
+        assert maxabs_norm(0 * identity(FockBasis((3,)))) == 0.0
 
     def test_diagonal(self):
         assert maxabs_norm(diagonal(FockBasis((2,)), [1.0, -3.0])) == 3.0
@@ -284,7 +283,7 @@ class TestCheckReport:
     def test_overall_passed(self):
         good = Check("a", 0.0, 1e-10)
         bad = Check("b", 1.0, 1e-10)
-        assert CheckReport("r", (good,)).overall_passed
-        report = CheckReport("r", (good, bad))
+        assert CheckReport((good,)).overall_passed
+        report = CheckReport((good, bad))
         assert not report.overall_passed
         assert report.failed() == (bad,)

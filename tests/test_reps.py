@@ -313,16 +313,3 @@ class TestAlgebraTriple:
         t = mp_realization(1.0, 8)
         with pytest.raises(ValueError):
             AlgebraTriple("elliptic", t.k0, t.kplus, t.kminus, t.params)
-
-    def test_rebased_preserves_entries(self):
-        spin = 1.0
-        hp = hp_spin(spin, "corrected")
-        circle = exact_range_basis(spin)
-        moved = hp.rebased(circle)
-        assert moved.basis == circle
-        np.testing.assert_array_equal(moved.splus.entries, hp.splus.entries)
-
-    def test_rebased_checks_dimension(self):
-        hp = hp_spin(1.0)
-        with pytest.raises(ValueError):
-            hp.rebased(CircleBasis(0.0, 7))
