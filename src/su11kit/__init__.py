@@ -41,7 +41,6 @@ from .reduction import (
     free_params,
     p0_of,
     pair_energy_closed_form,
-    pair_subspace,
     verify_reduction,
 )
 from .reps import (
@@ -96,7 +95,6 @@ __all__ = [
     "mp_realization",
     "p0_of",
     "pair_energy_closed_form",
-    "pair_subspace",
     "perelomov_realization",
     "quadratures",
     "saf_bose_form",

@@ -207,7 +207,8 @@ _FIELDS = {"tol": "tolerance", "format": "fmt"}
 
 
 def _resolve(ns: argparse.Namespace) -> RunConfig:
-    """Merge flags over the optional config file and fill the rep defaults.
+    """Merge flags over the optional config file and fill the rep defaults
+    of ``check`` and ``casimir``.
 
     The domain rules (spin, margin, tolerance, the singular coupling) are the
     library's own checks; k, lam, pairs, beta and n are checked by the
@@ -233,17 +234,18 @@ def _resolve(ns: argparse.Namespace) -> RunConfig:
                     f"--config value for {key} is not a finite number: {value!r}"
                 ) from None
 
-    rep = values.get("rep", RunConfig.rep)
-    block = int(round(2 * _validate_spin(values.get("spin", RunConfig.spin)))) + 1
-    if rep == "hp":
-        # The Holstein-Primakoff block is the (2S+1)-space, exact to its edges.
-        if values.setdefault("dim", block) != block:
-            raise ValueError(f"--dim must be 2S+1 = {block} for hp, got {values['dim']}")
-        values.setdefault("margin", 0)
-    elif rep == "villain":
-        values.setdefault("dim", block + 2 * VILLAIN_PAD)
-    elif rep == "two_mode":
-        values.setdefault("dim", TWO_MODE_DIM)
+    if ns.command in ("check", "casimir"):
+        rep = values.get("rep", RunConfig.rep)
+        block = int(round(2 * _validate_spin(values.get("spin", RunConfig.spin)))) + 1
+        if rep == "hp":
+            # The Holstein-Primakoff block is the (2S+1)-space, exact to its edges.
+            if values.setdefault("dim", block) != block:
+                raise ValueError(f"--dim must be 2S+1 = {block} for hp, got {values['dim']}")
+            values.setdefault("margin", 0)
+        elif rep == "villain":
+            values.setdefault("dim", block + 2 * VILLAIN_PAD)
+        elif rep == "two_mode":
+            values.setdefault("dim", TWO_MODE_DIM)
     if ns.command == "reduce":
         values.setdefault("tolerance", 1e-9)
 
@@ -261,7 +263,7 @@ def parse_args(argv: list[str]) -> RunConfig:
     ns = parser.parse_args(argv)
     try:
         return _resolve(ns)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         parser.error(str(exc))
         raise AssertionError("unreachable")  # parser.error always exits
 
@@ -625,7 +627,7 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         output, exit_code = run(config)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(output)

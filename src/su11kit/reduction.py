@@ -130,22 +130,6 @@ def build_k_form(params: ModelParams, triple: AlgebraTriple) -> OperatorMatrix:
     )
 
 
-def pair_subspace(dim_a: int, dim_b: int) -> np.ndarray:
-    """Isometry whose columns are the equal-occupation states |n, n>.
-
-    Shape (dim_a * dim_b, dim_a), real 0/1 entries, orthonormal columns in
-    the row-major two-mode indexing.
-    """
-    if dim_a != dim_b:
-        raise ValueError(
-            f"pair subspace needs equal per-mode dims, got ({dim_a}, {dim_b})"
-        )
-    d = int(dim_a)
-    iso = np.zeros((d * d, d), dtype=np.float64)
-    iso[np.arange(d) * (d + 1), np.arange(d)] = 1.0
-    return iso
-
-
 def p0_of(params: ModelParams) -> float:
     """Momentum offset that cancels the linear term of the reduced problem:
     (3 Phi1 + Phi2 - eps) / (2 Phi1 + Phi2)."""
@@ -192,11 +176,11 @@ def verify_reduction(
     # Two spare levels per mode keep the pair block clear of the cutoff.
     dim = n_pairs + 2
     hamiltonian = build_direct_hamiltonian(params, dim, dim)
-    iso = pair_subspace(dim, dim)[:, :n_pairs]
-    block = OperatorMatrix(
-        FockBasis((n_pairs,)), iso.T @ hamiltonian.entries @ iso
-    )
-    direct, _ = hermitian_eigensystem(block)
+    occ = hamiltonian.basis.occupations()
+    pairs = np.flatnonzero(occ[:, 0] == occ[:, 1])[:n_pairs]
+    # + 0.0 turns -0.0 entries into 0.0, so an exactly zero level prints as 0.0.
+    block = hamiltonian.entries[np.ix_(pairs, pairs)] + 0.0
+    direct, _ = hermitian_eigensystem(OperatorMatrix(FockBasis((n_pairs,)), block))
 
     p0 = p0_of(params)
     h0, mass = free_params(params)

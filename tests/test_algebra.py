@@ -105,6 +105,19 @@ class TestCasimirSpin:
             casimir_spin(mp_realization(1.0, 8))
 
 
+class TestMaskedInterior:
+    def test_all_interior_states_clamped_raises(self):
+        # Spin 1/2 on p = -1/2 .. 37/2: every state inside margin 2 touches
+        # a clamped amplitude, so no state is left to measure on.
+        t = villain_spin(0.5, CircleBasis(-0.5, 20))
+        with pytest.raises(ValueError, match="no interior states left"):
+            masked_interior(t, 2)
+        with pytest.raises(ValueError, match="no interior states left"):
+            check_commutators(t, CheckSpec(margin=2))
+        with pytest.raises(ValueError, match="no interior states left"):
+            check_casimir(t, CheckSpec(margin=2))
+
+
 class TestCheckCommutators:
     def test_saf_passes_tightly(self, circle64):
         report = check_commutators(

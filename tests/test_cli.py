@@ -197,6 +197,10 @@ class TestMain:
         assert first == second
 
 
+# Spin 1/2 on a lattice whose margin-2 interior is all clamp-excluded.
+CLAMPED_INTERIOR = ["check", "--rep", "villain", "--spin", "0.5", "--p-min=-0.5",
+                    "--dim", "20", "--margin", "2"]
+
 # Each usage or domain rule that exits 2, run through main. A config entry is
 # the text of the --config file, "<missing>" for a path that does not exist,
 # or "<dir>" for a path that cannot be read as a file.
@@ -206,6 +210,8 @@ EXIT_2_CASES = [
     pytest.param(["check", "--rep", "hp", "--spin", "0.7"], None, id="spin"),
     pytest.param(["check", "--rep", "saf", "--dim", "1"], None, id="dim"),
     pytest.param(["check", "--rep", "saf", "--margin", "-1"], None, id="margin"),
+    pytest.param(["check", "--rep", "saf", "--margin", "99999999999999999999"], None,
+                 id="margin-beyond-int64"),
     pytest.param(["check", "--rep", "saf", "--tol", "0"], None, id="tol"),
     pytest.param(["reduce", "--phi1", "0.5", "--phi2", "-1"], None, id="singular-coupling"),
     pytest.param(["reduce", "--pairs", "1"], None, id="pairs"),
@@ -216,6 +222,13 @@ EXIT_2_CASES = [
     pytest.param(["check"], "<dir>", id="config-unreadable"),
     pytest.param(["check"], '{"spin": [1]}', id="config-spin-list"),
     pytest.param(["check"], '{"p0": [1]}', id="config-p0-list"),
+    pytest.param(["check", "--rep", "hp", "--spin", "inf"], None, id="hp-spin-inf"),
+    pytest.param(["check", "--rep", "villain", "--spin", "1", "--p-min", "inf"], None,
+                 id="villain-p-min-inf"),
+    pytest.param(["reduce", "--epsilon", "1e300", "--pairs", "4"], None,
+                 id="reduce-epsilon-overflow"),
+    pytest.param(CLAMPED_INTERIOR, None, id="check-no-interior"),
+    pytest.param(["casimir"] + CLAMPED_INTERIOR[1:], None, id="casimir-no-interior"),
 ]
 
 
@@ -243,6 +256,21 @@ class TestReportedParams:
             output, code = run(parse_args(argv + ["--format", "json"]))
             assert code == 0
             assert json.loads(output)["params"]["dim"] == 4
+
+    def test_transfo_ignores_the_rep_defaults(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text('{"rep": "two_mode"}')
+        output, _ = run(parse_args(["transfo", "--config", str(path), "--format", "json"]))
+        assert json.loads(output)["params"]["dim"] == 64
+
+    @pytest.mark.parametrize("config", ['{"rep": "hp", "dim": 5}', '{"spin": 0.7}'])
+    def test_reduce_ignores_the_rep_keys(self, config, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(config)
+        assert main(["reduce", "--config", str(path)]) == 0
+        with_config = capsys.readouterr().out
+        assert main(["reduce"]) == 0
+        assert with_config == capsys.readouterr().out
 
     def test_transfo_echoes_p_min(self):
         output, _ = run(parse_args(["transfo", "--p-min", "-10", "--format", "json"]))

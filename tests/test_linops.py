@@ -258,6 +258,16 @@ class TestInteriorProjector:
         with pytest.raises(ValueError):
             interior_projector(FockBasis((4, 4)), 2)
 
+    @pytest.mark.parametrize("dim,margin", [(2, 0), (5, 1), (6, 2), (9, 4)])
+    def test_fock_and_circle_keep_the_same_states(self, dim, margin):
+        fock = interior_projector(FockBasis((dim,)), margin)
+        circle = interior_projector(CircleBasis(-3.5, dim), margin)
+        np.testing.assert_array_equal(np.diag(fock.entries), np.diag(circle.entries))
+
+    def test_excluded_states_are_dropped(self):
+        proj = interior_projector(CircleBasis(0.0, 6), 1, excluded=(1, 4))
+        np.testing.assert_array_equal(np.diag(proj.entries), [0, 0, 1, 1, 0, 0])
+
 
 class TestMaxAbsNorm:
     def test_zero_matrix(self):

@@ -10,7 +10,6 @@ from su11kit.reduction import (
     free_params,
     p0_of,
     pair_energy_closed_form,
-    pair_subspace,
     verify_reduction,
 )
 from su11kit.reps import hp_spin, saf_realization, two_mode
@@ -123,30 +122,21 @@ class TestKForm:
 
 
 class TestPairSubspace:
-    def test_dim3_columns(self):
-        iso = pair_subspace(3, 3)
-        assert iso.shape == (9, 3)
-        hot = np.argwhere(iso == 1.0)
-        assert hot.tolist() == [[0, 0], [4, 1], [8, 2]]
-        np.testing.assert_array_equal(iso.T @ iso, np.eye(3))
+    @staticmethod
+    def _pair_block(op):
+        occ = op.basis.occupations()
+        pairs = np.flatnonzero(occ[:, 0] == occ[:, 1])
+        return op.entries[np.ix_(pairs, pairs)]
 
     def test_casimir_restriction_is_minus_quarter(self):
-        t = two_mode(6, 6)
-        iso = pair_subspace(6, 6)
-        c = iso.T @ casimir_su11(t).entries @ iso
+        c = self._pair_block(casimir_su11(two_mode(6, 6)))
         # the top pair state feels the cutoff (K-K+ truncates), so the
         # constant holds on the levels below it
         np.testing.assert_allclose(c[:5, :5], -0.25 * np.eye(5), atol=1e-12)
 
     def test_k0_restriction_counts_pairs(self):
-        t = two_mode(5, 5)
-        iso = pair_subspace(5, 5)
-        k0 = iso.T @ t.k0.entries @ iso
+        k0 = self._pair_block(two_mode(5, 5).k0)
         np.testing.assert_allclose(k0, np.diag(np.arange(5) + 0.5), atol=1e-14)
-
-    def test_unequal_dims_rejected(self):
-        with pytest.raises(ValueError):
-            pair_subspace(4, 5)
 
 
 class TestClosedForms:
