@@ -236,7 +236,8 @@ def _resolve(ns: argparse.Namespace) -> RunConfig:
 
     if ns.command in ("check", "casimir"):
         rep = values.get("rep", RunConfig.rep)
-        block = int(round(2 * _validate_spin(values.get("spin", RunConfig.spin)))) + 1
+        if rep in ("hp", "villain"):
+            block = int(round(2 * _validate_spin(values.get("spin", RunConfig.spin)))) + 1
         if rep == "hp":
             # The Holstein-Primakoff block is the (2S+1)-space, exact to its edges.
             if values.setdefault("dim", block) != block:

@@ -83,6 +83,8 @@ class CircleBasis:
     def __post_init__(self) -> None:
         object.__setattr__(self, "p_min", float(self.p_min))
         object.__setattr__(self, "count", int(self.count))
+        if not np.isfinite(self.p_min):
+            raise ValueError(f"p_min must be finite, got {self.p_min}")
         if self.count < MIN_BASIS_DIM:
             raise ValueError(f"count must be >= {MIN_BASIS_DIM}, got {self.count}")
 
@@ -97,19 +99,39 @@ class CircleBasis:
 BasisSpec = FockBasis | CircleBasis
 
 
+class _Fresh:
+    """A complex128 array that arithmetic has just allocated.
+
+    Nothing else references it, so :class:`OperatorMatrix` adopts it instead
+    of copying it.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray) -> None:
+        self.array = array
+
+
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
     """Square complex matrix tagged with the basis it acts on.
 
     Entries are stored as an immutable complex128 array; all arithmetic
     returns new values, so instances can be shared freely between threads.
+    The constructor copies the caller's array once. The results of
+    arithmetic and :func:`tensor` are arrays nothing else holds, so they are
+    adopted without a copy; the shape, basis and finiteness checks run on
+    every construction either way.
     """
 
     basis: BasisSpec
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.entries, dtype=np.complex128, copy=True)
+        if isinstance(self.entries, _Fresh):
+            arr = self.entries.array
+        else:
+            arr = np.array(self.entries, dtype=np.complex128, copy=True)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"entries must be a square matrix, got shape {arr.shape}")
         if arr.shape[0] != self.basis.dim:
@@ -144,23 +166,23 @@ class OperatorMatrix:
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         self._require_same_basis(other)
-        return OperatorMatrix(self.basis, self.entries @ other.entries)
+        return OperatorMatrix(self.basis, _Fresh(self.entries @ other.entries))
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         self._require_same_basis(other)
-        return OperatorMatrix(self.basis, self.entries + other.entries)
+        return OperatorMatrix(self.basis, _Fresh(self.entries + other.entries))
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         self._require_same_basis(other)
-        return OperatorMatrix(self.basis, self.entries - other.entries)
+        return OperatorMatrix(self.basis, _Fresh(self.entries - other.entries))
 
     def __neg__(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.basis, -self.entries)
+        return OperatorMatrix(self.basis, _Fresh(-self.entries))
 
     def __mul__(self, scalar) -> "OperatorMatrix":
         if not isinstance(scalar, numbers.Number):
             return NotImplemented
-        return OperatorMatrix(self.basis, self.entries * complex(scalar))
+        return OperatorMatrix(self.basis, _Fresh(self.entries * complex(scalar)))
 
     __rmul__ = __mul__
 
@@ -234,7 +256,7 @@ def tensor(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
         if not (isinstance(op.basis, FockBasis) and op.basis.modes == 1):
             raise ValueError("tensor requires single-mode Fock operators")
     out_basis = FockBasis((a.basis.dims[0], b.basis.dims[0]))
-    return OperatorMatrix(out_basis, np.kron(a.entries, b.entries))
+    return OperatorMatrix(out_basis, _Fresh(np.kron(a.entries, b.entries)))
 
 
 def interior_projector(

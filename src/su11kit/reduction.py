@@ -57,6 +57,15 @@ class ModelParams:
                 f"(|value| < {SINGULAR_COUPLING_TOL:g}); mass and momentum "
                 f"offset are undefined"
             )
+        try:
+            finite = all(np.isfinite((p0_of(self), *free_params(self))))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(
+                f"epsilon={self.epsilon!r}, phi1={self.phi1!r}, phi2={self.phi2!r} "
+                f"give a non-finite momentum offset, condensate energy or mass"
+            )
 
     @property
     def pair_coupling(self) -> float:
@@ -95,6 +104,13 @@ def build_direct_hamiltonian(
     exact all the way to the cutoff: the matrix equals
     eps(n_a+n_b) + Phi2 n_a n_b + Phi1 (n_a(n_a-1) + n_b(n_b-1)) on the
     occupation diagonal.
+
+    Every product is taken per mode before the Kronecker product. The cross
+    term uses the mixed-product rule (A (x) B)(C (x) D) = AC (x) BD, so
+    a+ b+ b a is built as (a+ a) (x) (b+ b) instead of a product of two
+    d^2 x d^2 matrices. With d = max(dim_a, dim_b) the build costs O(d^4)
+    time and memory, set by the Kronecker products and the sums of the
+    dense two-mode result.
     """
     if dim_a < 4 or dim_b < 4:
         raise ValueError(f"per-mode dims must be >= 4, got ({dim_a}, {dim_b})")
@@ -102,7 +118,7 @@ def build_direct_hamiltonian(
     b, bdag = bose_ladder(dim_b)
     ia, ib = identity(a.basis), identity(b.basis)
     number = tensor(adag @ a, ib) + tensor(ia, bdag @ b)
-    cross = tensor(adag, bdag) @ tensor(a, b)
+    cross = tensor(adag @ a, bdag @ b)
     quartic = tensor(adag @ adag @ a @ a, ib) + tensor(ia, bdag @ bdag @ b @ b)
     return params.epsilon * number + params.phi2 * cross + params.phi1 * quartic
 

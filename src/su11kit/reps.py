@@ -163,7 +163,7 @@ def mp_realization(k: float, dim: int = 64) -> AlgebraTriple:
 
 def _validate_spin(spin: float) -> float:
     spin = float(spin)
-    if spin <= 0 or abs(2 * spin - round(2 * spin)) > 1e-9:
+    if not (np.isfinite(spin) and spin > 0) or abs(2 * spin - round(2 * spin)) > 1e-9:
         raise ValueError(f"spin must be a positive half-integer, got {spin}")
     return spin
 

@@ -232,9 +232,17 @@ EXIT_2_CASES = [
 ]
 
 
+# Cases whose message must name the offending parameter, by case id.
+NAMED_PARAMETER = {
+    "hp-spin-inf": "spin",
+    "villain-p-min-inf": "p_min",
+    "reduce-epsilon-overflow": "epsilon",
+}
+
+
 class TestExitTwo:
     @pytest.mark.parametrize("argv,config", EXIT_2_CASES)
-    def test_rule_exits_2(self, argv, config, tmp_path, capsys):
+    def test_rule_exits_2(self, argv, config, tmp_path, capsys, request):
         argv = list(argv)
         if config is not None:
             path = tmp_path / "run.json"
@@ -247,6 +255,9 @@ class TestExitTwo:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error" in captured.err.strip().splitlines()[-1]
+        named = NAMED_PARAMETER.get(request.node.callspec.id)
+        if named is not None:
+            assert named in captured.err
 
 
 class TestReportedParams:
@@ -271,6 +282,18 @@ class TestReportedParams:
         with_config = capsys.readouterr().out
         assert main(["reduce"]) == 0
         assert with_config == capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["check", "casimir"])
+    def test_spin_is_ignored_by_reps_that_do_not_read_it(self, command, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text('{"spin": 0.7}')
+        argv = [command, "--rep", "saf"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + ["--spin", "0.7"]) == 0
+        assert capsys.readouterr().out == plain
+        assert main(argv + ["--config", str(path)]) == 0
+        assert capsys.readouterr().out == plain
 
     def test_transfo_echoes_p_min(self):
         output, _ = run(parse_args(["transfo", "--p-min", "-10", "--format", "json"]))

@@ -73,6 +73,30 @@ class TestOperatorMatrix:
         with pytest.raises(ValueError):
             op.entries[0, 0] = 2.0
 
+    def test_constructor_copies_the_callers_array(self):
+        arr = np.eye(4, dtype=np.complex128)
+        op = OperatorMatrix(FockBasis((4,)), arr)
+        arr[0, 0] = 7.0
+        assert op.entries[0, 0] == 1.0
+
+    def test_arithmetic_results_are_read_only(self):
+        basis = FockBasis((3,))
+        a, b = random_operator(basis, 1), random_operator(basis, 2)
+        results = [a @ b, a + b, a - b, -a, 2.5 * a, a * 1j,
+                   tensor(a, b), a.dag()]
+        for op in results:
+            assert not op.entries.flags.writeable
+            with pytest.raises(ValueError):
+                op.entries[0, 0] = 0.0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_arithmetic_overflow_rejected(self):
+        big = 10 * identity(FockBasis((4,)))
+        with pytest.raises(ValueError, match="non-finite"):
+            big * 1e308
+        with pytest.raises(ValueError, match="non-finite"):
+            (big * 1e300) @ (big * 1e300)
+
     def test_dag_conjugates(self):
         basis = FockBasis((2,))
         op = OperatorMatrix(basis, [[0, 1j], [0, 0]])

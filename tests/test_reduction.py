@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from su11kit.linops import interior_projector, maxabs_norm
-from su11kit.linops import CircleBasis, diagonal, identity
+from su11kit.linops import CircleBasis, OperatorMatrix, diagonal, identity, tensor
 from su11kit.reduction import (
     ModelParams,
     build_direct_hamiltonian,
@@ -12,7 +12,7 @@ from su11kit.reduction import (
     pair_energy_closed_form,
     verify_reduction,
 )
-from su11kit.reps import hp_spin, saf_realization, two_mode
+from su11kit.reps import bose_ladder, hp_spin, saf_realization, two_mode
 from su11kit.algebra import casimir_su11
 
 EXAMPLE = ModelParams(1.0, 0.1, 0.3)
@@ -42,6 +42,15 @@ class TestModelParams:
     def test_condensate_flag(self):
         assert EXAMPLE.condensate
         assert not ModelParams(1.0, -0.5, 0.2).condensate
+
+    @pytest.mark.parametrize("couplings", [
+        (1e300, 0.1, 0.3),  # (phi1 - eps)^2 overflows
+        (float("inf"), 0.1, 0.3),
+        (1.0, float("nan"), 0.3),
+    ])
+    def test_nonfinite_constants_rejected(self, couplings):
+        with pytest.raises(ValueError, match="epsilon=.*phi1=.*phi2="):
+            ModelParams(*couplings)
 
 
 class TestDirectHamiltonian:
@@ -74,6 +83,45 @@ class TestDirectHamiltonian:
         np.testing.assert_allclose(np.diag(h.entries).real, expected, atol=1e-12)
         # and nothing off the diagonal
         assert maxabs_norm(h - diagonal(h.basis, np.diag(h.entries))) == 0.0
+
+
+def two_mode_product_hamiltonian(params, dim):
+    """The Hamiltonian with the cross term as the product of two two-mode
+    operators, tensor(a+, b+) @ tensor(a, b): the O(d^6) assembly that the
+    mixed-product rule replaces, kept as the small-d oracle."""
+    a, adag = bose_ladder(dim)
+    one = identity(a.basis)
+    number = tensor(adag @ a, one) + tensor(one, adag @ a)
+    cross = tensor(adag, adag) @ tensor(a, a)
+    quartic = tensor(adag @ adag @ a @ a, one) + tensor(one, adag @ adag @ a @ a)
+    return params.epsilon * number + params.phi2 * cross + params.phi1 * quartic
+
+
+class TestMixedProductRoute:
+    @pytest.mark.parametrize("dim", [4, 7, 12])
+    @pytest.mark.parametrize("params", [EXAMPLE, ModelParams(0.7, -0.2, 0.9)])
+    def test_matches_the_two_mode_product(self, params, dim):
+        h = build_direct_hamiltonian(params, dim, dim)
+        oracle = two_mode_product_hamiltonian(params, dim)
+        assert maxabs_norm(h - oracle) <= 1e-12
+        occ = h.basis.occupations()
+        pairs = np.flatnonzero(occ[:, 0] == occ[:, 1])
+        block = np.ix_(pairs, pairs)
+        assert np.array_equal(h.entries[block], oracle.entries[block])
+
+    def test_no_two_mode_matmul(self, monkeypatch):
+        # A product of two d^2 x d^2 operators would make the build O(d^6).
+        calls = {"one_mode": 0, "two_mode": 0}
+        original = OperatorMatrix.__matmul__
+
+        def counting(self, other):
+            calls["two_mode" if self.basis.modes == 2 else "one_mode"] += 1
+            return original(self, other)
+
+        monkeypatch.setattr(OperatorMatrix, "__matmul__", counting)
+        build_direct_hamiltonian(EXAMPLE, 8, 8)
+        assert calls["one_mode"] > 0
+        assert calls["two_mode"] == 0
 
 
 class TestKForm:
