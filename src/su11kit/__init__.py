@@ -1,7 +1,7 @@
 """su11kit: finite-matrix realizations of the su(1,1) and spin ladder algebras.
 
-The package builds every realization as dense matrices on truncated state
-spaces, verifies the defining commutators and Casimir closed forms behind an
+The package builds every realization as band-stored or dense matrices on
+truncated state spaces, verifies the defining commutators and Casimir closed forms behind an
 interior projection, and reproduces the exact reduction of two nonlinear
 coupled oscillators to a free particle on the pair ladder.
 """
@@ -24,6 +24,7 @@ from .linops import (
     CircleBasis,
     FockBasis,
     OperatorMatrix,
+    banded,
     commutator,
     diagonal,
     hermitian_eigensystem,
@@ -72,6 +73,7 @@ __all__ = [
     "OperatorMatrix",
     "ReductionResult",
     "RepParams",
+    "banded",
     "bose_ladder",
     "build_direct_hamiltonian",
     "build_k_form",

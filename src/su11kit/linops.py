@@ -1,4 +1,4 @@
-"""Dense complex operator matrices on truncated state spaces.
+"""Complex operator matrices on truncated state spaces, stored as bands or dense.
 
 The working currency of the package is :class:`OperatorMatrix`: a square
 complex matrix tagged with the basis it acts on. Bases come in two flavours,
@@ -7,14 +7,22 @@ circle-momentum bases whose states carry unit-spaced momentum eigenvalues.
 Binary operations refuse to mix operators from different bases; that single
 rule catches most wiring mistakes in the layers above.
 
-Everything is dense, double precision and eager. The benchmark in
-``perfbench/`` runs operands of up to 1024 rows for the checks and 2500 rows
-for the two-mode Hamiltonian of the reduction.
+Every ladder operator here is a sum of a few diagonals (a function of a
+number or momentum operator times a unit shift), stored as bands
+``{offset k: vector v}`` with ``A[i, i + k] = v[i]``. Sums, products,
+adjoints and Kronecker products of bands are bands, at O(bands * dim) cost.
+Arrays handed to the constructor and the results of :func:`unitary_exp` are
+dense; a product with one dense operand is dense, at O(bands * dim^2) by row
+or column scaling. ``.entries`` materializes the dense array on request.
+Everything is double precision and eager. A dense matrix or a basis too
+large for :data:`BYTE_BUDGET` raises ValueError before any allocation.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +34,22 @@ HERMITICITY_TOL = 1e-10
 #: support none of the shift/ladder structure, while dimension 2 is required
 #: by the spin-1/2 realizations.
 MIN_BASIS_DIM = 2
+
+#: Largest dense matrix in bytes (16 dim^2, so dim stops near 11 500), and the
+#: budget for :data:`BAND_VECTORS` band vectors of one basis's length.
+BYTE_BUDGET = 2 * 2 ** 30
+
+#: Band vectors one check may hold at once; a saf check at 2^20 states peaks
+#: at about a dozen.
+BAND_VECTORS = 16
+
+
+def _require_budget(nbytes: int, what: str) -> None:
+    if nbytes > BYTE_BUDGET:
+        raise ValueError(
+            f"{what} would take {nbytes / 2 ** 30:.1f} GiB, more than the "
+            f"{BYTE_BUDGET / 2 ** 30:g} GiB memory budget"
+        )
 
 
 class BasisMismatchError(ValueError):
@@ -52,6 +76,7 @@ class FockBasis:
             raise ValueError(
                 f"per-mode dimension must be >= {MIN_BASIS_DIM}, got {dims}"
             )
+        _require_budget(16 * BAND_VECTORS * self.dim, f"bands of {self.dim} states")
 
     @property
     def modes(self) -> int:
@@ -59,7 +84,7 @@ class FockBasis:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def occupations(self) -> np.ndarray:
         """Occupation numbers of every basis state, shape ``(dim, modes)``."""
@@ -87,6 +112,7 @@ class CircleBasis:
             raise ValueError(f"p_min must be finite, got {self.p_min}")
         if self.count < MIN_BASIS_DIM:
             raise ValueError(f"count must be >= {MIN_BASIS_DIM}, got {self.count}")
+        _require_budget(16 * BAND_VECTORS * self.count, f"bands of {self.count} states")
 
     @property
     def dim(self) -> int:
@@ -100,61 +126,129 @@ BasisSpec = FockBasis | CircleBasis
 
 
 class _Fresh:
-    """A complex128 array that arithmetic has just allocated.
+    """A complex128 array or a dict of band vectors that arithmetic has just
+    built; nothing else writes to it, so :class:`OperatorMatrix` adopts it."""
 
-    Nothing else references it, so :class:`OperatorMatrix` adopts it instead
-    of copying it.
-    """
+    __slots__ = ("storage",)
 
-    __slots__ = ("array",)
-
-    def __init__(self, array: np.ndarray) -> None:
-        self.array = array
+    def __init__(self, storage: np.ndarray | dict[int, np.ndarray]) -> None:
+        self.storage = storage
 
 
-@dataclass(frozen=True, eq=False)
+def _rows(k: int, n: int) -> tuple[int, int]:
+    """Range [lo, hi) of the rows i whose column i + k lies in [0, n)."""
+    return max(0, -k), min(n, n - k)
+
+
+def _shift(v: np.ndarray, k: int) -> np.ndarray:
+    """w[i] = v[i + k], zero where i + k leaves the range."""
+    lo, hi = _rows(k, v.shape[0])
+    out = np.zeros_like(v)
+    out[lo:hi] = v[lo + k:hi + k]
+    return out
+
+
+def _dense_zeros(n: int) -> np.ndarray:
+    """A writable n x n complex zero array, refused above :data:`BYTE_BUDGET`."""
+    _require_budget(16 * n * n, f"a dense {n}x{n} complex matrix")
+    return np.zeros((n, n), dtype=np.complex128)
+
+
+def _to_dense(bands: dict[int, np.ndarray], n: int) -> np.ndarray:
+    """Materialize band storage as a read-only dense n x n array."""
+    out = _dense_zeros(n)
+    flat = out.reshape(-1)
+    for k, v in bands.items():
+        lo, hi = _rows(k, n)
+        # Entry (i, i + k) sits at flat index i (n + 1) + k.
+        flat[lo * (n + 1) + k:hi * (n + 1) + k:n + 1] = v[lo:hi]
+    out.setflags(write=False)
+    return out
+
+
 class OperatorMatrix:
     """Square complex matrix tagged with the basis it acts on.
 
-    Entries are stored as an immutable complex128 array; all arithmetic
-    returns new values, so instances can be shared freely between threads.
-    The constructor copies the caller's array once. The results of
-    arithmetic and :func:`tensor` are arrays nothing else holds, so they are
-    adopted without a copy; the shape, basis and finiteness checks run on
-    every construction either way.
+    Storage is dense or bands (see the module docstring), picked by the
+    arithmetic. Every array held is read-only and all arithmetic returns new
+    values, so instances can be shared freely between threads. The
+    constructor copies the caller's dense array once; the results of
+    arithmetic, :func:`banded` and :func:`tensor` are adopted without a copy.
+    The shape, basis and finiteness checks run on every construction.
     """
 
-    basis: BasisSpec
-    entries: np.ndarray
+    __slots__ = ("basis", "_dense", "_bands", "__weakref__")
 
-    def __post_init__(self) -> None:
-        if isinstance(self.entries, _Fresh):
-            arr = self.entries.array
+    def __init__(self, basis: BasisSpec, entries) -> None:
+        if isinstance(entries, _Fresh):
+            storage = entries.storage
         else:
-            arr = np.array(self.entries, dtype=np.complex128, copy=True)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"entries must be a square matrix, got shape {arr.shape}")
-        if arr.shape[0] != self.basis.dim:
-            raise BasisMismatchError(
-                f"entries are {arr.shape[0]}x{arr.shape[1]} but the basis has "
-                f"dimension {self.basis.dim}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("entries contain non-finite values")
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+            storage = np.array(entries, dtype=np.complex128, copy=True)
+        n = basis.dim
+        if isinstance(storage, dict):
+            dense, bands, arrays, fits = None, storage, storage.values(), (n,)
+        else:
+            if storage.ndim != 2 or storage.shape[0] != storage.shape[1]:
+                raise ValueError(
+                    f"entries must be a square matrix, got shape {storage.shape}"
+                )
+            dense, bands, arrays, fits = storage, None, (storage,), (n, n)
+        for arr in arrays:
+            if arr.shape != fits:
+                raise BasisMismatchError(
+                    f"entries of shape {arr.shape} do not fit a basis of dimension {n}"
+                )
+            if not np.all(np.isfinite(arr)):
+                raise ValueError("entries contain non-finite values")
+            arr.setflags(write=False)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_dense", dense)
+        object.__setattr__(self, "_bands", bands)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"OperatorMatrix is immutable; cannot set {name!r}")
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return self.basis.dim
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense matrix, read-only; bands are materialized on each call."""
+        if self._bands is None:
+            return self._dense
+        return _to_dense(self._bands, self.dim)
+
+    def diagonal(self) -> np.ndarray:
+        """The main diagonal as a vector, without materializing."""
+        if self._bands is None:
+            return np.diagonal(self._dense)
+        return self._bands[0] if 0 in self._bands else np.zeros(self.dim, dtype=complex)
+
+    def block(self, index) -> np.ndarray:
+        """Dense sub-matrix ``A[index][:, index]`` for ascending state indices."""
+        index = np.asarray(index, dtype=np.int64)
+        if self._bands is None:
+            return self._dense[np.ix_(index, index)]
+        out = _dense_zeros(index.size)
+        for k, v in self._bands.items():
+            cols = np.searchsorted(index, index + k)
+            hit = cols < index.size
+            hit[hit] = index[cols[hit]] == index[hit] + k
+            out[np.flatnonzero(hit), cols[hit]] = v[index[hit]]
+        return out
 
     def dag(self) -> "OperatorMatrix":
         """Hermitian conjugate on the same basis."""
-        return OperatorMatrix(self.basis, self.entries.conj().T)
+        if self._bands is None:
+            return OperatorMatrix(self.basis, self._dense.conj().T)
+        return OperatorMatrix(self.basis, _Fresh(
+            {-k: np.conj(_shift(v, -k)) for k, v in self._bands.items()}
+        ))
 
     def hermiticity_defect(self) -> float:
         """max|A - A^dag|, zero for an exactly Hermitian matrix."""
-        return float(np.max(np.abs(self.entries - self.entries.conj().T)))
+        return maxabs_norm(self - self.dag())
 
     def _require_same_basis(self, other: "OperatorMatrix") -> None:
         if not isinstance(other, OperatorMatrix):
@@ -166,39 +260,85 @@ class OperatorMatrix:
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         self._require_same_basis(other)
-        return OperatorMatrix(self.basis, _Fresh(self.entries @ other.entries))
+        a, b, n = self._bands, other._bands, self.dim
+        if a is None and b is None:
+            product = self._dense @ other._dense
+        elif b is None:
+            # Row i of the product is the sum over k of a_k[i] times row i + k.
+            product = _dense_zeros(n)
+            for k, v in a.items():
+                lo, hi = _rows(k, n)
+                product[lo:hi] += v[lo:hi, None] * other._dense[lo + k:hi + k]
+        elif a is None:
+            # Column m + k of the product gathers column m times b_k[m].
+            product = _dense_zeros(n)
+            for k, v in b.items():
+                lo, hi = _rows(k, n)
+                product[:, lo + k:hi + k] += self._dense[:, lo:hi] * v[lo:hi]
+        else:
+            product = {}
+            for ka, va in a.items():
+                for kb, vb in b.items():
+                    k = ka + kb
+                    if abs(k) < n:
+                        product[k] = product.get(k, 0.0) + va * _shift(vb, ka)
+        return OperatorMatrix(self.basis, _Fresh(product))
+
+    def _combine(self, other: "OperatorMatrix", ufunc) -> "OperatorMatrix":
+        self._require_same_basis(other)
+        a, b = self._bands, other._bands
+        if a is None or b is None:
+            return OperatorMatrix(self.basis, _Fresh(ufunc(self.entries, other.entries)))
+        out = {}
+        for k in sorted(a.keys() | b.keys()):  # an absent band reads as zeros
+            out[k] = a[k] if k not in b else ufunc(a.get(k, 0.0), b[k])
+        return OperatorMatrix(self.basis, _Fresh(out))
+
+    def _map(self, fn) -> "OperatorMatrix":
+        if self._bands is None:
+            return OperatorMatrix(self.basis, _Fresh(fn(self._dense)))
+        return OperatorMatrix(self.basis, _Fresh({k: fn(v) for k, v in self._bands.items()}))
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._require_same_basis(other)
-        return OperatorMatrix(self.basis, _Fresh(self.entries + other.entries))
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        self._require_same_basis(other)
-        return OperatorMatrix(self.basis, _Fresh(self.entries - other.entries))
+        return self._combine(other, np.subtract)
 
     def __neg__(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.basis, _Fresh(-self.entries))
+        return self._map(np.negative)
 
     def __mul__(self, scalar) -> "OperatorMatrix":
         if not isinstance(scalar, numbers.Number):
             return NotImplemented
-        return OperatorMatrix(self.basis, _Fresh(self.entries * complex(scalar)))
+        return self._map(lambda values: values * complex(scalar))
 
     __rmul__ = __mul__
 
 
+def banded(basis: BasisSpec, bands) -> OperatorMatrix:
+    """Band-stored operator with ``A[i, i + k] = bands[k][i]`` for each offset k.
+
+    Each vector has length ``dim``. Its entries whose column ``i + k`` leaves
+    the range are ignored, and so is an offset with no column in range.
+    """
+    out = {}
+    for k, values in bands.items():
+        k = operator.index(k)
+        lo, hi = _rows(k, basis.dim)
+        if lo < hi:
+            out[k] = np.array(values, dtype=np.complex128, ndmin=1)
+            out[k][:lo] = out[k][hi:] = 0.0
+    return OperatorMatrix(basis, _Fresh(out))
+
+
 def identity(basis: BasisSpec) -> OperatorMatrix:
-    return OperatorMatrix(basis, np.eye(basis.dim, dtype=np.complex128))
+    return banded(basis, {0: np.ones(basis.dim)})
 
 
 def diagonal(basis: BasisSpec, values) -> OperatorMatrix:
     """Diagonal operator from a length-``dim`` sequence of values."""
-    vals = np.asarray(values, dtype=np.complex128)
-    if vals.shape != (basis.dim,):
-        raise ValueError(
-            f"need {basis.dim} diagonal values, got shape {vals.shape}"
-        )
-    return OperatorMatrix(basis, np.diag(vals))
+    return banded(basis, {0: values})
 
 
 def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
@@ -209,7 +349,9 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
 
 def maxabs_norm(a: OperatorMatrix) -> float:
     """Maximum absolute entry; the residual norm used by every check."""
-    return float(np.max(np.abs(a.entries)))
+    if a._bands is None:
+        return float(np.max(np.abs(a._dense)))
+    return max((float(np.max(np.abs(v))) for v in a._bands.values()), default=0.0)
 
 
 def _require_hermitian(a: OperatorMatrix, caller: str) -> None:
@@ -225,7 +367,7 @@ def hermitian_eigensystem(a: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix.
 
     Raises ValueError, naming the offending residual, when the input fails the
-    Hermiticity tolerance.
+    Hermiticity tolerance. Band input is materialized first.
     """
     _require_hermitian(a, "hermitian_eigensystem")
     eigenvalues, eigenvectors = np.linalg.eigh(a.entries)
@@ -237,26 +379,34 @@ def unitary_exp(h: OperatorMatrix, sign: int = 1) -> OperatorMatrix:
 
     The result is exactly unitary on the truncated space by construction
     (phases of modulus one on an orthonormal frame), which is why this route
-    is used instead of a series expansion.
+    is used instead of a series expansion. It is dense.
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     eigenvalues, v = hermitian_eigensystem(h)
     phases = np.exp(1j * sign * eigenvalues)
-    return OperatorMatrix(h.basis, (v * phases) @ v.conj().T)
+    return OperatorMatrix(h.basis, _Fresh((v * phases) @ v.conj().T))
 
 
 def tensor(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     """Kronecker product of two single-mode Fock operators.
 
     The result lives on the two-mode basis with the row-major index
-    convention of :class:`FockBasis` (first factor is the major index).
+    convention of :class:`FockBasis` (first factor is the major index). Bands
+    ``k_a`` and ``k_b`` give band ``k_a * dim_b + k_b``, ``kron(a_k, b_k)``.
     """
     for op in (a, b):
         if not (isinstance(op.basis, FockBasis) and op.basis.modes == 1):
             raise ValueError("tensor requires single-mode Fock operators")
     out_basis = FockBasis((a.basis.dims[0], b.basis.dims[0]))
-    return OperatorMatrix(out_basis, _Fresh(np.kron(a.entries, b.entries)))
+    if a._bands is None or b._bands is None:
+        return OperatorMatrix(out_basis, _Fresh(np.kron(a.entries, b.entries)))
+    out: dict[int, np.ndarray] = {}
+    for ka, va in a._bands.items():
+        for kb, vb in b._bands.items():
+            k = ka * b.dim + kb
+            out[k] = out.get(k, 0.0) + np.kron(va, vb)
+    return OperatorMatrix(out_basis, _Fresh(out))
 
 
 def interior_projector(

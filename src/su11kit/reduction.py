@@ -108,9 +108,9 @@ def build_direct_hamiltonian(
     Every product is taken per mode before the Kronecker product. The cross
     term uses the mixed-product rule (A (x) B)(C (x) D) = AC (x) BD, so
     a+ b+ b a is built as (a+ a) (x) (b+ b) instead of a product of two
-    d^2 x d^2 matrices. With d = max(dim_a, dim_b) the build costs O(d^4)
-    time and memory, set by the Kronecker products and the sums of the
-    dense two-mode result.
+    d^2 x d^2 matrices. Every factor is band-stored, so the result is a
+    single band, the diagonal, and with d = max(dim_a, dim_b) the build
+    costs O(d^2) time and memory.
     """
     if dim_a < 4 or dim_b < 4:
         raise ValueError(f"per-mode dims must be >= 4, got ({dim_a}, {dim_b})")
@@ -195,7 +195,7 @@ def verify_reduction(
     occ = hamiltonian.basis.occupations()
     pairs = np.flatnonzero(occ[:, 0] == occ[:, 1])[:n_pairs]
     # + 0.0 turns -0.0 entries into 0.0, so an exactly zero level prints as 0.0.
-    block = hamiltonian.entries[np.ix_(pairs, pairs)] + 0.0
+    block = hamiltonian.block(pairs) + 0.0
     direct, _ = hermitian_eigensystem(OperatorMatrix(FockBasis((n_pairs,)), block))
 
     p0 = p0_of(params)

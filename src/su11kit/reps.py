@@ -30,6 +30,7 @@ from .linops import (
     CircleBasis,
     FockBasis,
     OperatorMatrix,
+    banded,
     diagonal,
     identity,
     maxabs_norm,
@@ -127,10 +128,7 @@ def bose_ladder(dim: int) -> tuple[OperatorMatrix, OperatorMatrix]:
     dim = int(dim)
     if dim < MIN_BASIS_DIM:
         raise ValueError(f"dim must be >= {MIN_BASIS_DIM}, got {dim}")
-    basis = FockBasis((dim,))
-    a = OperatorMatrix(
-        basis, np.diag(np.sqrt(np.arange(1, dim, dtype=np.float64)), k=1)
-    )
+    a = banded(FockBasis((dim,)), {1: np.sqrt(np.arange(1, dim + 1, dtype=np.float64))})
     return a, a.dag()
 
 
@@ -211,9 +209,7 @@ def circle_momentum(
     if not isinstance(basis, CircleBasis):
         raise ValueError(f"circle_momentum requires a CircleBasis, got {type(basis).__name__}")
     p = diagonal(basis, basis.momenta())
-    shift = np.zeros((basis.count, basis.count), dtype=np.complex128)
-    shift[np.arange(1, basis.count), np.arange(basis.count - 1)] = 1.0
-    eplus = OperatorMatrix(basis, shift)
+    eplus = banded(basis, {-1: np.ones(basis.count)})
     return p, eplus, eplus.dag()
 
 

@@ -1,0 +1,67 @@
+"""Band-stored operators must never fall back to dense arithmetic.
+
+At 65 536 states a dense operand would take 64 GiB, so these checks can only
+complete if every step of them stays on the bands. The dense materializer is
+patched to raise, so a fallback fails at once instead of asking for the
+memory, and the documented misprints must still be detected at that size.
+"""
+
+import pytest
+
+import su11kit.linops as linops
+from su11kit.algebra import CheckSpec, check_casimir, check_commutators
+from su11kit.linops import CircleBasis
+from su11kit.reduction import ModelParams, verify_reduction
+from su11kit.reps import (
+    mp_realization,
+    perelomov_realization,
+    saf_realization,
+    two_mode,
+    villain_spin,
+)
+
+DIM = 65536
+SPEC = CheckSpec(margin=2, tolerance=1e-10)
+
+
+def villain(fidelity):
+    # Spin 1 centred on a lattice of DIM momenta: p_min + S is an integer.
+    return villain_spin(1.0, CircleBasis(-1.0 - (DIM - 3) // 2, DIM), fidelity)
+
+
+@pytest.fixture(autouse=True)
+def no_dense_materialization(monkeypatch):
+    def refuse(bands, n):
+        raise AssertionError(f"a {n}x{n} band operator was materialized")
+
+    monkeypatch.setattr(linops, "_to_dense", refuse)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: mp_realization(1.75, DIM),
+    lambda: saf_realization(0.7 + 0.4j, CircleBasis(-DIM // 2, DIM)),
+    lambda: perelomov_realization(1.0, CircleBasis(-DIM // 2, DIM)),
+    lambda: villain("corrected"),
+    lambda: two_mode(256, 256),
+], ids=["mp", "saf", "perelomov", "villain", "two_mode"])
+def test_checks_stay_on_the_bands(build):
+    triple = build()
+    assert triple.basis.dim == DIM
+    for check in (check_commutators, check_casimir):
+        report = check(triple, SPEC)
+        assert report.checks
+
+
+def test_misprints_detected_at_large_dim():
+    brackets = check_commutators(villain("as_printed"), SPEC)
+    offset = {c.name: c.residual for c in brackets.checks}["[S+,S-]-2Sz"]
+    assert offset == pytest.approx(2.0, abs=1e-6)
+
+    casimir = check_casimir(perelomov_realization(1.0, CircleBasis(-DIM // 2, DIM)), SPEC)
+    assert casimir.checks[0].metadata["matches"] == "-1/4 - lam^2"
+
+
+def test_reduction_stays_on_the_bands():
+    result = verify_reduction(ModelParams(1.0, 0.1, 0.3), 254)
+    assert (254 + 2) ** 2 == DIM
+    assert result.passed

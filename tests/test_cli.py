@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -201,6 +202,15 @@ class TestMain:
 CLAMPED_INTERIOR = ["check", "--rep", "villain", "--spin", "0.5", "--p-min=-0.5",
                     "--dim", "20", "--margin", "2"]
 
+# Invocations whose operators would not fit the memory budget: a dense
+# 200000^2 matrix for the eigensolve of bose1 (596 GiB), and band vectors of
+# 10^10 two-mode states.
+OVER_BUDGET = {
+    "bose1-dense-over-budget": ["check", "--rep", "bose1", "--dim", "200000"],
+    "two_mode-over-budget": ["check", "--rep", "two_mode", "--dim", "100000"],
+    "reduce-over-budget": ["reduce", "--pairs", "100000"],
+}
+
 # Each usage or domain rule that exits 2, run through main. A config entry is
 # the text of the --config file, "<missing>" for a path that does not exist,
 # or "<dir>" for a path that cannot be read as a file.
@@ -229,14 +239,18 @@ EXIT_2_CASES = [
                  id="reduce-epsilon-overflow"),
     pytest.param(CLAMPED_INTERIOR, None, id="check-no-interior"),
     pytest.param(["casimir"] + CLAMPED_INTERIOR[1:], None, id="casimir-no-interior"),
+    *(pytest.param(argv, None, id=case) for case, argv in OVER_BUDGET.items()),
 ]
 
 
-# Cases whose message must name the offending parameter, by case id.
+# Cases whose message must name the offending parameter or size, by case id.
 NAMED_PARAMETER = {
     "hp-spin-inf": "spin",
     "villain-p-min-inf": "p_min",
     "reduce-epsilon-overflow": "epsilon",
+    "bose1-dense-over-budget": "200000x200000",
+    "two_mode-over-budget": "10000000000 states",
+    "reduce-over-budget": "10000400004 states",
 }
 
 
@@ -258,6 +272,17 @@ class TestExitTwo:
         named = NAMED_PARAMETER.get(request.node.callspec.id)
         if named is not None:
             assert named in captured.err
+
+    @pytest.mark.parametrize("argv", OVER_BUDGET.values(), ids=OVER_BUDGET.keys())
+    def test_over_budget_allocates_nothing_large(self, argv, capsys):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "memory budget" in capsys.readouterr().err
+        assert peak < 2 ** 28
 
 
 class TestReportedParams:

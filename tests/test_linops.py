@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import su11kit.linops as linops
+
 from su11kit.linops import (
     BasisMismatchError,
     Check,
@@ -10,6 +12,7 @@ from su11kit.linops import (
     CircleBasis,
     FockBasis,
     OperatorMatrix,
+    banded,
     commutator,
     diagonal,
     hermitian_eigensystem,
@@ -101,6 +104,109 @@ class TestOperatorMatrix:
         basis = FockBasis((2,))
         op = OperatorMatrix(basis, [[0, 1j], [0, 0]])
         np.testing.assert_array_equal(op.dag().entries, [[0, 0], [-1j, 0]])
+
+
+def dense_from_bands(n, bands):
+    """The matrix with A[i, i + k] = bands[k][i], entry by entry."""
+    out = np.zeros((n, n), dtype=np.complex128)
+    for k, v in bands.items():
+        for i in range(n):
+            if 0 <= i + k < n:
+                out[i, i + k] += v[i]
+    return out
+
+
+@st.composite
+def band_cases(draw):
+    """A basis of 2 to 12 states (one or two modes), two random band operators
+    on it with offsets within +-dim, their dense oracles and a dense operator."""
+    shape = draw(st.sampled_from(
+        [(n,) for n in range(2, 13)] + [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3),
+                                         (4, 2), (2, 5), (3, 4), (4, 3), (2, 6)]))
+    basis = FockBasis(shape)
+    n = basis.dim
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    ops = []
+    for _ in range(2):
+        offsets = draw(st.sets(st.integers(-n, n), min_size=1, max_size=4))
+        bands = {k: rng.normal(size=n) + 1j * rng.normal(size=n) for k in offsets}
+        ops.append((banded(basis, bands), dense_from_bands(n, bands)))
+    dense = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return basis, ops, OperatorMatrix(basis, dense), dense
+
+
+def assert_matches(op, expected):
+    expected = np.asarray(expected)
+    scale = 1.0 + np.max(np.abs(expected))
+    assert np.max(np.abs(op.entries - expected)) <= 1e-12 * scale
+
+
+class TestBandStorage:
+    @settings(max_examples=200, deadline=None)
+    @given(band_cases(), st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                            allow_infinity=False))
+    def test_band_arithmetic_equals_dense_arithmetic(self, case, z):
+        basis, ((a, ad), (b, bd)), d, dd = case
+        np.testing.assert_array_equal(a.entries, ad)
+        results = [
+            (a @ b, ad @ bd), (a @ d, ad @ dd), (d @ a, dd @ ad),
+            (a + b, ad + bd), (a - b, ad - bd), (-a, -ad), (a * z, ad * z),
+            (z * a, z * ad), (a.dag(), ad.conj().T), (a + d, ad + dd),
+        ]
+        for op, expected in results:
+            assert_matches(op, expected)
+        for op, _ in results:
+            assert not op.entries.flags.writeable
+            if op._bands is not None:
+                assert not any(v.flags.writeable for v in op._bands.values())
+        assert maxabs_norm(a) == np.max(np.abs(ad))
+        assert maxabs_norm(a - a) == 0.0
+        assert a.hermiticity_defect() == pytest.approx(
+            np.max(np.abs(ad - ad.conj().T)), rel=1e-12, abs=1e-300)
+        np.testing.assert_array_equal(a.diagonal(), np.diagonal(ad))
+        index = np.flatnonzero(np.arange(basis.dim) % 3 != 1)
+        np.testing.assert_array_equal(a.block(index), ad[np.ix_(index, index)])
+        np.testing.assert_array_equal(d.block(index), dd[np.ix_(index, index)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(band_cases(), band_cases())
+    def test_band_tensor_equals_kron(self, left, right):
+        ops = []
+        for basis, ((a, ad), _), d, dd in (left, right):
+            if basis.modes == 2:  # tensor takes single-mode factors
+                return
+            ops.append((a, ad, d, dd))
+        (a, ad, c, cd), (b, bd, d, dd) = ops
+        assert_matches(tensor(a, b), np.kron(ad, bd))
+        assert_matches(tensor(a, d), np.kron(ad, dd))
+        assert_matches(tensor(c, b), np.kron(cd, bd))
+
+    def test_mixed_products_scale_rows_and_columns(self, monkeypatch):
+        # band @ dense and dense @ band must not materialize the band operand.
+        a, adag = bose_ladder(6)
+        d = random_operator(a.basis, 3)
+        expected = [a.entries @ d.entries, d.entries @ adag.entries]
+        monkeypatch.setattr(linops, "_to_dense", None)
+        assert_matches(a @ d, expected[0])
+        assert_matches(d @ adag, expected[1])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_band_overflow_rejected(self):
+        basis = FockBasis((4,))
+        big = banded(basis, {1: np.full(4, 1e200)})
+        for make in (lambda: big @ big.dag(), lambda: big * 1e200,
+                     lambda: big * 1e108 + big * 1e108, lambda: tensor(big, big)):
+            with pytest.raises(ValueError, match="non-finite"):
+                make()
+
+    def test_out_of_range_entries_are_ignored(self):
+        basis = CircleBasis(0.0, 3)
+        op = banded(basis, {1: [1.0, 2.0, np.inf], 3: [np.nan] * 3, -5: [1.0] * 3})
+        np.testing.assert_array_equal(op.entries, [[0, 1, 0], [0, 0, 2], [0, 0, 0]])
+
+    def test_band_vector_must_fit_the_basis(self):
+        with pytest.raises(BasisMismatchError):
+            banded(FockBasis((4,)), {0: np.ones(3)})
 
 
 class TestCommutator:
