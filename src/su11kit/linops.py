@@ -367,11 +367,29 @@ def hermitian_eigensystem(a: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix.
 
     Raises ValueError, naming the offending residual, when the input fails the
-    Hermiticity tolerance. Band input is materialized first.
+    Hermiticity tolerance. A band-stored tridiagonal input is written as
+    ``H = D T D^dag``, with ``D`` the diagonal of unit phases that makes ``T``
+    real symmetric, and only ``T`` goes to the real ``eigh``; the eigenvectors
+    are ``D V``. Like LAPACK, it reads the diagonal's real part and the lower
+    band. Any other input is diagonalized densely, bands materialized first.
     """
     _require_hermitian(a, "hermitian_eigensystem")
-    eigenvalues, eigenvectors = np.linalg.eigh(a.entries)
-    return eigenvalues, eigenvectors
+    bands, n = a._bands, a.dim
+    if bands is None or not bands.keys() <= {-1, 0, 1}:
+        return np.linalg.eigh(a.entries)
+    # h[i] = A[i + 1, i]; its phase u[i] links state i + 1 to state i, and
+    # d[i] = u[0] ... u[i - 1] turns it into the real entry |h[i]|.
+    h = bands.get(-1, np.zeros(n, dtype=np.complex128))[1:]
+    size = np.abs(h)
+    u = np.divide(h, size, out=np.ones_like(h), where=size > 0)
+    d = np.concatenate(([1.0], np.cumprod(u)))
+    # The eigenvectors D V come back complex, so they are what the budget sees.
+    _require_budget(16 * n * n, f"a dense {n}x{n} complex matrix")
+    t = np.zeros((n, n))
+    t.reshape(-1)[::n + 1] = a.diagonal().real
+    t.reshape(-1)[n::n + 1] = size  # the lower band, (i + 1, i)
+    eigenvalues, v = np.linalg.eigh(t)
+    return eigenvalues, d[:, None] * v
 
 
 def unitary_exp(h: OperatorMatrix, sign: int = 1) -> OperatorMatrix:
@@ -379,7 +397,9 @@ def unitary_exp(h: OperatorMatrix, sign: int = 1) -> OperatorMatrix:
 
     The result is exactly unitary on the truncated space by construction
     (phases of modulus one on an orthonormal frame), which is why this route
-    is used instead of a series expansion. It is dense.
+    is used instead of a series expansion. It is dense. The two signs share
+    one eigensystem: ``exp(-iH)`` is the adjoint of ``exp(iH)``, so a caller
+    that needs both takes one and its :meth:`OperatorMatrix.dag`.
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")

@@ -145,11 +145,11 @@ def mp_realization(k: float, dim: int = 64) -> AlgebraTriple:
     k(k-1) on truncation-clean states.
     """
     k = float(k)
-    if k <= 0:
-        raise ValueError(f"Bargmann index k must be > 0, got {k}")
     a, adag = bose_ladder(dim)
     basis = a.basis
     n = _number_values(basis.dim)
+    if not (k > 0 and np.isfinite(2.0 * k + n[-1])):
+        raise ValueError(f"Bargmann index k must be > 0 with 2k + n finite, got {k}")
     root = diagonal(basis, np.sqrt(2.0 * k + n))
     kminus = root @ a
     kplus = adag @ root
@@ -269,6 +269,13 @@ def villain_spin(
     )
 
 
+def _validate_p0(p0: complex) -> complex:
+    p0 = complex(p0)
+    if not np.isfinite(p0):
+        raise ValueError(f"p0 must be finite, got {p0}")
+    return p0
+
+
 def saf_realization(p0: complex, basis: CircleBasis) -> AlgebraTriple:
     """Shift-affine single-mode realization on a circle-momentum lattice.
 
@@ -284,7 +291,7 @@ def saf_realization(p0: complex, basis: CircleBasis) -> AlgebraTriple:
     """
     if not isinstance(basis, CircleBasis):
         raise ValueError("saf_realization requires a CircleBasis")
-    p0 = complex(p0)
+    p0 = _validate_p0(p0)
     p = basis.momenta()
     _, eplus, eminus = circle_momentum(basis)
     kminus = diagonal(basis, p + p0) @ eminus
@@ -309,8 +316,8 @@ def perelomov_realization(lam: float, basis: CircleBasis) -> AlgebraTriple:
     edges, which is what :func:`su11kit.algebra.compare_triples` certifies.
     """
     lam = float(lam)
-    if lam <= 0:
-        raise ValueError(f"lambda must be > 0, got {lam}")
+    if not (np.isfinite(lam) and lam > 0):
+        raise ValueError(f"lambda must be finite and > 0, got {lam}")
     if not isinstance(basis, CircleBasis):
         raise ValueError("perelomov_realization requires a CircleBasis")
     p = basis.momenta()
@@ -349,26 +356,25 @@ def saf_bose_form(p0: complex, dim: int = 64, form: str = "form1") -> AlgebraTri
 
     The exponentials go through :func:`su11kit.linops.unitary_exp`, so they
     are exactly unitary on the truncated space; the ladder relations are then
-    truncation-limited rather than exact, converging as dim grows.
+    truncation-limited rather than exact, converging as dim grows. Each form
+    takes one exponential and its adjoint, ``exp(-iH) = exp(iH)^dag`` for
+    Hermitian H, so it costs one real tridiagonal eigensolve.
     """
     dim = int(dim)
     if dim < 16:
         raise ValueError(f"dim must be >= 16 for the exponential forms, got {dim}")
     if form not in ("form1", "form2"):
         raise ValueError(f"form must be 'form1' or 'form2', got {form!r}")
-    p0 = complex(p0)
+    p0 = _validate_p0(p0)
     q, p = quadratures(dim)
     basis = q.basis
     one = identity(basis)
-    shift_const = p0.real - 0.5
-    if form == "form1":
-        kminus = (p + p0 * one) @ unitary_exp(q, -1)
-        kplus = unitary_exp(q, +1) @ (p + np.conj(p0) * one)
-        k0 = p + shift_const * one
-    else:
-        kminus = (q + p0 * one) @ unitary_exp(p, +1)
-        kplus = unitary_exp(p, -1) @ (q + np.conj(p0) * one)
-        k0 = q + shift_const * one
+    # The factor beside the exponential, and exp(sign * i * generator) of K-.
+    factor, generator, sign = (p, q, -1) if form == "form1" else (q, p, +1)
+    shift = unitary_exp(generator, sign)
+    kminus = (factor + p0 * one) @ shift
+    kplus = shift.dag() @ (factor + np.conj(p0) * one)
+    k0 = factor + (p0.real - 0.5) * one
     return AlgebraTriple(
         HYPERBOLIC, k0, kplus, kminus,
         RepParams(variant=f"bose_{form}", p0=p0),

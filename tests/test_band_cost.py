@@ -4,8 +4,12 @@ At 65 536 states a dense operand would take 64 GiB, so these checks can only
 complete if every step of them stays on the bands. The dense materializer is
 patched to raise, so a fallback fails at once instead of asking for the
 memory, and the documented misprints must still be detected at that size.
+The bose exponential forms are dense by nature; their band generator is
+diagonalized as a real tridiagonal matrix, once per form, without being
+materialized.
 """
 
+import numpy as np
 import pytest
 
 import su11kit.linops as linops
@@ -15,6 +19,7 @@ from su11kit.reduction import ModelParams, verify_reduction
 from su11kit.reps import (
     mp_realization,
     perelomov_realization,
+    saf_bose_form,
     saf_realization,
     two_mode,
     villain_spin,
@@ -65,3 +70,23 @@ def test_reduction_stays_on_the_bands():
     result = verify_reduction(ModelParams(1.0, 0.1, 0.3), 254)
     assert (254 + 2) ** 2 == DIM
     assert result.passed
+
+
+@pytest.mark.parametrize("form", ["form1", "form2"])
+def test_bose_form_makes_one_real_eigensolve(form, monkeypatch):
+    dtypes = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        dtypes.append(np.asarray(a).dtype)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(linops.np.linalg, "eigh", spy)
+    saf_bose_form(0.7 + 0.4j, 64, form)
+    assert dtypes == [np.dtype(np.float64)]
+
+
+@pytest.mark.parametrize("form", ["form1", "form2"])
+def test_bose_form_never_materializes_its_generator(form):
+    triple = saf_bose_form(0.7 + 0.4j, 256, form)
+    assert triple.basis.dim == 256

@@ -237,6 +237,16 @@ EXIT_2_CASES = [
                  id="villain-p-min-inf"),
     pytest.param(["reduce", "--epsilon", "1e300", "--pairs", "4"], None,
                  id="reduce-epsilon-overflow"),
+    pytest.param(["check", "--rep", "saf", "--p0", "inf"], None, id="saf-p0-inf"),
+    pytest.param(["check", "--rep", "bose1", "--p0", "nan+1i"], None, id="bose1-p0-nan"),
+    pytest.param(["casimir", "--rep", "bose2", "--p0", "1+infi"], None, id="bose2-p0-inf"),
+    pytest.param(["casimir", "--rep", "perelomov", "--lam", "inf"], None,
+                 id="perelomov-lam-inf"),
+    pytest.param(["check", "--rep", "perelomov", "--lam", "nan"], None,
+                 id="perelomov-lam-nan"),
+    pytest.param(["check", "--rep", "mp", "--k", "nan"], None, id="mp-k-nan"),
+    pytest.param(["casimir", "--rep", "mp", "--k", "inf"], None, id="mp-k-inf"),
+    pytest.param(["check", "--rep", "mp", "--k", "1e308"], None, id="mp-k-overflow"),
     pytest.param(CLAMPED_INTERIOR, None, id="check-no-interior"),
     pytest.param(["casimir"] + CLAMPED_INTERIOR[1:], None, id="casimir-no-interior"),
     *(pytest.param(argv, None, id=case) for case, argv in OVER_BUDGET.items()),
@@ -248,6 +258,14 @@ NAMED_PARAMETER = {
     "hp-spin-inf": "spin",
     "villain-p-min-inf": "p_min",
     "reduce-epsilon-overflow": "epsilon",
+    "saf-p0-inf": "p0",
+    "bose1-p0-nan": "p0",
+    "bose2-p0-inf": "p0",
+    "perelomov-lam-inf": "lambda",
+    "perelomov-lam-nan": "lambda",
+    "mp-k-nan": "Bargmann index k",
+    "mp-k-inf": "Bargmann index k",
+    "mp-k-overflow": "Bargmann index k",
     "bose1-dense-over-budget": "200000x200000",
     "two_mode-over-budget": "10000000000 states",
     "reduce-over-budget": "10000400004 states",

@@ -236,7 +236,36 @@ class TestCommutator:
         assert np.array_equal(ab, -ba)
 
 
+@st.composite
+def tridiagonal_cases(draw):
+    """A Hermitian band operator with offsets -1, 0, 1 on a one-mode, two-mode
+    or circle basis of 2 to 12 states: real diagonal, sub-diagonal entries of
+    random phase, and some of them exactly zero, which splits the chain."""
+    basis = draw(st.sampled_from(
+        [FockBasis((n,)) for n in range(2, 13)]
+        + [FockBasis(dims) for dims in ((2, 2), (2, 3), (3, 2), (3, 3), (2, 5),
+                                        (3, 4), (4, 3), (6, 2))]
+        + [CircleBasis(-2.5, n) for n in range(2, 13)]))
+    n = basis.dim
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    sub = rng.normal(size=n - 1) * np.exp(2j * np.pi * rng.random(n - 1))
+    sub[list(draw(st.sets(st.integers(0, n - 2), max_size=n - 1)))] = 0.0
+    # A[i, i - 1] = sub[i - 1] and A[i, i + 1] = conj(sub[i]).
+    return banded(basis, {-1: np.concatenate(([0.0], sub)), 0: rng.normal(size=n),
+                          1: np.concatenate((sub.conj(), [0.0]))})
+
+
 class TestEigensystem:
+    @settings(max_examples=200, deadline=None)
+    @given(tridiagonal_cases())
+    def test_tridiagonal_band_matches_dense_eigh(self, h):
+        dense = h.entries
+        scale = 1.0 + maxabs_norm(h)
+        w, v = hermitian_eigensystem(h)
+        assert np.max(np.abs(w - np.linalg.eigh(dense)[0])) <= 1e-12 * scale
+        assert np.max(np.abs(v.conj().T @ v - np.eye(h.dim))) <= 1e-12
+        assert np.max(np.abs((v * w) @ v.conj().T - dense)) <= 1e-12 * scale
+
     def test_diagonal_matrix_sorted(self):
         basis = FockBasis((3,))
         w, _ = hermitian_eigensystem(diagonal(basis, [3.0, 1.0, 2.0]))
@@ -301,6 +330,10 @@ class TestUnitaryExp:
         q, _ = quadratures(32)
         u = unitary_exp(q, +1) @ unitary_exp(q, -1)
         assert maxabs_norm(u - identity(q.basis)) <= 1e-12
+
+    def test_opposite_sign_is_the_adjoint(self):
+        q, _ = quadratures(48)
+        assert maxabs_norm(unitary_exp(q, -1) - unitary_exp(q, +1).dag()) <= 1e-12
 
     def test_unitarity(self):
         q, _ = quadratures(48)
