@@ -13,7 +13,11 @@ number or momentum operator times a unit shift), stored as bands
 adjoints and Kronecker products of bands are bands, at O(bands * dim) cost.
 Arrays handed to the constructor and the results of :func:`unitary_exp` are
 dense; a product with one dense operand is dense, at O(bands * dim^2) by row
-or column scaling. ``.entries`` materializes the dense array on request.
+or column scaling, and a sum with one dense operand costs O(dim^2) with the
+band operand left unmaterialized. ``.entries`` materializes the dense array
+on request. A Hermitian tridiagonal band with a zero diagonal, such as a
+quadrature, is diagonalized through the SVD of a real bidiagonal block of
+half its size; every other Hermitian input goes to the dense eigensolver.
 Everything is double precision and eager. A dense matrix or a basis too
 large for :data:`BYTE_BUDGET` raises ValueError before any allocation.
 """
@@ -287,8 +291,20 @@ class OperatorMatrix:
     def _combine(self, other: "OperatorMatrix", ufunc) -> "OperatorMatrix":
         self._require_same_basis(other)
         a, b = self._bands, other._bands
+        if a is None and b is None:
+            return OperatorMatrix(self.basis, _Fresh(ufunc(self._dense, other._dense)))
         if a is None or b is None:
-            return OperatorMatrix(self.basis, _Fresh(ufunc(self.entries, other.entries)))
+            # Off its bands the band operand reads 0.0; on them, its vectors.
+            n = self.dim
+            left = self._dense if a is None else 0.0
+            right = other._dense if b is None else 0.0
+            out = ufunc(left, right)
+            for k, v in (b if a is None else a).items():
+                rows = np.arange(*_rows(k, n))
+                cols = rows + k
+                out[rows, cols] = (ufunc(left[rows, cols], v[rows]) if a is None
+                                   else ufunc(v[rows], right[rows, cols]))
+            return OperatorMatrix(self.basis, _Fresh(out))
         out = {}
         for k in sorted(a.keys() | b.keys()):  # an absent band reads as zeros
             out[k] = a[k] if k not in b else ufunc(a.get(k, 0.0), b[k])
@@ -367,15 +383,18 @@ def hermitian_eigensystem(a: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix.
 
     Raises ValueError, naming the offending residual, when the input fails the
-    Hermiticity tolerance. A band-stored tridiagonal input is written as
-    ``H = D T D^dag``, with ``D`` the diagonal of unit phases that makes ``T``
-    real symmetric, and only ``T`` goes to the real ``eigh``; the eigenvectors
-    are ``D V``. Like LAPACK, it reads the diagonal's real part and the lower
-    band. Any other input is diagonalized densely, bands materialized first.
+    Hermiticity tolerance. A band-stored tridiagonal input whose diagonal has
+    a zero real part, as Q and P do, is written as ``H = D T D^dag``, with
+    ``D`` the diagonal of unit phases that makes ``T`` real symmetric; ``T``
+    is diagonalized through the SVD of a bidiagonal matrix of half its order
+    (Golub and Kahan, 1965), and the eigenvectors are ``D V`` for the
+    eigenvectors ``V`` of ``T``. Like LAPACK, it reads the diagonal's real
+    part and the lower band. Any other input is diagonalized densely, bands
+    materialized first.
     """
     _require_hermitian(a, "hermitian_eigensystem")
     bands, n = a._bands, a.dim
-    if bands is None or not bands.keys() <= {-1, 0, 1}:
+    if bands is None or not bands.keys() <= {-1, 0, 1} or a.diagonal().real.any():
         return np.linalg.eigh(a.entries)
     # h[i] = A[i + 1, i]; its phase u[i] links state i + 1 to state i, and
     # d[i] = u[0] ... u[i - 1] turns it into the real entry |h[i]|.
@@ -385,11 +404,34 @@ def hermitian_eigensystem(a: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
     d = np.concatenate(([1.0], np.cumprod(u)))
     # The eigenvectors D V come back complex, so they are what the budget sees.
     _require_budget(16 * n * n, f"a dense {n}x{n} complex matrix")
-    t = np.zeros((n, n))
-    t.reshape(-1)[::n + 1] = a.diagonal().real
-    t.reshape(-1)[n::n + 1] = size  # the lower band, (i + 1, i)
-    eigenvalues, v = np.linalg.eigh(t)
+    eigenvalues, v = _zero_diagonal_eigh(size)
     return eigenvalues, d[:, None] * v
+
+
+def _zero_diagonal_eigh(size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigensystem of the real symmetric tridiagonal T with a zero diagonal
+    and lower band ``size``, from the SVD of a bidiagonal of half its order.
+
+    T couples even states only to odd ones, ``T = [[0, B], [B^T, 0]]`` with
+    ``B[j, j] = T[2j, 2j + 1]`` and ``B[j + 1, j] = T[2j + 2, 2j + 1]``. From
+    ``B = U S W^T``, ``T [u; +-w] = +-s [u; +-w]``; for odd order, the last
+    column of U, which B^T sends to zero, gives the eigenvalue 0.
+    """
+    n = size.size + 1
+    half = n // 2
+    b = np.zeros((n - half, half))
+    b.reshape(-1)[::half + 1] = size[0::2]
+    b.reshape(-1)[half::half + 1] = size[1::2]
+    left, s, right = np.linalg.svd(b)
+    # -s ascends as s descends; the pairs (+s, [u; w]) follow in reverse.
+    eigenvalues = np.concatenate((-s, np.zeros(n - 2 * half), s[::-1]))
+    even, odd = left[:, :half] * math.sqrt(0.5), right.T * math.sqrt(0.5)
+    v = np.zeros((n, n))
+    v[0::2, :half], v[1::2, :half] = even, -odd
+    v[0::2, n - half:], v[1::2, n - half:] = even[:, ::-1], odd[:, ::-1]
+    if n % 2:
+        v[0::2, half] = left[:, half]
+    return eigenvalues, v
 
 
 def unitary_exp(h: OperatorMatrix, sign: int = 1) -> OperatorMatrix:

@@ -43,6 +43,21 @@ FIDELITIES = ("corrected", "as_printed")
 HYPERBOLIC = "hyperbolic"
 SPIN = "spin"
 
+# Largest generator norm accepted. Each realization below bounds the operator
+# norm of its three generators by a number it computes from its parameters and
+# dim; the entries of a product of two generators are then at most its square,
+# 1e300, and the checks add at most four such products, which stays inside the
+# float range (1.8e308). Past it a product overflows into a non-finite entry.
+_NORM_BOUND = 1e150
+
+
+def _require_norm_bound(largest: float, given: str) -> None:
+    if not largest <= _NORM_BOUND:
+        raise ValueError(
+            f"{given} gives generators of norm up to {largest:.3g}, beyond "
+            f"{_NORM_BOUND:g}, where a product of two of them overflows"
+        )
+
 
 @dataclass(frozen=True)
 class RepParams:
@@ -145,11 +160,13 @@ def mp_realization(k: float, dim: int = 64) -> AlgebraTriple:
     k(k-1) on truncation-clean states.
     """
     k = float(k)
+    if not k > 0:
+        raise ValueError(f"Bargmann index k must be > 0, got {k}")
+    # |K+-| <= max sqrt((2k + n)(n + 1)) <= k + dim, and K0 = k + n.
+    _require_norm_bound(k + dim, f"Bargmann index k = {k:g} at dim {dim}")
     a, adag = bose_ladder(dim)
     basis = a.basis
     n = _number_values(basis.dim)
-    if not (k > 0 and np.isfinite(2.0 * k + n[-1])):
-        raise ValueError(f"Bargmann index k must be > 0 with 2k + n finite, got {k}")
     root = diagonal(basis, np.sqrt(2.0 * k + n))
     kminus = root @ a
     kplus = adag @ root
@@ -276,6 +293,13 @@ def _validate_p0(p0: complex) -> complex:
     return p0
 
 
+def _require_circle_norm_bound(basis: CircleBasis, offset: float, given: str) -> None:
+    """Bound generators that are a momentum diagonal plus ``offset`` times a
+    unit shift: their norm is at most max|p| + offset."""
+    p_max = max(abs(basis.p_min), abs(basis.p_min + basis.count - 1))
+    _require_norm_bound(p_max + offset, f"{given} with p_min = {basis.p_min:g}")
+
+
 def saf_realization(p0: complex, basis: CircleBasis) -> AlgebraTriple:
     """Shift-affine single-mode realization on a circle-momentum lattice.
 
@@ -292,6 +316,7 @@ def saf_realization(p0: complex, basis: CircleBasis) -> AlgebraTriple:
     if not isinstance(basis, CircleBasis):
         raise ValueError("saf_realization requires a CircleBasis")
     p0 = _validate_p0(p0)
+    _require_circle_norm_bound(basis, abs(p0) + 0.5, f"p0 = {p0}")
     p = basis.momenta()
     _, eplus, eminus = circle_momentum(basis)
     kminus = diagonal(basis, p + p0) @ eminus
@@ -320,6 +345,7 @@ def perelomov_realization(lam: float, basis: CircleBasis) -> AlgebraTriple:
         raise ValueError(f"lambda must be finite and > 0, got {lam}")
     if not isinstance(basis, CircleBasis):
         raise ValueError("perelomov_realization requires a CircleBasis")
+    _require_circle_norm_bound(basis, lam + 0.5, f"lambda = {lam:g}")
     p = basis.momenta()
     _, eplus, eminus = circle_momentum(basis)
     kminus = eminus @ diagonal(basis, p - 0.5 + 1j * lam)
@@ -358,7 +384,8 @@ def saf_bose_form(p0: complex, dim: int = 64, form: str = "form1") -> AlgebraTri
     are exactly unitary on the truncated space; the ladder relations are then
     truncation-limited rather than exact, converging as dim grows. Each form
     takes one exponential and its adjoint, ``exp(-iH) = exp(iH)^dag`` for
-    Hermitian H, so it costs one real tridiagonal eigensolve.
+    Hermitian H, so it costs one eigensolve of Q or P, done as the SVD of a
+    real bidiagonal matrix of half the size.
     """
     dim = int(dim)
     if dim < 16:
@@ -366,6 +393,8 @@ def saf_bose_form(p0: complex, dim: int = 64, form: str = "form1") -> AlgebraTri
     if form not in ("form1", "form2"):
         raise ValueError(f"form must be 'form1' or 'form2', got {form!r}")
     p0 = _validate_p0(p0)
+    # |Q|, |P| <= sqrt(2 dim), and the shift is unitary.
+    _require_norm_bound(abs(p0) + dim, f"p0 = {p0} at dim {dim}")
     q, p = quadratures(dim)
     basis = q.basis
     one = identity(basis)

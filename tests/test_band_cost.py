@@ -4,9 +4,9 @@ At 65 536 states a dense operand would take 64 GiB, so these checks can only
 complete if every step of them stays on the bands. The dense materializer is
 patched to raise, so a fallback fails at once instead of asking for the
 memory, and the documented misprints must still be detected at that size.
-The bose exponential forms are dense by nature; their band generator is
-diagonalized as a real tridiagonal matrix, once per form, without being
-materialized.
+The bose exponential forms are dense by nature; their band generator, Q or
+P with its zero diagonal, is diagonalized once per form through the SVD of
+its half-size bidiagonal block, without being materialized.
 """
 
 import numpy as np
@@ -74,19 +74,33 @@ def test_reduction_stays_on_the_bands():
 
 @pytest.mark.parametrize("form", ["form1", "form2"])
 def test_bose_form_makes_one_real_eigensolve(form, monkeypatch):
-    dtypes = []
-    eigh = np.linalg.eigh
+    calls = []
 
-    def spy(a, *args, **kwargs):
-        dtypes.append(np.asarray(a).dtype)
-        return eigh(a, *args, **kwargs)
+    def spy(name, solver):
+        def wrapped(a, *args, **kwargs):
+            a = np.asarray(a)
+            calls.append((name, a.dtype, a.shape))
+            return solver(a, *args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(linops.np.linalg, "eigh", spy)
-    saf_bose_form(0.7 + 0.4j, 64, form)
-    assert dtypes == [np.dtype(np.float64)]
+    monkeypatch.setattr(linops.np.linalg, "eigh", spy("eigh", np.linalg.eigh))
+    monkeypatch.setattr(linops.np.linalg, "svd", spy("svd", np.linalg.svd))
+    for dim in (64, 65):
+        calls.clear()
+        saf_bose_form(0.7 + 0.4j, dim, form)
+        assert calls == [("svd", np.dtype(np.float64), ((dim + 1) // 2, dim // 2))]
 
 
 @pytest.mark.parametrize("form", ["form1", "form2"])
 def test_bose_form_never_materializes_its_generator(form):
     triple = saf_bose_form(0.7 + 0.4j, 256, form)
     assert triple.basis.dim == 256
+
+
+@pytest.mark.parametrize("form", ["form1", "form2"])
+def test_bose_checks_add_bands_to_dense_in_place(form):
+    # [K+,K-]+2K0 and the Casimir add band terms in K0 to dense products.
+    triple = saf_bose_form(0.7 + 0.4j, 256, form)
+    spec = CheckSpec(margin=64, tolerance=1e-3)
+    assert check_commutators(triple, spec).overall_passed
+    assert check_casimir(triple, spec).checks

@@ -182,6 +182,10 @@ class TestMain:
         capsys.readouterr()
         assert main(["reduce", "--phi1", "0.5", "--phi2", "-1"]) == 2
         capsys.readouterr()
+        # An odd dim leaves Q a zero eigenvalue.
+        assert main(["check", "--rep", "bose1", "--dim", "65", "--margin", "16",
+                     "--tol", "1e-3"]) == 0
+        capsys.readouterr()
 
     def test_domain_error_from_module_exits_2(self, capsys):
         # villain lattice too small to cover the spin range
@@ -247,6 +251,17 @@ EXIT_2_CASES = [
     pytest.param(["check", "--rep", "mp", "--k", "nan"], None, id="mp-k-nan"),
     pytest.param(["casimir", "--rep", "mp", "--k", "inf"], None, id="mp-k-inf"),
     pytest.param(["check", "--rep", "mp", "--k", "1e308"], None, id="mp-k-overflow"),
+    pytest.param(["check", "--rep", "saf", "--p0", "1e300"], None, id="saf-p0-square-overflow"),
+    pytest.param(["casimir", "--rep", "saf", "--p0", "1e160i"], None,
+                 id="saf-casimir-p0-square-overflow"),
+    pytest.param(["casimir", "--rep", "mp", "--k", "1e200"], None, id="mp-casimir-k-overflow"),
+    pytest.param(["casimir", "--rep", "perelomov", "--lam", "1e200"], None,
+                 id="perelomov-casimir-lam-overflow"),
+    pytest.param(["check", "--rep", "saf", "--p-min", "1e200"], None,
+                 id="saf-p-min-overflow"),
+    pytest.param(["check", "--rep", "bose1", "--p0", "1e200"], None, id="bose1-p0-overflow"),
+    pytest.param(["casimir", "--rep", "perelomov", "--p-min", "1e200"], None,
+                 id="perelomov-casimir-p-min-overflow"),
     pytest.param(CLAMPED_INTERIOR, None, id="check-no-interior"),
     pytest.param(["casimir"] + CLAMPED_INTERIOR[1:], None, id="casimir-no-interior"),
     *(pytest.param(argv, None, id=case) for case, argv in OVER_BUDGET.items()),
@@ -266,6 +281,13 @@ NAMED_PARAMETER = {
     "mp-k-nan": "Bargmann index k",
     "mp-k-inf": "Bargmann index k",
     "mp-k-overflow": "Bargmann index k",
+    "saf-p0-square-overflow": "p0",
+    "saf-casimir-p0-square-overflow": "p0",
+    "mp-casimir-k-overflow": "Bargmann index k",
+    "perelomov-casimir-lam-overflow": "lambda",
+    "saf-p-min-overflow": "p_min",
+    "bose1-p0-overflow": "p0",
+    "perelomov-casimir-p-min-overflow": "p_min",
     "bose1-dense-over-budget": "200000x200000",
     "two_mode-over-budget": "10000000000 states",
     "reduce-over-budget": "10000400004 states",
@@ -273,6 +295,8 @@ NAMED_PARAMETER = {
 
 
 class TestExitTwo:
+    # A rule is enforced before any arithmetic can overflow into a warning.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("argv,config", EXIT_2_CASES)
     def test_rule_exits_2(self, argv, config, tmp_path, capsys, request):
         argv = list(argv)

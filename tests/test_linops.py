@@ -135,6 +135,21 @@ def band_cases(draw):
     return basis, ops, OperatorMatrix(basis, dense), dense
 
 
+@st.composite
+def signed_zero_cases(draw):
+    """A band operator and a dense operator, the latter possibly transposed
+    in memory, whose entries include +0.0 and -0.0 in both parts."""
+    n = draw(st.integers(2, 9))
+    basis = FockBasis((n,))
+    values = st.sampled_from([0.0, -0.0, 1.5, -2.25])
+    entries = st.builds(complex, values, values)
+    offsets = draw(st.sets(st.integers(-n + 1, n - 1), max_size=3))
+    bands = {k: draw(st.lists(entries, min_size=n, max_size=n)) for k in offsets}
+    dense = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    d = OperatorMatrix(basis, dense)
+    return banded(basis, bands), d.dag() if draw(st.booleans()) else d
+
+
 def assert_matches(op, expected):
     expected = np.asarray(expected)
     scale = 1.0 + np.max(np.abs(expected))
@@ -180,6 +195,19 @@ class TestBandStorage:
         assert_matches(tensor(a, b), np.kron(ad, bd))
         assert_matches(tensor(a, d), np.kron(ad, dd))
         assert_matches(tensor(c, b), np.kron(cd, bd))
+
+    @settings(max_examples=200, deadline=None)
+    @given(signed_zero_cases())
+    def test_band_dense_sums_match_dense_bit_for_bit(self, case):
+        # The band operand is never materialized, yet every entry is the same
+        # ufunc of the same two values as on the dense arrays.
+        a, d = case
+        ad, dd = a.entries, d.entries
+        for op, expected in ((a + d, ad + dd), (d + a, dd + ad),
+                             (a - d, ad - dd), (d - a, dd - ad)):
+            assert op._bands is None
+            got = np.ascontiguousarray(op.entries)
+            assert got.tobytes() == np.ascontiguousarray(expected).tobytes()
 
     def test_mixed_products_scale_rows_and_columns(self, monkeypatch):
         # band @ dense and dense @ band must not materialize the band operand.
@@ -255,16 +283,49 @@ def tridiagonal_cases(draw):
                           1: np.concatenate((sub.conj(), [0.0]))})
 
 
+@st.composite
+def zero_diagonal_cases(draw):
+    """A Hermitian band operator with offsets -1 and 1 (and sometimes an
+    all-zero diagonal band) on 2 to 40 states: sub-diagonal entries of random
+    phase, some of them exactly zero, which splits the chain."""
+    n = draw(st.integers(2, 40))
+    basis = draw(st.sampled_from([FockBasis((n,)), CircleBasis(-2.5, n)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    sub = rng.normal(size=n - 1) * np.exp(2j * np.pi * rng.random(n - 1))
+    sub[list(draw(st.sets(st.integers(0, n - 2), max_size=n - 1)))] = 0.0
+    bands = {-1: np.concatenate(([0.0], sub)), 1: np.concatenate((sub.conj(), [0.0]))}
+    if draw(st.booleans()):
+        bands[0] = np.full(n, draw(st.sampled_from([0.0, -0.0])))
+    return banded(basis, bands)
+
+
+def assert_eigensystem(h):
+    """Eigenvalues against dense eigh, ascending order, orthonormal vectors
+    and the reconstruction of h, each within 1e-12 of the entries' scale."""
+    dense = h.entries
+    scale = 1.0 + maxabs_norm(h)
+    w, v = hermitian_eigensystem(h)
+    assert np.max(np.abs(w - np.linalg.eigh(dense)[0])) <= 1e-12 * scale
+    assert np.all(np.diff(w) >= 0)
+    assert np.max(np.abs(v.conj().T @ v - np.eye(h.dim))) <= 1e-12
+    assert np.max(np.abs((v * w) @ v.conj().T - dense)) <= 1e-12 * scale
+
+
 class TestEigensystem:
     @settings(max_examples=200, deadline=None)
     @given(tridiagonal_cases())
     def test_tridiagonal_band_matches_dense_eigh(self, h):
-        dense = h.entries
-        scale = 1.0 + maxabs_norm(h)
-        w, v = hermitian_eigensystem(h)
-        assert np.max(np.abs(w - np.linalg.eigh(dense)[0])) <= 1e-12 * scale
-        assert np.max(np.abs(v.conj().T @ v - np.eye(h.dim))) <= 1e-12
-        assert np.max(np.abs((v * w) @ v.conj().T - dense)) <= 1e-12 * scale
+        assert_eigensystem(h)
+
+    @settings(max_examples=200, deadline=None)
+    @given(zero_diagonal_cases())
+    def test_zero_diagonal_band_matches_dense_eigh(self, h):
+        assert_eigensystem(h)
+
+    @pytest.mark.parametrize("dim", [17, 64, 65])
+    def test_quadratures_match_dense_eigh(self, dim):
+        for h in quadratures(dim):
+            assert_eigensystem(h)
 
     def test_diagonal_matrix_sorted(self):
         basis = FockBasis((3,))
