@@ -53,7 +53,6 @@ from .reps import (
 
 SCHEMA_VERSION = 1
 
-REPS = ("mp", "hp", "villain", "saf", "perelomov", "bose1", "bose2", "two_mode", "all")
 FORMATS = ("text", "json", "csv")
 FIDELITY_CHOICES = ("corrected", "as_printed", "both")
 
@@ -98,6 +97,25 @@ class RunConfig:
     pairs: int = 16
     beta: int = 1
     n: int = 1
+
+
+# Every realization --rep names: the RunConfig fields it reads, in the order
+# its report echoes them, and its builder (config, fidelity) -> AlgebraTriple.
+# A row that reads "fidelity" is built once per requested fidelity.
+_REALIZATIONS = {
+    "mp": (("k", "dim"), lambda c, fid: mp_realization(c.k, c.dim)),
+    "hp": (("spin", "fidelity", "dim"), lambda c, fid: hp_spin(c.spin, fid)),
+    "villain": (("spin", "fidelity", "dim", "p_min"), lambda c, fid: villain_spin(
+        c.spin, _villain_basis(c.spin, c.dim, c.p_min), fid)),
+    "saf": (("p0", "dim", "p_min"), lambda c, fid: saf_realization(
+        c.p0, _centered_circle(c.dim, c.p_min))),
+    "perelomov": (("lam", "dim", "p_min"), lambda c, fid: perelomov_realization(
+        c.lam, _centered_circle(c.dim, c.p_min))),
+    "bose1": (("p0", "dim"), lambda c, fid: saf_bose_form(c.p0, c.dim, "form1")),
+    "bose2": (("p0", "dim"), lambda c, fid: saf_bose_form(c.p0, c.dim, "form2")),
+    "two_mode": (("dim",), lambda c, fid: two_mode(c.dim, c.dim)),
+}
+REPS = (*_REALIZATIONS, "all")
 
 
 def parse_complex(text: str) -> complex:
@@ -193,12 +211,26 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
+def _integer(value) -> int:
+    """int() that refuses rather than truncates: 64, 64.0 and "64" read as 64,
+    while True, 2.5, "2.5" and inf raise TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(value)
+    try:
+        number = int(value)
+    except (ValueError, OverflowError):
+        raise TypeError(value) from None
+    if isinstance(value, float) and number != value:
+        raise TypeError(value)
+    return number
+
+
 # Each config key (which is also the flag's dest) with the type it is read as;
 # the choice keys are checked against their choices instead.
 _CONVERTERS = {
-    "k": float, "spin": float, "lam": float, "dim": int, "p_min": float,
-    "margin": int, "tol": float, "epsilon": float, "phi1": float, "phi2": float,
-    "pairs": int, "beta": int, "n": int,
+    "k": float, "spin": float, "lam": float, "dim": _integer, "p_min": float,
+    "margin": _integer, "tol": float, "epsilon": float, "phi1": float, "phi2": float,
+    "pairs": _integer, "beta": _integer, "n": _integer,
     "p0": lambda v: parse_complex(v) if isinstance(v, str) else complex(v),
 }
 _CHOICES = {"rep": REPS, "fidelity": FIDELITY_CHOICES, "format": FORMATS}
@@ -230,21 +262,20 @@ def _resolve(ns: argparse.Namespace) -> RunConfig:
             try:
                 values[_FIELDS.get(key, key)] = _CONVERTERS[key](value)
             except (TypeError, OverflowError):
-                raise ValueError(
-                    f"--config value for {key} is not a finite number: {value!r}"
-                ) from None
+                kind = "an integer" if _CONVERTERS[key] is _integer else "a finite number"
+                raise ValueError(f"--config value for {key} is not {kind}: {value!r}") from None
 
     if ns.command in ("check", "casimir"):
         rep = values.get("rep", RunConfig.rep)
         if rep in ("hp", "villain"):
-            block = int(round(2 * _validate_spin(values.get("spin", RunConfig.spin)))) + 1
+            block, padded = _spin_lattice(_validate_spin(values.get("spin", RunConfig.spin)))
         if rep == "hp":
             # The Holstein-Primakoff block is the (2S+1)-space, exact to its edges.
             if values.setdefault("dim", block) != block:
                 raise ValueError(f"--dim must be 2S+1 = {block} for hp, got {values['dim']}")
             values.setdefault("margin", 0)
         elif rep == "villain":
-            values.setdefault("dim", block + 2 * VILLAIN_PAD)
+            values.setdefault("dim", padded)
         elif rep == "two_mode":
             values.setdefault("dim", TWO_MODE_DIM)
     if ns.command == "reduce":
@@ -279,61 +310,41 @@ def _centered_circle(count: int, p_min: float | None) -> CircleBasis:
     return CircleBasis(p_min, count)
 
 
+def _spin_lattice(spin: float) -> tuple[int, int]:
+    """The 2S+1 states of spin S, and the default villain lattice count: that
+    block with VILLAIN_PAD states on either side."""
+    block = int(round(2 * spin)) + 1
+    return block, block + 2 * VILLAIN_PAD
+
+
 def _villain_basis(spin: float, count: int | None = None,
                    p_min: float | None = None) -> CircleBasis:
-    block = int(round(2 * spin)) + 1
-    if count is None:
-        count = block + 2 * VILLAIN_PAD
+    block, padded = _spin_lattice(spin)
+    count = padded if count is None else count
     if p_min is None:
-        pad = max((count - block) // 2, 0)
-        p_min = -spin - pad
+        p_min = -spin - max((count - block) // 2, 0)
     return CircleBasis(p_min, count)
 
 
-def _build_triples(config: RunConfig) -> list[tuple[str, object]]:
-    """Instantiate the requested realization(s), one per fidelity variant."""
-    rep = config.rep
-    fidelities = (
-        ("corrected", "as_printed") if config.fidelity == "both" else (config.fidelity,)
-    )
-    if rep == "mp":
-        return [("", mp_realization(config.k, config.dim))]
-    if rep == "hp":
-        return [(fid, hp_spin(config.spin, fid)) for fid in fidelities]
-    if rep == "villain":
-        basis = _villain_basis(config.spin, config.dim, config.p_min)
-        return [(fid, villain_spin(config.spin, basis, fid)) for fid in fidelities]
-    if rep == "saf":
-        return [("", saf_realization(config.p0, _centered_circle(config.dim, config.p_min)))]
-    if rep == "perelomov":
-        return [("", perelomov_realization(config.lam, _centered_circle(config.dim, config.p_min)))]
-    if rep == "bose1":
-        return [("", saf_bose_form(config.p0, config.dim, "form1"))]
-    if rep == "bose2":
-        return [("", saf_bose_form(config.p0, config.dim, "form2"))]
-    if rep == "two_mode":
-        return [("", two_mode(config.dim, config.dim))]
-    raise ValueError(f"unknown rep {rep!r}")
-
-
-def _prefixed(prefix: str, report: CheckReport) -> list[Check]:
-    if not prefix:
-        return list(report.checks)
-    return [
-        Check(f"{prefix}/{c.name}", c.residual, c.tolerance, c.metadata)
-        for c in report.checks
-    ]
-
-
-def _aggregate(prefix: str, reports: list[CheckReport]) -> list[Check]:
-    """Per check position, keep the worst residual across a family of runs."""
+def _labelled(label: str, reports: list[CheckReport]) -> list[Check]:
+    """The checks of one report under ``label/`` (bare for an empty label), or,
+    across several reports, the worst residual at each check position."""
     out = []
     for i, first in enumerate(reports[0].checks):
-        residual = max(r.checks[i].residual for r in reports)
-        metadata = dict(first.metadata)
-        metadata["aggregated_over"] = str(len(reports))
-        out.append(Check(f"{prefix}/{first.name}", residual, first.tolerance, metadata))
+        metadata = first.metadata
+        if len(reports) > 1:
+            metadata = {**metadata, "aggregated_over": str(len(reports))}
+        out.append(Check(
+            f"{label}/{first.name}" if label else first.name,
+            max(r.checks[i].residual for r in reports), first.tolerance, metadata,
+        ))
     return out
+
+
+def _run_families(families: list[tuple], runner) -> list[Check]:
+    """Run ``runner(triple, spec)`` over each (label, triples, spec) family."""
+    return [c for label, triples, spec in families
+            for c in _labelled(label, [runner(t, spec) for t in triples])]
 
 
 def _discrepancy_ledger(tolerance: float) -> list[Check]:
@@ -377,90 +388,50 @@ def _discrepancy_ledger(tolerance: float) -> list[Check]:
     return checks
 
 
-def _suite_casimir(config: RunConfig) -> list[Check]:
+def _casimir_families(tolerance: float) -> list[tuple]:
     """Casimir closed forms of every realization at default dimensions."""
-    spec2 = CheckSpec(margin=2, tolerance=config.tolerance)
-    spec0 = CheckSpec(margin=0, tolerance=config.tolerance)
+    spec2 = CheckSpec(margin=2, tolerance=tolerance)
     circle = _centered_circle(CIRCLE_COUNT, None)
-    checks: list[Check] = []
-    checks.extend(_prefixed("mp[k=1.75]",
-                            check_casimir(mp_realization(1.75, SINGLE_MODE_DIM), spec2)))
-    checks.extend(_prefixed("saf[p0=0.5+1i]",
-                            check_casimir(saf_realization(0.5 + 1j, circle), spec2)))
-    checks.extend(_prefixed("perelomov[lam=1]",
-                            check_casimir(perelomov_realization(1.0, circle), spec2)))
-    checks.extend(_prefixed("two_mode[24x24]",
-                            check_casimir(two_mode(TWO_MODE_DIM, TWO_MODE_DIM), spec2)))
-    checks.extend(_prefixed("hp[corrected,S=5/2]",
-                            check_casimir(hp_spin(2.5, "corrected"), spec0)))
-    checks.extend(_prefixed("villain[corrected,S=5/2]",
-                            check_casimir(villain_spin(2.5, _villain_basis(2.5)), spec2)))
-    return checks
+    return [
+        ("mp[k=1.75]", [mp_realization(1.75, SINGLE_MODE_DIM)], spec2),
+        ("saf[p0=0.5+1i]", [saf_realization(0.5 + 1j, circle)], spec2),
+        ("perelomov[lam=1]", [perelomov_realization(1.0, circle)], spec2),
+        ("two_mode[24x24]", [two_mode(TWO_MODE_DIM, TWO_MODE_DIM)], spec2),
+        ("hp[corrected,S=5/2]", [hp_spin(2.5, "corrected")],
+         CheckSpec(margin=0, tolerance=tolerance)),
+        ("villain[corrected,S=5/2]", [villain_spin(2.5, _villain_basis(2.5))], spec2),
+    ]
 
 
-def _suite_all(config: RunConfig) -> list[Check]:
+def _suite_all(tolerance: float) -> list[Check]:
     """Every realization at default dimensions, plus the discrepancy ledger."""
-    tol = config.tolerance
-    spec2 = CheckSpec(margin=2, tolerance=tol)
-    spec0 = CheckSpec(margin=0, tolerance=tol)
+    spec2 = CheckSpec(margin=2, tolerance=tolerance)
     tight = CheckSpec(margin=2, tolerance=1e-12)
+    bose = CheckSpec(margin=SINGLE_MODE_DIM // 4, tolerance=BOSE_RESIDUAL_BOUND_64)
     circle = _centered_circle(CIRCLE_COUNT, None)
-    checks: list[Check] = []
-
-    for k in SUITE_KS:
-        checks.extend(_prefixed(
-            f"mp[k={k:g}]",
-            check_commutators(mp_realization(k, SINGLE_MODE_DIM), spec2),
-        ))
-
     grid = [complex(re, im) for re in SUITE_P0_AXIS for im in SUITE_P0_AXIS]
-    checks.extend(_aggregate(
-        "saf[25-point P0 grid]",
-        [check_commutators(saf_realization(p0, circle), spec2) for p0 in grid],
-    ))
-    checks.extend(_aggregate(
-        "perelomov[lam in {0.6,1,2}]",
-        [check_commutators(perelomov_realization(lam, circle), spec2)
-         for lam in SUITE_LAMBDAS],
-    ))
-    checks.extend(_prefixed(
-        "two_mode[24x24]",
-        check_commutators(two_mode(TWO_MODE_DIM, TWO_MODE_DIM), spec2),
-    ))
-    checks.extend(_aggregate(
-        "hp[corrected,S in {1/2,1,5/2}]",
-        [check_commutators(hp_spin(s, "corrected"), spec0) for s in SUITE_SPINS],
-    ))
-    checks.extend(_aggregate(
-        "villain[corrected,S in {1/2,1,5/2}]",
-        [check_commutators(villain_spin(s, _villain_basis(s), "corrected"), spec2)
-         for s in SUITE_SPINS],
-    ))
-    bose_spec = CheckSpec(margin=SINGLE_MODE_DIM // 4, tolerance=BOSE_RESIDUAL_BOUND_64)
-    for form in ("form1", "form2"):
-        checks.extend(_prefixed(
-            f"bose_{form}[dim=64]",
-            check_commutators(saf_bose_form(SUITE_BOSE_P0, SINGLE_MODE_DIM, form), bose_spec),
-        ))
-
-    checks.extend(
-        Check(f"casimir/{c.name}", c.residual, c.tolerance, c.metadata)
-        for c in _suite_casimir(config)
-    )
-
+    checks = _run_families([
+        *((f"mp[k={k:g}]", [mp_realization(k, SINGLE_MODE_DIM)], spec2) for k in SUITE_KS),
+        ("saf[25-point P0 grid]", [saf_realization(p0, circle) for p0 in grid], spec2),
+        ("perelomov[lam in {0.6,1,2}]",
+         [perelomov_realization(lam, circle) for lam in SUITE_LAMBDAS], spec2),
+        ("two_mode[24x24]", [two_mode(TWO_MODE_DIM, TWO_MODE_DIM)], spec2),
+        ("hp[corrected,S in {1/2,1,5/2}]", [hp_spin(s, "corrected") for s in SUITE_SPINS],
+         CheckSpec(margin=0, tolerance=tolerance)),
+        ("villain[corrected,S in {1/2,1,5/2}]",
+         [villain_spin(s, _villain_basis(s), "corrected") for s in SUITE_SPINS], spec2),
+        *((f"bose_{form}[dim=64]", [saf_bose_form(SUITE_BOSE_P0, SINGLE_MODE_DIM, form)], bose)
+          for form in ("form1", "form2")),
+    ], check_commutators)
+    casimir = _run_families(_casimir_families(tolerance), check_casimir)
+    checks += _labelled("casimir", [CheckReport(casimir)])
     for beta in (1, 2):
         for power in (1, 2, 3):
-            checks.extend(_prefixed("transfo", check_transfo(circle, beta, power, tight)))
-
+            checks += _labelled("transfo", [check_transfo(circle, beta, power, tight)])
     for lam in SUITE_LAMBDAS:
-        checks.extend(_prefixed(
-            f"mapping[perelomov vs saf, lam={lam:g}]",
-            compare_triples(
-                perelomov_realization(lam, circle),
-                saf_realization(0.5 + 1j * lam, circle),
-                tight,
-            ),
-        ))
+        checks += _labelled(f"mapping[perelomov vs saf, lam={lam:g}]", [compare_triples(
+            perelomov_realization(lam, circle), saf_realization(0.5 + 1j * lam, circle), tight,
+        )])
 
     result = verify_reduction(ModelParams(1.0, 0.1, 0.3), 16, 1e-9)
     checks.append(Check(
@@ -468,8 +439,7 @@ def _suite_all(config: RunConfig) -> list[Check]:
         result.max_deviation, 1e-9,
         {"p0": repr(result.p0), "h0": repr(result.h0), "mass": repr(result.mass)},
     ))
-
-    checks.extend(_discrepancy_ledger(tol))
+    checks += _discrepancy_ledger(tolerance)
     return checks
 
 
@@ -493,59 +463,43 @@ def _checks_payload(config: RunConfig, params: dict, checks: list[Check]) -> tup
     return payload, 0 if payload["overall_passed"] else 1
 
 
-def _rep_params(config: RunConfig) -> dict:
-    params: dict = {"rep": config.rep}
-    if config.rep in ("hp", "villain"):
-        params["spin"] = config.spin
-        params["fidelity"] = config.fidelity
-    if config.rep == "mp":
-        params["k"] = config.k
-    if config.rep in ("saf", "bose1", "bose2"):
-        params["p0"] = format_complex(config.p0)
-    if config.rep == "perelomov":
-        params["lam"] = config.lam
-    if config.rep != "all":
-        params["dim"] = config.dim
-        if config.rep in ("saf", "perelomov", "villain") and config.p_min is not None:
-            params["p_min"] = config.p_min
-    params["margin"] = config.margin
-    params["tolerance"] = config.tolerance
-    return params
+def _params(config: RunConfig, keys: tuple[str, ...]) -> dict:
+    """The fields ``keys`` of ``config`` that are set, in order, for the report."""
+    values = ((key, getattr(config, key)) for key in keys)
+    return {key: format_complex(value) if key == "p0" else value
+            for key, value in values if value is not None}
 
 
 def run(config: RunConfig) -> tuple[str, int]:
     """Execute the resolved invocation; returns (rendered report, exit code)."""
+    spec = CheckSpec(margin=config.margin, tolerance=config.tolerance)
     if config.command in ("check", "casimir"):
+        runner = check_commutators if config.command == "check" else check_casimir
         if config.rep == "all":
-            checks = (
-                _suite_all(config) if config.command == "check"
-                else _suite_casimir(config)
-            )
+            reads = ()
+            checks = (_suite_all(config.tolerance) if config.command == "check"
+                      else _run_families(_casimir_families(config.tolerance), runner))
         else:
-            spec = CheckSpec(margin=config.margin, tolerance=config.tolerance)
-            runner = check_commutators if config.command == "check" else check_casimir
-            checks = []
-            for prefix, triple in _build_triples(config):
-                checks.extend(_prefixed(prefix, runner(triple, spec)))
-        payload, code = _checks_payload(config, _rep_params(config), checks)
+            reads, build = _REALIZATIONS[config.rep]
+            fidelities = ("",)
+            if "fidelity" in reads:
+                fidelities = (("corrected", "as_printed") if config.fidelity == "both"
+                              else (config.fidelity,))
+            checks = _run_families(
+                [(fid, [build(config, fid)], spec) for fid in fidelities], runner)
+        params = _params(config, ("rep", *reads, "margin", "tolerance"))
+        payload, code = _checks_payload(config, params, checks)
     elif config.command == "transfo":
-        basis = _centered_circle(config.dim, config.p_min)
-        spec = CheckSpec(margin=config.margin, tolerance=config.tolerance)
-        report = check_transfo(basis, config.beta, config.n, spec)
-        params = {"beta": config.beta, "n": config.n, "dim": config.dim}
-        if config.p_min is not None:
-            params["p_min"] = config.p_min
-        params.update(margin=config.margin, tolerance=config.tolerance)
+        report = check_transfo(_centered_circle(config.dim, config.p_min),
+                               config.beta, config.n, spec)
+        params = _params(config, ("beta", "n", "dim", "p_min", "margin", "tolerance"))
         payload, code = _checks_payload(config, params, list(report.checks))
     elif config.command == "reduce":
         result = verify_reduction(
             ModelParams(config.epsilon, config.phi1, config.phi2),
             config.pairs, config.tolerance,
         )
-        params = {
-            "epsilon": config.epsilon, "phi1": config.phi1, "phi2": config.phi2,
-            "pairs": config.pairs, "tolerance": config.tolerance,
-        }
+        params = _params(config, ("epsilon", "phi1", "phi2", "pairs", "tolerance"))
         check = Check("max-spectral-deviation", result.max_deviation, result.tolerance,
                       {"levels": str(config.pairs)})
         payload, code = _checks_payload(config, params, [check])

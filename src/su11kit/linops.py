@@ -28,6 +28,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 import numpy as np
 
@@ -48,11 +49,19 @@ BYTE_BUDGET = 2 * 2 ** 30
 BAND_VECTORS = 16
 
 
-def _require_budget(nbytes: int, what: str) -> None:
+def _figure(x: int | float) -> str:
+    """A number for a message: in full, or in .3g form past 15 digits."""
+    text = f"{x:.1f}" if isinstance(x, float) else str(x)
+    return text if sum(c.isdigit() for c in text) <= 15 else format(Decimal(text), ".3g")
+
+
+def _require_budget(nbytes: int, what: str, *sizes: int) -> None:
+    """Refuse ``nbytes`` above :data:`BYTE_BUDGET`; ``what`` names the
+    allocation, with a ``{}`` field for each of ``sizes``."""
     if nbytes > BYTE_BUDGET:
         raise ValueError(
-            f"{what} would take {nbytes / 2 ** 30:.1f} GiB, more than the "
-            f"{BYTE_BUDGET / 2 ** 30:g} GiB memory budget"
+            f"{what.format(*map(_figure, sizes))} would take {_figure(nbytes / 2 ** 30)} "
+            f"GiB, more than the {BYTE_BUDGET / 2 ** 30:g} GiB memory budget"
         )
 
 
@@ -80,7 +89,7 @@ class FockBasis:
             raise ValueError(
                 f"per-mode dimension must be >= {MIN_BASIS_DIM}, got {dims}"
             )
-        _require_budget(16 * BAND_VECTORS * self.dim, f"bands of {self.dim} states")
+        _require_budget(16 * BAND_VECTORS * self.dim, "bands of {} states", self.dim)
 
     @property
     def modes(self) -> int:
@@ -116,7 +125,7 @@ class CircleBasis:
             raise ValueError(f"p_min must be finite, got {self.p_min}")
         if self.count < MIN_BASIS_DIM:
             raise ValueError(f"count must be >= {MIN_BASIS_DIM}, got {self.count}")
-        _require_budget(16 * BAND_VECTORS * self.count, f"bands of {self.count} states")
+        _require_budget(16 * BAND_VECTORS * self.count, "bands of {} states", self.count)
 
     @property
     def dim(self) -> int:
@@ -154,7 +163,7 @@ def _shift(v: np.ndarray, k: int) -> np.ndarray:
 
 def _dense_zeros(n: int) -> np.ndarray:
     """A writable n x n complex zero array, refused above :data:`BYTE_BUDGET`."""
-    _require_budget(16 * n * n, f"a dense {n}x{n} complex matrix")
+    _require_budget(16 * n * n, "a dense {0}x{0} complex matrix", n)
     return np.zeros((n, n), dtype=np.complex128)
 
 
@@ -228,19 +237,6 @@ class OperatorMatrix:
         if self._bands is None:
             return np.diagonal(self._dense)
         return self._bands[0] if 0 in self._bands else np.zeros(self.dim, dtype=complex)
-
-    def block(self, index) -> np.ndarray:
-        """Dense sub-matrix ``A[index][:, index]`` for ascending state indices."""
-        index = np.asarray(index, dtype=np.int64)
-        if self._bands is None:
-            return self._dense[np.ix_(index, index)]
-        out = _dense_zeros(index.size)
-        for k, v in self._bands.items():
-            cols = np.searchsorted(index, index + k)
-            hit = cols < index.size
-            hit[hit] = index[cols[hit]] == index[hit] + k
-            out[np.flatnonzero(hit), cols[hit]] = v[index[hit]]
-        return out
 
     def dag(self) -> "OperatorMatrix":
         """Hermitian conjugate on the same basis."""
@@ -403,7 +399,7 @@ def hermitian_eigensystem(a: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
     u = np.divide(h, size, out=np.ones_like(h), where=size > 0)
     d = np.concatenate(([1.0], np.cumprod(u)))
     # The eigenvectors D V come back complex, so they are what the budget sees.
-    _require_budget(16 * n * n, f"a dense {n}x{n} complex matrix")
+    _require_budget(16 * n * n, "a dense {0}x{0} complex matrix", n)
     eigenvalues, v = _zero_diagonal_eigh(size)
     return eigenvalues, d[:, None] * v
 
@@ -531,6 +527,3 @@ class CheckReport:
     @property
     def overall_passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def failed(self) -> tuple[Check, ...]:
-        return tuple(c for c in self.checks if not c.passed)

@@ -382,10 +382,11 @@ def saf_bose_form(p0: complex, dim: int = 64, form: str = "form1") -> AlgebraTri
 
     The exponentials go through :func:`su11kit.linops.unitary_exp`, so they
     are exactly unitary on the truncated space; the ladder relations are then
-    truncation-limited rather than exact, converging as dim grows. Each form
-    takes one exponential and its adjoint, ``exp(-iH) = exp(iH)^dag`` for
-    Hermitian H, so it costs one eigensolve of Q or P, done as the SVD of a
-    real bidiagonal matrix of half the size.
+    truncation-limited rather than exact, converging as dim grows. K+ is
+    built as the adjoint of K-, which it is by definition, since
+    ``exp(iH) = exp(-iH)^dag`` for Hermitian H; so a form costs one
+    exponential, one eigensolve of Q or P done as the SVD of a real
+    bidiagonal matrix of half the size, and one dense product.
     """
     dim = int(dim)
     if dim < 16:
@@ -400,9 +401,8 @@ def saf_bose_form(p0: complex, dim: int = 64, form: str = "form1") -> AlgebraTri
     one = identity(basis)
     # The factor beside the exponential, and exp(sign * i * generator) of K-.
     factor, generator, sign = (p, q, -1) if form == "form1" else (q, p, +1)
-    shift = unitary_exp(generator, sign)
-    kminus = (factor + p0 * one) @ shift
-    kplus = shift.dag() @ (factor + np.conj(p0) * one)
+    kminus = (factor + p0 * one) @ unitary_exp(generator, sign)
+    kplus = kminus.dag()
     k0 = factor + (p0.real - 0.5) * one
     return AlgebraTriple(
         HYPERBOLIC, k0, kplus, kminus,

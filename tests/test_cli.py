@@ -69,6 +69,12 @@ class TestParseArgs:
         assert config.p0 == 0.5 + 1.0j
         assert config.dim == 32  # flag overrides file
 
+    @pytest.mark.parametrize("value", ["64", "64.0", '"64"'])
+    def test_config_integer_forms(self, value, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(f'{{"dim": {value}}}')
+        assert parse_args(["check", "--config", str(path)]).dim == 64
+
     def test_config_file_unknown_key(self, tmp_path, capsys):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"rep": "saf", "surprise": 1}))
@@ -186,6 +192,11 @@ class TestMain:
         assert main(["check", "--rep", "bose1", "--dim", "65", "--margin", "16",
                      "--tol", "1e-3"]) == 0
         capsys.readouterr()
+        # A large offset is a truncation verdict, not a domain error.
+        for rep in ("bose1", "bose2"):
+            assert main(["check", "--rep", rep, "--p0=1e7-1e7i", "--dim", "64",
+                         "--margin", "16", "--tol", "1e-3"]) == 1
+            assert "FAIL" in capsys.readouterr().out
 
     def test_domain_error_from_module_exits_2(self, capsys):
         # villain lattice too small to cover the spin range
@@ -236,6 +247,12 @@ EXIT_2_CASES = [
     pytest.param(["check"], "<dir>", id="config-unreadable"),
     pytest.param(["check"], '{"spin": [1]}', id="config-spin-list"),
     pytest.param(["check"], '{"p0": [1]}', id="config-p0-list"),
+    pytest.param(["check"], '{"margin": 2.5}', id="config-margin-fraction"),
+    pytest.param(["check"], '{"dim": 64.9}', id="config-dim-fraction"),
+    pytest.param(["reduce"], '{"pairs": 16.9}', id="config-pairs-fraction"),
+    pytest.param(["transfo"], '{"beta": 1.5}', id="config-beta-fraction"),
+    pytest.param(["check"], '{"margin": true}', id="config-margin-bool"),
+    pytest.param(["check"], '{"dim": "64.5"}', id="config-dim-string-fraction"),
     pytest.param(["check", "--rep", "hp", "--spin", "inf"], None, id="hp-spin-inf"),
     pytest.param(["check", "--rep", "villain", "--spin", "1", "--p-min", "inf"], None,
                  id="villain-p-min-inf"),
@@ -270,6 +287,12 @@ EXIT_2_CASES = [
 
 # Cases whose message must name the offending parameter or size, by case id.
 NAMED_PARAMETER = {
+    "config-margin-fraction": "margin",
+    "config-dim-fraction": "dim",
+    "config-pairs-fraction": "pairs",
+    "config-beta-fraction": "beta",
+    "config-margin-bool": "margin",
+    "config-dim-string-fraction": "dim",
     "hp-spin-inf": "spin",
     "villain-p-min-inf": "p_min",
     "reduce-epsilon-overflow": "epsilon",
@@ -326,6 +349,13 @@ class TestExitTwo:
         assert "memory budget" in capsys.readouterr().err
         assert peak < 2 ** 28
 
+    def test_budget_message_abbreviates_long_numbers(self, capsys):
+        # The state count of spin 1e200 has 201 digits.
+        assert main(["check", "--rep", "hp", "--spin", "1e200"]) == 2
+        err = capsys.readouterr().err
+        assert "2.00e+200 states" in err and "memory budget" in err
+        assert len(err) < 120
+
 
 class TestReportedParams:
     def test_hp_reports_the_built_dim(self):
@@ -361,6 +391,28 @@ class TestReportedParams:
         assert capsys.readouterr().out == plain
         assert main(argv + ["--config", str(path)]) == 0
         assert capsys.readouterr().out == plain
+
+    @pytest.mark.parametrize("command", ["check", "casimir"])
+    @pytest.mark.parametrize("rep,keys", [
+        ("mp", ["k", "dim"]),
+        ("hp", ["spin", "fidelity", "dim"]),
+        ("villain", ["spin", "fidelity", "dim"]),
+        ("saf", ["p0", "dim"]),
+        ("perelomov", ["lam", "dim"]),
+        ("bose1", ["p0", "dim"]),
+        ("bose2", ["p0", "dim"]),
+        ("two_mode", ["dim"]),
+        ("all", []),
+    ])
+    def test_echoed_keys_of_each_rep(self, command, rep, keys):
+        argv = [command, "--rep", rep, "--format", "json"]
+        output, _ = run(parse_args(argv))
+        assert list(json.loads(output)["params"]) == ["rep", *keys, "margin", "tolerance"]
+        if rep in ("villain", "saf", "perelomov"):
+            output, _ = run(parse_args(argv + ["--p-min=-9"]))
+            params = json.loads(output)["params"]
+            assert list(params) == ["rep", *keys, "p_min", "margin", "tolerance"]
+            assert params["p_min"] == -9.0
 
     def test_transfo_echoes_p_min(self):
         output, _ = run(parse_args(["transfo", "--p-min", "-10", "--format", "json"]))
@@ -411,6 +463,11 @@ class TestSuites:
         payload = self._payload("check", capsys)
         assert len(CHECK_SUITE) == 55
         assert [c["name"] for c in payload["checks"]] == CHECK_SUITE
+        aggregated = {c["name"].rsplit("/", 1)[0]: c["metadata"].get("aggregated_over")
+                      for c in payload["checks"]}
+        assert aggregated["saf[25-point P0 grid]"] == "25"
+        assert aggregated["hp[corrected,S in {1/2,1,5/2}]"] == "3"
+        assert aggregated["mp[k=1]"] is None and aggregated["casimir/mp[k=1.75]"] is None
         ledger = {c["name"]: c for c in payload["checks"][-3:]}
         assert list(ledger) == LEDGER
         assert float(ledger[LEDGER[1]]["metadata"]["gap"]) == pytest.approx(

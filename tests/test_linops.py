@@ -179,9 +179,6 @@ class TestBandStorage:
         assert a.hermiticity_defect() == pytest.approx(
             np.max(np.abs(ad - ad.conj().T)), rel=1e-12, abs=1e-300)
         np.testing.assert_array_equal(a.diagonal(), np.diagonal(ad))
-        index = np.flatnonzero(np.arange(basis.dim) % 3 != 1)
-        np.testing.assert_array_equal(a.block(index), ad[np.ix_(index, index)])
-        np.testing.assert_array_equal(d.block(index), dd[np.ix_(index, index)])
 
     @settings(max_examples=100, deadline=None)
     @given(band_cases(), band_cases())
@@ -520,4 +517,3 @@ class TestCheckReport:
         assert CheckReport((good,)).overall_passed
         report = CheckReport((good, bad))
         assert not report.overall_passed
-        assert report.failed() == (bad,)

@@ -85,6 +85,15 @@ class TestDirectHamiltonian:
         assert maxabs_norm(h - diagonal(h.basis, np.diag(h.entries))) == 0.0
 
 
+    @pytest.mark.parametrize("dims", [(4, 4), (5, 9), (18, 18), (34, 34)])
+    @pytest.mark.parametrize("params", [EXAMPLE, ModelParams(0.7, -0.2, 0.9),
+                                        ModelParams(-0.4, 0.6, -0.5)])
+    def test_only_the_main_band(self, params, dims):
+        # verify_reduction reads the pair levels off the diagonal.
+        h = build_direct_hamiltonian(params, *dims)
+        assert h._bands is not None and set(h._bands) == {0}
+
+
 def two_mode_product_hamiltonian(params, dim):
     """The Hamiltonian with the cross term as the product of two two-mode
     operators, tensor(a+, b+) @ tensor(a, b): the O(d^6) assembly that the
@@ -239,6 +248,15 @@ class TestVerifyReduction:
         for params in random_params(20):
             res = verify_reduction(params, n_pairs=16, tol=1e-9)
             assert res.max_deviation <= 1e-9, params
+
+    def test_levels_are_the_pair_block_eigenvalues(self):
+        for params in random_params(8):
+            res = verify_reduction(params, n_pairs=10)
+            h = build_direct_hamiltonian(params, 12, 12)
+            occ = h.basis.occupations()
+            pairs = np.flatnonzero(occ[:, 0] == occ[:, 1])[:10]
+            block = h.entries[np.ix_(pairs, pairs)]
+            np.testing.assert_array_equal(res.direct_spectrum, np.linalg.eigvalsh(block) + 0.0)
 
     def test_condensate_bound(self):
         for params in random_params(10, seed=7):

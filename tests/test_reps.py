@@ -263,6 +263,13 @@ class TestBoseForms:
         t = saf_bose_form(0.3 - 0.8j, 32, form)
         assert maxabs_norm(t.kplus - t.kminus.dag()) <= 1e-10
 
+    @pytest.mark.parametrize("form", ["form1", "form2"])
+    def test_raising_operator_is_built_as_the_adjoint(self, form):
+        # Two separately rounded dense products would differ by about 1e-9 at
+        # this |p0|, past the 1e-10 adjointness gate of AlgebraTriple.
+        t = saf_bose_form(1e7 - 1e7j, 64, form)
+        assert maxabs_norm(t.kplus - t.kminus.dag()) == 0.0
+
     def test_residuals_decrease_with_dim(self):
         # Truncation-limited construction: doubling the dimension must shrink
         # the worst bracket residual.
