@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -35,6 +36,7 @@ from .linops import (
     Check,
     CheckReport,
     CircleBasis,
+    _figure,
     commutator,
     identity,
     maxabs_norm,
@@ -140,7 +142,14 @@ def format_complex(z: complex) -> str:
     return f"{z.real!r}{sign}{abs(z.imag)!r}i"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one.
+
+    Building it costs about a millisecond, as much as a small check, so an
+    in-process caller of :func:`main` pays it once. Nothing alters it after
+    it is built, and parsing keeps its state in a new namespace each time.
+    """
     parser = argparse.ArgumentParser(
         prog="su11kit",
         description="Finite-matrix checks for the su(1,1)/spin ladder realizations "
@@ -213,9 +222,7 @@ def _load_config_file(path: str) -> dict:
 
 def _integer(value) -> int:
     """int() that refuses rather than truncates: 64, 64.0 and "64" read as 64,
-    while True, 2.5, "2.5" and inf raise TypeError."""
-    if isinstance(value, bool):
-        raise TypeError(value)
+    while 2.5, "2.5" and inf raise TypeError."""
     try:
         number = int(value)
     except (ValueError, OverflowError):
@@ -260,6 +267,8 @@ def _resolve(ns: argparse.Namespace) -> RunConfig:
             values[_FIELDS.get(key, key)] = value
         elif value is not None:  # a JSON null keeps the default
             try:
+                if isinstance(value, bool):  # JSON true/false would read as 1/0
+                    raise TypeError(value)
                 values[_FIELDS.get(key, key)] = _CONVERTERS[key](value)
             except (TypeError, OverflowError):
                 kind = "an integer" if _CONVERTERS[key] is _integer else "a finite number"
@@ -284,6 +293,9 @@ def _resolve(ns: argparse.Namespace) -> RunConfig:
     config = RunConfig(command=ns.command, **values)
     if config.dim < MIN_BASIS_DIM:
         raise ValueError(f"--dim must be >= {MIN_BASIS_DIM}, got {config.dim}")
+    if config.dim > sys.float_info.max:  # the lattice momenta are floats
+        raise ValueError(f"--dim must be at most {sys.float_info.max:.3g}, "
+                         f"got {_figure(config.dim)}")
     CheckSpec(config.margin, config.tolerance)
     if config.command == "reduce":
         ModelParams(config.epsilon, config.phi1, config.phi2)

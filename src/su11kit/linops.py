@@ -13,11 +13,15 @@ number or momentum operator times a unit shift), stored as bands
 adjoints and Kronecker products of bands are bands, at O(bands * dim) cost.
 Arrays handed to the constructor and the results of :func:`unitary_exp` are
 dense; a product with one dense operand is dense, at O(bands * dim^2) by row
-or column scaling, and a sum with one dense operand costs O(dim^2) with the
-band operand left unmaterialized. ``.entries`` materializes the dense array
-on request. A Hermitian tridiagonal band with a zero diagonal, such as a
-quadrature, is diagonalized through the SVD of a real bidiagonal block of
-half its size; every other Hermitian input goes to the dense eigensolver.
+or column scaling. Its first band is scaled straight into an uninitialized
+output, whose rows (columns) that band does not reach are zeroed, and every
+later band is scaled into one reused scratch array and added, in band order:
+one output and at most one temporary, whatever the band count. A sum with
+one dense operand costs O(dim^2) with the band operand left unmaterialized.
+``.entries`` materializes the dense array on request. A Hermitian
+tridiagonal band with a zero diagonal, such as a quadrature, is diagonalized
+through the SVD of a real bidiagonal block of half its size; every other
+Hermitian input goes to the dense eigensolver.
 Everything is double precision and eager. A dense matrix or a basis too
 large for :data:`BYTE_BUDGET` raises ValueError before any allocation.
 """
@@ -161,15 +165,35 @@ def _shift(v: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _dense_zeros(n: int) -> np.ndarray:
-    """A writable n x n complex zero array, refused above :data:`BYTE_BUDGET`."""
+def _new_dense(n: int, alloc=np.zeros) -> np.ndarray:
+    """A writable n x n complex array from ``alloc``, refused above
+    :data:`BYTE_BUDGET`."""
     _require_budget(16 * n * n, "a dense {0}x{0} complex matrix", n)
-    return np.zeros((n, n), dtype=np.complex128)
+    return alloc((n, n), dtype=np.complex128)
+
+
+def _scaled_rows(out: np.ndarray, terms: list[tuple]) -> None:
+    """Fill ``out`` with the sum of ``terms``: each ``(lo, hi, x, y)`` adds the
+    product ``x * y`` to rows [lo, hi).
+
+    The first term is written straight into ``out``, whose rows it does not
+    reach are zeroed; each later one is formed in one scratch array, reused,
+    and added, in order.
+    """
+    if not terms:
+        out[...] = 0.0
+        return
+    lo, hi, x, y = terms[0]
+    out[:lo] = out[hi:] = 0.0
+    np.multiply(x, y, out=out[lo:hi])
+    scratch = np.empty_like(out) if len(terms) > 1 else None
+    for lo, hi, x, y in terms[1:]:
+        out[lo:hi] += np.multiply(x, y, out=scratch[lo:hi])
 
 
 def _to_dense(bands: dict[int, np.ndarray], n: int) -> np.ndarray:
     """Materialize band storage as a read-only dense n x n array."""
-    out = _dense_zeros(n)
+    out = _new_dense(n)
     flat = out.reshape(-1)
     for k, v in bands.items():
         lo, hi = _rows(k, n)
@@ -265,16 +289,21 @@ class OperatorMatrix:
             product = self._dense @ other._dense
         elif b is None:
             # Row i of the product is the sum over k of a_k[i] times row i + k.
-            product = _dense_zeros(n)
+            terms = []
             for k, v in a.items():
                 lo, hi = _rows(k, n)
-                product[lo:hi] += v[lo:hi, None] * other._dense[lo + k:hi + k]
+                terms.append((lo, hi, v[lo:hi, None], other._dense[lo + k:hi + k]))
+            product = _new_dense(n, np.empty)
+            _scaled_rows(product, terms)
         elif a is None:
-            # Column m + k of the product gathers column m times b_k[m].
-            product = _dense_zeros(n)
+            # Column m + k of the product gathers column m times b_k[m]; as
+            # rows of the transposes, with the factors in the same order.
+            terms = []
             for k, v in b.items():
                 lo, hi = _rows(k, n)
-                product[:, lo + k:hi + k] += self._dense[:, lo:hi] * v[lo:hi]
+                terms.append((lo + k, hi + k, self._dense.T[lo:hi], v[lo:hi, None]))
+            product = _new_dense(n, np.empty)
+            _scaled_rows(product.T, terms)
         else:
             product = {}
             for ka, va in a.items():

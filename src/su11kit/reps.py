@@ -18,6 +18,7 @@ silently repairing it. The misprint is recorded in the triple's params.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,6 +179,8 @@ def mp_realization(k: float, dim: int = 64) -> AlgebraTriple:
 
 def _validate_spin(spin: float) -> float:
     spin = float(spin)
+    if np.isfinite(spin) and spin > sys.float_info.max / 2:  # 2S would overflow
+        raise ValueError(f"spin must be at most {sys.float_info.max / 2:.3g}, got {spin}")
     if not (np.isfinite(spin) and spin > 0) or abs(2 * spin - round(2 * spin)) > 1e-9:
         raise ValueError(f"spin must be a positive half-integer, got {spin}")
     return spin

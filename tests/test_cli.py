@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
+
+import su11kit
 
 from su11kit.cli import RunConfig, format_complex, main, parse_args, parse_complex, run
 
@@ -213,6 +219,76 @@ class TestMain:
         assert first == second
 
 
+# A new interpreter imports su11kit from where this one did. The parser's help
+# text wraps at the terminal width, which COLUMNS sets.
+FIXED_WIDTH = {**os.environ, "COLUMNS": "80",
+               "PYTHONPATH": str(Path(su11kit.__file__).resolve().parents[1])}
+MAIN = "import sys; from su11kit.cli import main; raise SystemExit(main(sys.argv[1:]))"
+
+
+def fresh_main(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``main(argv)`` in a new interpreter."""
+    done = subprocess.run([sys.executable, "-c", MAIN, *argv], env=FIXED_WIDTH,
+                          capture_output=True, text=True, timeout=120, check=False)
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestSharedParser:
+    """One process parses every argv with the same parser, built once."""
+
+    @pytest.fixture(scope="class")
+    def argvs(self, tmp_path_factory):
+        config = tmp_path_factory.mktemp("config") / "run.json"
+        config.write_text('{"rep": "saf", "dim": 16, "format": "csv"}')
+        return [
+            ["check", "--rep", "saf", "--dim", "16"],  # passes
+            ["check", "--rep", "villain", "--fidelity", "as_printed", "--spin", "1"],  # fails
+            ["check", "--frobnicate", "1"],  # refused by argparse
+            ["check", "--rep", "hp", "--spin", "0.7"],  # refused while resolving
+            ["casimir", "--rep", "perelomov", "--lam", "0"],  # refused while running
+            ["--help"],
+            ["check", "--help"],
+            ["check", "--config", str(config)],
+            ["check", "--rep", "saf", "--dim", "16"],  # the first again
+        ]
+
+    @pytest.fixture(scope="class")
+    def fresh(self, argvs):
+        return [fresh_main(argv) for argv in argvs]
+
+    @pytest.mark.parametrize("order", ["forward", "reversed"])
+    def test_each_call_matches_a_fresh_process(self, argvs, fresh, order, capsys,
+                                               monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        indices = range(len(argvs)) if order == "forward" else reversed(range(len(argvs)))
+        for i in indices:
+            code = main(argvs[i])
+            out, err = capsys.readouterr()
+            assert (code, out, err) == fresh[i], argvs[i]
+
+    def test_import_builds_no_parser_and_parsing_builds_it_once(self):
+        # Counts ArgumentParser constructions: none at import, the parser and
+        # its four subparsers on the first parse, none on the second.
+        script = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(kwargs.get('prog'))\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import su11kit.cli\n"
+            "print(len(built))\n"
+            "su11kit.cli.parse_args(['check'])\n"
+            "print(len(built))\n"
+            "su11kit.cli.parse_args(['reduce'])\n"
+            "print(len(built))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script], env=FIXED_WIDTH,
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert done.stdout.split() == ["0", "5", "5"]
+
+
 # Spin 1/2 on a lattice whose margin-2 interior is all clamp-excluded.
 CLAMPED_INTERIOR = ["check", "--rep", "villain", "--spin", "0.5", "--p-min=-0.5",
                     "--dim", "20", "--margin", "2"]
@@ -253,6 +329,17 @@ EXIT_2_CASES = [
     pytest.param(["transfo"], '{"beta": 1.5}', id="config-beta-fraction"),
     pytest.param(["check"], '{"margin": true}', id="config-margin-bool"),
     pytest.param(["check"], '{"dim": "64.5"}', id="config-dim-string-fraction"),
+    pytest.param(["check", "--rep", "mp"], '{"k": true, "tol": true}', id="config-k-bool"),
+    pytest.param(["check", "--rep", "mp"], '{"tol": true}', id="config-tol-bool"),
+    pytest.param(["check", "--rep", "saf"], '{"p0": true}', id="config-p0-bool"),
+    pytest.param(["casimir", "--rep", "perelomov"], '{"lam": false}', id="config-lam-bool"),
+    pytest.param(["reduce"], '{"phi2": false}', id="config-phi2-bool"),
+    pytest.param(["check", "--rep", "hp", "--spin", "1.7e308"], None, id="hp-spin-overflow"),
+    pytest.param(["check", "--rep", "villain", "--spin", "1.7e308"], None,
+                 id="villain-spin-overflow"),
+    pytest.param(["check", "--rep", "saf", "--dim", "1" + "0" * 400], None,
+                 id="dim-beyond-float"),
+    pytest.param(["transfo"], '{"dim": 1' + "0" * 400 + "}", id="config-dim-beyond-float"),
     pytest.param(["check", "--rep", "hp", "--spin", "inf"], None, id="hp-spin-inf"),
     pytest.param(["check", "--rep", "villain", "--spin", "1", "--p-min", "inf"], None,
                  id="villain-p-min-inf"),
@@ -293,6 +380,15 @@ NAMED_PARAMETER = {
     "config-beta-fraction": "beta",
     "config-margin-bool": "margin",
     "config-dim-string-fraction": "dim",
+    "config-k-bool": "value for k is",
+    "config-tol-bool": "value for tol is",
+    "config-p0-bool": "value for p0 is",
+    "config-lam-bool": "value for lam is",
+    "config-phi2-bool": "value for phi2 is",
+    "hp-spin-overflow": "spin must be",
+    "villain-spin-overflow": "spin must be",
+    "dim-beyond-float": "--dim must be",
+    "config-dim-beyond-float": "--dim must be",
     "hp-spin-inf": "spin",
     "villain-p-min-inf": "p_min",
     "reduce-epsilon-overflow": "epsilon",

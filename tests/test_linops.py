@@ -150,6 +150,40 @@ def signed_zero_cases(draw):
     return banded(basis, bands), d.dag() if draw(st.booleans()) else d
 
 
+@st.composite
+def band_dense_product_cases(draw):
+    """A band operator with 0, 1, 2 or 4 offsets within +-(dim + 1), whose
+    vectors are sometimes mostly zeros, and a dense operand held in C or
+    Fortran order, on 2 to 16 states."""
+    n = draw(st.integers(2, 16))
+    basis = FockBasis((n,))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
+    size = draw(st.sampled_from([0, 1, 2, 4]))
+    bands = {}
+    for k in draw(st.sets(st.integers(-n - 1, n + 1), min_size=size, max_size=size)):
+        bands[k] = rng.normal(size=n) + 1j * rng.normal(size=n)
+        if draw(st.booleans()):
+            bands[k][rng.random(n) < 0.7] = 0.0
+    order = draw(st.sampled_from("CF"))
+    dense = np.asarray(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), order=order)
+    d = OperatorMatrix(basis, dense)
+    assert d.entries.flags.f_contiguous == (order == "F")
+    return banded(basis, bands), d
+
+
+def zero_fill_products(a, d):
+    """a @ d and d @ a for a band ``a`` and a dense ``d`` by zero-fill and add:
+    each band's scaled rows (columns) added to a zeroed output, in band order."""
+    n, dense = a.dim, d.entries
+    left = np.zeros((n, n), dtype=np.complex128)
+    right = np.zeros((n, n), dtype=np.complex128)
+    for k, v in a._bands.items():
+        lo, hi = max(0, -k), min(n, n - k)
+        left[lo:hi] += v[lo:hi, None] * dense[lo + k:hi + k]
+        right[:, lo + k:hi + k] += dense[:, lo:hi] * v[lo:hi]
+    return left, right
+
+
 def assert_matches(op, expected):
     expected = np.asarray(expected)
     scale = 1.0 + np.max(np.abs(expected))
@@ -205,6 +239,15 @@ class TestBandStorage:
             assert op._bands is None
             got = np.ascontiguousarray(op.entries)
             assert got.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(band_dense_product_cases())
+    def test_band_dense_products_equal_zero_fill_and_add(self, case):
+        # Same products, added in the same band order: equal entry for entry.
+        a, d = case
+        left, right = zero_fill_products(a, d)
+        assert np.array_equal((a @ d).entries, left)
+        assert np.array_equal((d @ a).entries, right)
 
     def test_mixed_products_scale_rows_and_columns(self, monkeypatch):
         # band @ dense and dense @ band must not materialize the band operand.
