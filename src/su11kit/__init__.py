@@ -8,8 +8,7 @@ coupled oscillators to a free particle on the pair ladder.
 
 from .algebra import (
     CheckSpec,
-    casimir_spin,
-    casimir_su11,
+    casimir,
     check_adjointness,
     check_casimir,
     check_commutators,
@@ -77,8 +76,7 @@ __all__ = [
     "bose_ladder",
     "build_direct_hamiltonian",
     "build_k_form",
-    "casimir_spin",
-    "casimir_su11",
+    "casimir",
     "check_adjointness",
     "check_casimir",
     "check_commutators",

@@ -1,5 +1,9 @@
 """Verification engine: Casimir operators and interior-projected residuals.
 
+The su(1,1) and spin algebras differ in one sign, ``triple.sign``, so each
+identity is written once with the sign as a coefficient, and one
+:func:`casimir` serves both kinds.
+
 Residuals are evaluated behind an interior projector that strips states near
 the truncation boundary, plus, for clamped spin realizations, the states that
 touch a clamped square-root amplitude. On the surviving block each identity
@@ -9,6 +13,7 @@ the reports never auto-resolve a discrepancy, they record it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,12 +24,20 @@ from .linops import (
     CheckReport,
     CircleBasis,
     OperatorMatrix,
+    _figure,
+    banded,
     commutator,
     diagonal,
     interior_projector,
     maxabs_norm,
 )
-from .reps import HYPERBOLIC, SPIN, AlgebraTriple, circle_momentum
+from .reps import HYPERBOLIC, SPIN, AlgebraTriple
+
+# The report names of the brackets of check_commutators, by triple kind.
+_BRACKET_NAMES = {
+    HYPERBOLIC: ("[K0,K+]-K+", "[K0,K-]+K-", "[K+,K-]+2K0"),
+    SPIN: ("[Sz,S+]-S+", "[Sz,S-]+S-", "[S+,S-]-2Sz"),
+}
 
 
 @dataclass(frozen=True)
@@ -42,23 +55,11 @@ class CheckSpec:
             raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
 
 
-def _require_kind(triple: AlgebraTriple, kind: str, caller: str) -> None:
-    if triple.kind != kind:
-        raise ValueError(f"{caller} requires a {kind} triple, got {triple.kind}")
-
-
-def casimir_su11(triple: AlgebraTriple) -> OperatorMatrix:
-    """K0^2 - (K+K- + K-K+)/2 for a hyperbolic triple."""
-    _require_kind(triple, HYPERBOLIC, "casimir_su11")
+def casimir(triple: AlgebraTriple) -> OperatorMatrix:
+    """K0^2 - sign (K+K- + K-K+)/2: the su(1,1) Casimir for a hyperbolic
+    triple, and Sz^2 + (S+S- + S-S+)/2, S(S+1) when exact, for a spin one."""
     k0, kp, km = triple.k0, triple.kplus, triple.kminus
-    return k0 @ k0 - (kp @ km + km @ kp) * 0.5
-
-
-def casimir_spin(triple: AlgebraTriple) -> OperatorMatrix:
-    """Sz^2 + (S+S- + S-S+)/2 for a spin triple; equals S(S+1) when exact."""
-    _require_kind(triple, SPIN, "casimir_spin")
-    sz, sp, sm = triple.sz, triple.splus, triple.sminus
-    return sz @ sz + (sp @ sm + sm @ sp) * 0.5
+    return k0 @ k0 - (kp @ km + km @ kp) * (0.5 * triple.sign)
 
 
 def masked_interior(triple: AlgebraTriple, margin: int) -> OperatorMatrix:
@@ -73,25 +74,15 @@ def _projected_residual(
 
 
 def check_commutators(triple: AlgebraTriple, spec: CheckSpec = CheckSpec()) -> CheckReport:
-    """Residuals of the three defining brackets on the projected interior.
-
-    Hyperbolic: [K0,K+]-K+, [K0,K-]+K-, [K+,K-]+2K0.
-    Spin:       [Sz,S+]-S+, [Sz,S-]+S-, [S+,S-]-2Sz.
-    """
+    """Residuals of the three defining brackets on the projected interior:
+    [K0,K+]-K+, [K0,K-]+K- and [K+,K-]+2 sign K0."""
     proj = masked_interior(triple, spec.margin)
     z, plus, minus = triple.k0, triple.kplus, triple.kminus
-    if triple.kind == HYPERBOLIC:
-        items = [
-            ("[K0,K+]-K+", commutator(z, plus) - plus),
-            ("[K0,K-]+K-", commutator(z, minus) + minus),
-            ("[K+,K-]+2K0", commutator(plus, minus) + 2.0 * z),
-        ]
-    else:
-        items = [
-            ("[Sz,S+]-S+", commutator(z, plus) - plus),
-            ("[Sz,S-]+S-", commutator(z, minus) + minus),
-            ("[S+,S-]-2Sz", commutator(plus, minus) - 2.0 * z),
-        ]
+    residuals = (
+        commutator(z, plus) - plus,
+        commutator(z, minus) + minus,
+        commutator(plus, minus) + (2.0 * triple.sign) * z,
+    )
     metadata = {"margin": str(spec.margin), "variant": triple.params.variant}
     if triple.params.fidelity is not None:
         metadata["fidelity"] = triple.params.fidelity
@@ -99,7 +90,7 @@ def check_commutators(triple: AlgebraTriple, spec: CheckSpec = CheckSpec()) -> C
         metadata["clamp_excluded"] = str(len(triple.params.clamp_excluded))
     checks = tuple(
         Check(name, _projected_residual(proj, op), spec.tolerance, dict(metadata))
-        for name, op in items
+        for name, op in zip(_BRACKET_NAMES[triple.kind], residuals)
     )
     return CheckReport(checks)
 
@@ -144,7 +135,7 @@ def check_casimir(triple: AlgebraTriple, spec: CheckSpec = CheckSpec()) -> Check
     states which one the matrices actually match, and uses the matching one
     as the primary residual; the loser stays in the metadata as data.
     """
-    computed = casimir_su11(triple) if triple.kind == HYPERBOLIC else casimir_spin(triple)
+    computed = casimir(triple)
     proj = masked_interior(triple, spec.margin)
     basis = triple.basis
 
@@ -198,24 +189,33 @@ def check_transfo(
 
     Only integer shift powers are representable on the unit lattice, so beta
     is restricted to positive integers; n is capped at 3 because that is as
-    far as the downstream constructions ever need. With margin >= beta the
-    identity is exact; smaller margins leave the lattice edge in view and the
-    check reports the resulting boundary residual as a failure.
+    far as the downstream constructions ever need. A beta for which
+    (max|p| + beta)^n leaves the float range is refused. Eplus^b is one band
+    at offset -b, Eminus^b its adjoint and P^n one diagonal, so the cost does
+    not depend on beta. With margin >= beta the identity is exact; smaller
+    margins leave the lattice edge in view and the check reports the
+    resulting boundary residual as a failure.
     """
     beta = int(beta)
     if beta < 1:
         raise ValueError(f"beta must be a positive integer, got {beta}")
     if n not in (1, 2, 3):
         raise ValueError(f"n must be in {{1, 2, 3}}, got {n}")
-    p, eplus, eminus = circle_momentum(basis)
-    up, down, pn = eplus, eminus, p
-    for _ in range(beta - 1):
-        up = up @ eplus
-        down = down @ eminus
-    for _ in range(n - 1):
-        pn = pn @ p
-    lhs = up @ pn @ down
-    rhs = diagonal(basis, (basis.momenta() - beta) ** n)
+    if not isinstance(basis, CircleBasis):
+        raise ValueError(f"check_transfo requires a CircleBasis, got {type(basis).__name__}")
+    p = basis.momenta()
+    top = float(np.max(np.abs(p)))
+    try:
+        finite = math.isfinite((top + beta) ** n)
+    except OverflowError:  # beta is past float range, or the power is
+        finite = False
+    if not finite:
+        raise ValueError(f"beta = {_figure(beta)} puts (max|p| + beta)^{n} past the "
+                         f"float range, with max|p| = {top:g}")
+    up = banded(basis, {-beta: np.ones(basis.count)})
+    # p * p * p from the left, the order in which band products would form it.
+    lhs = up @ diagonal(basis, np.prod([p] * n, axis=0)) @ up.dag()
+    rhs = diagonal(basis, (p - beta) ** n)
     proj = interior_projector(basis, spec.margin)
     residual = _projected_residual(proj, lhs - rhs)
     metadata = {"margin": str(spec.margin), "beta": str(beta), "n": str(n)}

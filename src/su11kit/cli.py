@@ -369,7 +369,7 @@ def _discrepancy_ledger(tolerance: float) -> list[Check]:
 
     tri = villain_spin(1.0, _villain_basis(1.0), "as_printed")
     proj = masked_interior(tri, 2)
-    offset = commutator(tri.splus, tri.sminus) - 2.0 * tri.sz + 2.0 * identity(tri.basis)
+    offset = commutator(tri.kplus, tri.kminus) - 2.0 * tri.k0 + 2.0 * identity(tri.basis)
     residual = maxabs_norm(proj @ offset @ proj)
     checks.append(Check(
         "ledger/villain[as_printed,S=1]: [S+,S-]-2Sz = -2 on unclamped interior",

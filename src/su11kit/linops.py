@@ -63,8 +63,10 @@ def _require_budget(nbytes: int, what: str, *sizes: int) -> None:
     """Refuse ``nbytes`` above :data:`BYTE_BUDGET`; ``what`` names the
     allocation, with a ``{}`` field for each of ``sizes``."""
     if nbytes > BYTE_BUDGET:
+        # From 2^1024 bytes on, the float quotient overflows; whole GiB do not.
+        gib = nbytes / 2 ** 30 if nbytes < 2 ** 1024 else nbytes // 2 ** 30
         raise ValueError(
-            f"{what.format(*map(_figure, sizes))} would take {_figure(nbytes / 2 ** 30)} "
+            f"{what.format(*map(_figure, sizes))} would take {_figure(gib)} "
             f"GiB, more than the {BYTE_BUDGET / 2 ** 30:g} GiB memory budget"
         )
 
@@ -476,18 +478,19 @@ def unitary_exp(h: OperatorMatrix, sign: int = 1) -> OperatorMatrix:
 
 
 def tensor(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    """Kronecker product of two single-mode Fock operators.
+    """Kronecker product of two band-stored single-mode Fock operators.
 
     The result lives on the two-mode basis with the row-major index
     convention of :class:`FockBasis` (first factor is the major index). Bands
     ``k_a`` and ``k_b`` give band ``k_a * dim_b + k_b``, ``kron(a_k, b_k)``.
+    A dense operand raises ValueError.
     """
     for op in (a, b):
         if not (isinstance(op.basis, FockBasis) and op.basis.modes == 1):
             raise ValueError("tensor requires single-mode Fock operators")
+        if op._bands is None:
+            raise ValueError("tensor requires band-stored operators, got a dense one")
     out_basis = FockBasis((a.basis.dims[0], b.basis.dims[0]))
-    if a._bands is None or b._bands is None:
-        return OperatorMatrix(out_basis, _Fresh(np.kron(a.entries, b.entries)))
     out: dict[int, np.ndarray] = {}
     for ka, va in a._bands.items():
         for kb, vb in b._bands.items():

@@ -1,12 +1,13 @@
 """Matrix realizations of the hyperbolic su(1,1) and spin ladder algebras.
 
 Each constructor returns an :class:`AlgebraTriple` holding the three
-generators together with the parameters that produced them. Hyperbolic
-triples target
+generators, K0, K+ and K-, together with the parameters that produced them.
+Both kinds of triple target
 
-    [K0, K+-] = +-K+-,    [K+, K-] = -2 K0,
+    [K0, K+-] = +-K+-,    [K+, K-] = -2 sign K0,
 
-spin triples the analogous relations with [S+, S-] = +2 Sz.
+with :attr:`AlgebraTriple.sign` +1 for the hyperbolic su(1,1) and -1 for
+spin, where K0, K+ and K- are the usual Sz, S+ and S-.
 
 Two of the realizations are typeset in circulation with sign slips, one in
 the raising-root of the Holstein-Primakoff form and one inside the
@@ -80,7 +81,8 @@ class RepParams:
 
 @dataclass(frozen=True)
 class AlgebraTriple:
-    """A (K0, K+, K-) or (Sz, S+, S-) matrix triple on a shared basis.
+    """A (K0, K+, K-) matrix triple on a shared basis; for a spin triple
+    these are (Sz, S+, S-).
 
     Construction validates that the three generators share one basis, that
     the diagonal generator is Hermitian, and that the ladder pair are mutual
@@ -120,18 +122,10 @@ class AlgebraTriple:
     def basis(self) -> BasisSpec:
         return self.k0.basis
 
-    # Spin-flavoured aliases; the storage is shared.
     @property
-    def sz(self) -> OperatorMatrix:
-        return self.k0
-
-    @property
-    def splus(self) -> OperatorMatrix:
-        return self.kplus
-
-    @property
-    def sminus(self) -> OperatorMatrix:
-        return self.kminus
+    def sign(self) -> float:
+        """+1.0 for a hyperbolic triple, -1.0 for a spin one: [K+, K-] = -2 sign K0."""
+        return 1.0 if self.kind == HYPERBOLIC else -1.0
 
 
 def bose_ladder(dim: int) -> tuple[OperatorMatrix, OperatorMatrix]:

@@ -13,7 +13,7 @@ import pytest
 from conftest import exact_range_basis, spin_ladder_matrices
 from su11kit.algebra import (
     CheckSpec,
-    casimir_su11,
+    casimir,
     check_casimir,
     check_commutators,
     check_transfo,
@@ -95,7 +95,7 @@ def test_criterion_2_spin_suite():
             report = check_commutators(triple, CheckSpec(margin=0, tolerance=1e-10))
             worst_comm = max(worst_comm, *(c.residual for c in report.checks))
             ok &= report.overall_passed
-            for built, expected in zip((triple.sz, triple.splus, triple.sminus), oracle):
+            for built, expected in zip((triple.k0, triple.kplus, triple.kminus), oracle):
                 gap = float(np.max(np.abs(built.entries - expected)))
                 worst_oracle = max(worst_oracle, gap)
                 ok &= gap <= 1e-12
@@ -116,8 +116,8 @@ def test_criterion_3_discrepancy_ledger():
         ok &= abs(bracket.residual - 2.0) <= 1e-10
         ok &= not bracket.passed
     # Holstein-Primakoff as printed: adjointness breaks visibly at S = 1/2.
-    gap = maxabs_norm(hp_spin(0.5, "as_printed").splus
-                      - hp_spin(0.5, "as_printed").sminus.dag())
+    gap = maxabs_norm(hp_spin(0.5, "as_printed").kplus
+                      - hp_spin(0.5, "as_printed").kminus.dag())
     ok &= gap > 0.1
     verdict(3, "as-printed variants misbehave as documented", ok,
             f"bracket offsets {['%.3f' % r for r in residuals]}, hp gap {gap:.3f}")
@@ -135,7 +135,7 @@ def test_criterion_4_casimir_closed_forms():
 
     # pair states: Casimir restricted to |n,n> equals -1/4
     t = two_mode(24, 24)
-    c = casimir_su11(t)
+    c = casimir(t)
     pair_idx = [n * 25 for n in range(22)]
     pair_gap = float(np.max(np.abs(np.real(np.diag(c.entries))[pair_idx] + 0.25)))
     ok &= pair_gap <= 1e-10

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from conftest import exact_range_basis, spin_ladder_matrices
 from su11kit.algebra import (
     CheckSpec,
-    casimir_spin,
-    casimir_su11,
+    casimir,
     check_adjointness,
     check_casimir,
     check_commutators,
@@ -18,11 +17,14 @@ from su11kit.algebra import (
 from su11kit.linops import (
     BasisMismatchError,
     CircleBasis,
+    OperatorMatrix,
     commutator,
+    diagonal,
     interior_projector,
     maxabs_norm,
 )
 from su11kit.reps import (
+    circle_momentum,
     hp_spin,
     mp_realization,
     perelomov_realization,
@@ -42,16 +44,16 @@ def interior_diag(op, margin):
 
 class TestCasimirSu11:
     def test_mp_value(self):
-        c = casimir_su11(mp_realization(1.0, 16))
+        c = casimir(mp_realization(1.0, 16))
         np.testing.assert_allclose(interior_diag(c, 1), 0.0, atol=1e-12)
 
     def test_saf_real_offset_is_quarter(self, circle64):
-        c = casimir_su11(saf_realization(0.7, circle64))
+        c = casimir(saf_realization(0.7, circle64))
         np.testing.assert_allclose(interior_diag(c, 1), -0.25, atol=1e-12)
 
     def test_two_mode_diagonal_formula(self):
         t = two_mode(6, 6)
-        c = casimir_su11(t)
+        c = casimir(t)
         occ = t.basis.occupations()
         expected = -0.25 + (occ[:, 0] - occ[:, 1]) ** 2 / 4.0
         proj = interior_projector(t.basis, 1)
@@ -61,7 +63,7 @@ class TestCasimirSu11:
 
     def test_pair_states_sit_at_minus_quarter(self):
         t = two_mode(6, 6)
-        c = casimir_su11(t)
+        c = casimir(t)
         pair_idx = [n * 7 for n in range(5)]  # |n,n> below the edge
         np.testing.assert_allclose(
             np.real(np.diag(c.entries))[pair_idx], -0.25, atol=1e-12
@@ -70,39 +72,37 @@ class TestCasimirSu11:
     def test_unbalanced_state_value(self):
         # |2,0>: -1/4 + (2-0)^2/4 = 3/4
         t = two_mode(5, 5)
-        c = casimir_su11(t)
+        c = casimir(t)
         idx = 2 * 5 + 0
         assert c.entries[idx, idx].real == pytest.approx(0.75, abs=1e-12)
-
-    def test_spin_triple_rejected(self):
-        with pytest.raises(ValueError, match="hyperbolic"):
-            casimir_su11(hp_spin(1.0))
 
 
 class TestCasimirSpin:
     def test_hp_half_is_three_quarters_everywhere(self):
-        c = casimir_spin(hp_spin(0.5, "corrected"))
+        c = casimir(hp_spin(0.5, "corrected"))
         np.testing.assert_allclose(c.entries, 0.75 * np.eye(2), atol=1e-14)
 
     def test_villain_spin_one_matches_oracle(self):
         t = villain_spin(1.0, exact_range_basis(1.0), "corrected")
         sz, sp, sm = spin_ladder_matrices(1.0)
         oracle = sz @ sz + (sp @ sm + sm @ sp) / 2.0
-        np.testing.assert_allclose(casimir_spin(t).entries, oracle, atol=1e-12)
-        np.testing.assert_allclose(np.diag(casimir_spin(t).entries), 2.0, atol=1e-12)
+        np.testing.assert_allclose(casimir(t).entries, oracle, atol=1e-12)
+        np.testing.assert_allclose(np.diag(casimir(t).entries), 2.0, atol=1e-12)
+
+    def test_sign_reproduces_the_spin_form(self):
+        t = villain_spin(2.5, CircleBasis(-10.5, 22), "as_printed")
+        k0, kp, km = t.k0, t.kplus, t.kminus
+        spin_form = k0 @ k0 + (kp @ km + km @ kp) * 0.5
+        assert np.array_equal(casimir(t).entries, spin_form.entries)
 
     def test_villain_as_printed_disagrees(self):
         basis = CircleBasis(-6.0, 13)
         t = villain_spin(1.0, basis, "as_printed")
-        c = casimir_spin(t)
+        c = casimir(t)
         proj = masked_interior(t, 2)
         kept = np.flatnonzero(np.real(np.diag(proj.entries)))
         values = np.real(np.diag(c.entries))[kept]
         assert np.all(np.abs(values - 2.0) > 0.1)
-
-    def test_hyperbolic_triple_rejected(self):
-        with pytest.raises(ValueError, match="spin"):
-            casimir_spin(mp_realization(1.0, 8))
 
 
 class TestMaskedInterior:
@@ -221,6 +221,41 @@ class TestCheckTransfo:
         with pytest.raises(ValueError):
             check_transfo(circle64, 1, 4)
 
+    @pytest.mark.parametrize("beta", [1, 2, 3, 5, 70])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equals_repeated_products(self, beta, n):
+        # The reference: E+, E- and P multiplied out one factor at a time.
+        basis = CircleBasis(-31.7, 64)
+        p, eplus, eminus = circle_momentum(basis)
+        up, down, pn = eplus, eminus, p
+        for _ in range(beta - 1):
+            up, down = up @ eplus, down @ eminus
+        for _ in range(n - 1):
+            pn = pn @ p
+        proj = interior_projector(basis, 1)
+        rhs = diagonal(basis, (basis.momenta() - beta) ** n)
+        expected = maxabs_norm(proj @ (up @ pn @ down - rhs) @ proj)
+        report = check_transfo(basis, beta, n, CheckSpec(margin=1, tolerance=1e-12))
+        assert report.checks[0].residual == expected
+
+    def test_cost_does_not_grow_with_beta(self, circle64, monkeypatch):
+        # E+^b is one band and P^n one diagonal, so no product is repeated b times.
+        calls = []
+        matmul = OperatorMatrix.__matmul__
+        monkeypatch.setattr(OperatorMatrix, "__matmul__",
+                            lambda a, b: calls.append(1) or matmul(a, b))
+        counts = []
+        for beta in (1, 40):
+            check_transfo(circle64, beta, 3, CheckSpec(margin=2, tolerance=1e-12))
+            counts.append(len(calls))
+            calls.clear()
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("beta,n", [(10 ** 400, 1), (10 ** 104, 3)])
+    def test_beta_past_float_range_rejected(self, beta, n, circle64):
+        with pytest.raises(ValueError, match="beta = 1.00e\\+"):
+            check_transfo(circle64, beta, n)
+
 
 class TestCompareTriples:
     @pytest.mark.parametrize("lam", [0.6, 1.0, 2.0])
@@ -259,8 +294,8 @@ class TestCompareTriples:
         circle = exact_range_basis(spin)
         villain = villain_spin(spin, circle, "corrected")
         hp = hp_spin(spin, "corrected")
-        for v, h in ((villain.sz, hp.sz), (villain.splus, hp.splus),
-                     (villain.sminus, hp.sminus)):
+        for v, h in ((villain.k0, hp.k0), (villain.kplus, hp.kplus),
+                     (villain.kminus, hp.kminus)):
             np.testing.assert_allclose(v.entries, h.entries, rtol=0, atol=1e-12)
 
 
@@ -279,13 +314,13 @@ class TestAlgebraProperties:
     @pytest.mark.parametrize("p0", P0_GRID[::5])
     def test_casimir_commutes_with_k0(self, p0, circle64):
         t = saf_realization(p0, circle64)
-        c = casimir_su11(t)
+        c = casimir(t)
         proj = interior_projector(circle64, 2)
         assert maxabs_norm(proj @ commutator(c, t.k0) @ proj) <= 1e-10
 
     def test_casimir_centrality_two_mode(self):
         t = two_mode(10, 10)
-        c = casimir_su11(t)
+        c = casimir(t)
         proj = interior_projector(t.basis, 2)
         assert maxabs_norm(proj @ commutator(c, t.k0) @ proj) <= 1e-10
 

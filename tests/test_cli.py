@@ -294,12 +294,13 @@ CLAMPED_INTERIOR = ["check", "--rep", "villain", "--spin", "0.5", "--p-min=-0.5"
                     "--dim", "20", "--margin", "2"]
 
 # Invocations whose operators would not fit the memory budget: a dense
-# 200000^2 matrix for the eigensolve of bose1 (596 GiB), and band vectors of
-# 10^10 two-mode states.
+# 200000^2 matrix for the eigensolve of bose1 (596 GiB), band vectors of
+# 10^10 two-mode states, and band vectors of more bytes than a float can hold.
 OVER_BUDGET = {
     "bose1-dense-over-budget": ["check", "--rep", "bose1", "--dim", "200000"],
     "two_mode-over-budget": ["check", "--rep", "two_mode", "--dim", "100000"],
     "reduce-over-budget": ["reduce", "--pairs", "100000"],
+    "reduce-pairs-beyond-float": ["reduce", "--pairs", "1" + "0" * 400],
 }
 
 # Each usage or domain rule that exits 2, run through main. A config entry is
@@ -340,6 +341,9 @@ EXIT_2_CASES = [
     pytest.param(["check", "--rep", "saf", "--dim", "1" + "0" * 400], None,
                  id="dim-beyond-float"),
     pytest.param(["transfo"], '{"dim": 1' + "0" * 400 + "}", id="config-dim-beyond-float"),
+    pytest.param(["transfo", "--beta", "1" + "0" * 400], None, id="beta-beyond-float"),
+    pytest.param(["transfo", "--beta", "1" + "0" * 104, "--n", "3"], None,
+                 id="beta-power-overflow"),
     pytest.param(["check", "--rep", "hp", "--spin", "inf"], None, id="hp-spin-inf"),
     pytest.param(["check", "--rep", "villain", "--spin", "1", "--p-min", "inf"], None,
                  id="villain-p-min-inf"),
@@ -389,6 +393,8 @@ NAMED_PARAMETER = {
     "villain-spin-overflow": "spin must be",
     "dim-beyond-float": "--dim must be",
     "config-dim-beyond-float": "--dim must be",
+    "beta-beyond-float": "beta = 1.00e+400",
+    "beta-power-overflow": "beta = 1.00e+104",
     "hp-spin-inf": "spin",
     "villain-p-min-inf": "p_min",
     "reduce-epsilon-overflow": "epsilon",
@@ -410,6 +416,7 @@ NAMED_PARAMETER = {
     "bose1-dense-over-budget": "200000x200000",
     "two_mode-over-budget": "10000000000 states",
     "reduce-over-budget": "10000400004 states",
+    "reduce-pairs-beyond-float": "1.00e+400 states",
 }
 
 

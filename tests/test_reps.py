@@ -80,9 +80,9 @@ class TestMpRealization:
 class TestHolsteinPrimakoff:
     def test_spin_half_corrected_matrices(self):
         t = hp_spin(0.5, "corrected")
-        np.testing.assert_array_equal(t.splus.entries, [[0, 0], [1, 0]])
-        np.testing.assert_array_equal(t.sminus.entries, [[0, 1], [0, 0]])
-        np.testing.assert_array_equal(t.sz.entries, np.diag([-0.5, 0.5]))
+        np.testing.assert_array_equal(t.kplus.entries, [[0, 0], [1, 0]])
+        np.testing.assert_array_equal(t.kminus.entries, [[0, 1], [0, 0]])
+        np.testing.assert_array_equal(t.k0.entries, np.diag([-0.5, 0.5]))
 
     @pytest.mark.parametrize("spin", [0.5, 1.0, 1.5, 2.5])
     def test_corrected_equals_ladder_oracle(self, spin):
@@ -90,19 +90,19 @@ class TestHolsteinPrimakoff:
         # so the matrices must agree entrywise.
         sz, sp, sm = spin_ladder_matrices(spin)
         t = hp_spin(spin, "corrected")
-        np.testing.assert_allclose(t.sz.entries, sz, atol=1e-12)
-        np.testing.assert_allclose(t.splus.entries, sp, atol=1e-12)
-        np.testing.assert_allclose(t.sminus.entries, sm, atol=1e-12)
+        np.testing.assert_allclose(t.k0.entries, sz, atol=1e-12)
+        np.testing.assert_allclose(t.kplus.entries, sp, atol=1e-12)
+        np.testing.assert_allclose(t.kminus.entries, sm, atol=1e-12)
 
     @pytest.mark.parametrize("spin", [0.5, 1.0, 2.5])
     def test_as_printed_breaks_adjointness(self, spin):
         t = hp_spin(spin, "as_printed")
-        assert maxabs_norm(t.splus - t.sminus.dag()) > 0.0
+        assert maxabs_norm(t.kplus - t.kminus.dag()) > 0.0
 
     def test_as_printed_gap_at_spin_half(self):
         # The slipped raising root gives sqrt(2) where the adjoint needs 1.
         t = hp_spin(0.5, "as_printed")
-        gap = maxabs_norm(t.splus - t.sminus.dag())
+        gap = maxabs_norm(t.kplus - t.kminus.dag())
         assert gap == pytest.approx(np.sqrt(2.0) - 1.0, abs=1e-14)
 
     def test_invalid_spin_rejected(self):
@@ -146,9 +146,9 @@ class TestVillain:
     def test_exact_range_equals_ladder_oracle(self, spin):
         sz, sp, sm = spin_ladder_matrices(spin)
         t = villain_spin(spin, exact_range_basis(spin), "corrected")
-        np.testing.assert_allclose(t.sz.entries, sz, atol=1e-12)
-        np.testing.assert_allclose(t.splus.entries, sp, atol=1e-12)
-        np.testing.assert_allclose(t.sminus.entries, sm, atol=1e-12)
+        np.testing.assert_allclose(t.k0.entries, sz, atol=1e-12)
+        np.testing.assert_allclose(t.kplus.entries, sp, atol=1e-12)
+        np.testing.assert_allclose(t.kminus.entries, sm, atol=1e-12)
 
     def test_corrected_closes_on_unclamped_interior(self):
         spin = 1.5
@@ -157,7 +157,7 @@ class TestVillain:
         from su11kit.algebra import masked_interior
 
         proj = masked_interior(t, 1)
-        residual = proj @ (commutator(t.splus, t.sminus) - 2.0 * t.sz) @ proj
+        residual = proj @ (commutator(t.kplus, t.kminus) - 2.0 * t.k0) @ proj
         assert maxabs_norm(residual) <= 1e-12
 
     def test_as_printed_constant_offset(self):
@@ -169,7 +169,7 @@ class TestVillain:
         from su11kit.algebra import masked_interior
 
         proj = masked_interior(t, 1)
-        offset = commutator(t.splus, t.sminus) - 2.0 * t.sz + 2.0 * identity(basis)
+        offset = commutator(t.kplus, t.kminus) - 2.0 * t.k0 + 2.0 * identity(basis)
         assert maxabs_norm(proj @ offset @ proj) <= 1e-12
 
     def test_clamp_region_recorded(self):

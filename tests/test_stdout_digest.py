@@ -1,0 +1,31 @@
+"""tools/stdout_digest.py fingerprints the CLI output that must stay
+byte-stable; these checks keep its argv list and its hashing honest."""
+
+import hashlib
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
+
+import stdout_digest  # noqa: E402
+
+
+def test_covers_the_readme_in_every_format_and_the_float_edges():
+    argvs = stdout_digest.invocations()
+    for argv in stdout_digest.README:
+        for fmt in stdout_digest.FORMATS:
+            assert argv + ["--format", fmt] in argvs
+    assert all(argv in argvs for argv in stdout_digest.BEYOND_FLOAT)
+    assert ["casimir", "--rep", "villain", "--spin", "2.5", "--format", "csv"] in argvs
+
+
+def test_digest_hashes_stdout_then_stderr_of_one_run():
+    argv = ["transfo", "--beta", "0"]
+    row = stdout_digest.digest(ROOT, argv)
+    done = subprocess.run([sys.executable, "-m", "su11kit.cli", *argv], cwd=ROOT,
+                          env={"PYTHONPATH": str(ROOT / "src"), "COLUMNS": "80"},
+                          capture_output=True, timeout=120)
+    assert row == {"argv": argv, "exit": 2,
+                   "sha256": hashlib.sha256(done.stdout + done.stderr).hexdigest()}

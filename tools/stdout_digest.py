@@ -1,0 +1,104 @@
+"""Fingerprint what su11kit prints, one JSON line per invocation.
+
+    python tools/stdout_digest.py SRC_ROOT > digest.jsonl
+
+SRC_ROOT is a checkout of this repository; the su11kit under its ``src`` is
+the one that runs. Each line holds an argv, its exit code and the sha256 of
+its stdout followed by its stderr. The argv list is fixed by this file and
+by the ``perfbench/workloads.py`` beside it, not by SRC_ROOT, so the digests
+of two checkouts can be compared with ``diff``: a line differs exactly when
+that invocation's bytes or exit code differ. The list covers
+
+* every benchmark workload argv at seeds 1, 2 and 3;
+* the README invocations, in text, json and csv;
+* every ``--rep`` under ``check`` and ``casimir``, plus ``--fidelity both``
+  and ``--spin 2.5`` for hp and villain, in text, json and csv;
+* ``transfo`` at beta in {1, 2, 3, 5} and n in {1, 2, 3}, with and without
+  ``--p-min 0.3 --margin beta``, in json;
+* the shift powers and pair count past float range, which once hung or
+  exited with an unnamed message.
+
+Each invocation runs in its own interpreter, with one BLAS thread and an
+80-column terminal; one that runs past TIMEOUT_S seconds is recorded with
+the exit code "timeout".
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 60
+FORMATS = ("text", "json", "csv")
+SEEDS = (1, 2, 3)
+
+README = [
+    ["check", "--rep", "saf", "--p0", "0.7+0.4i", "--dim", "64", "--margin", "2"],
+    ["check", "--rep", "villain", "--fidelity", "as_printed", "--spin", "1"],
+    ["check", "--rep", "all"],
+    ["casimir", "--rep", "perelomov", "--lam", "1"],
+    ["transfo", "--beta", "2", "--n", "3"],
+    ["reduce", "--epsilon", "1", "--phi1", "0.1", "--phi2", "0.3", "--pairs", "16"],
+]
+REPS = ("mp", "hp", "villain", "saf", "perelomov", "bose1", "bose2", "two_mode", "all")
+SPIN_EXTRAS = ([], ["--fidelity", "both"], ["--spin", "2.5"])
+BEYOND_FLOAT = [
+    ["transfo", "--beta", "1" + "0" * 400],
+    ["transfo", "--beta", "1" + "0" * 104, "--n", "3"],
+    ["reduce", "--pairs", "1" + "0" * 400],
+]
+
+
+def _workload_argvs() -> list[list[str]]:
+    spec = importlib.util.spec_from_file_location(
+        "workloads", REPO / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [argv for name in workloads.WORKLOADS for seed in SEEDS
+            for argv in workloads.invocations(name, seed)]
+
+
+def invocations() -> list[list[str]]:
+    """Every argv the digest covers, in the order it prints them."""
+    reps = [[command, "--rep", rep, *extra]
+            for command in ("check", "casimir") for rep in REPS
+            for extra in (SPIN_EXTRAS if rep in ("hp", "villain") else ([],))]
+    transfo = [["transfo", "--beta", str(beta), "--n", str(n), *extra, "--format", "json"]
+               for beta in (1, 2, 3, 5) for n in (1, 2, 3)
+               for extra in ([], ["--p-min", "0.3", "--margin", str(beta)])]
+    return [*_workload_argvs(),
+            *(argv + ["--format", fmt] for argv in README + reps for fmt in FORMATS),
+            *transfo, *BEYOND_FLOAT]
+
+
+def digest(src_root: Path, argv: list[str]) -> dict:
+    """Run ``su11kit argv`` from ``src_root`` and fingerprint what it printed."""
+    env = {**os.environ, "PYTHONPATH": str(src_root / "src"), "COLUMNS": "80",
+           "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    try:
+        done = subprocess.run([sys.executable, "-m", "su11kit.cli", *argv], cwd=src_root,
+                              env=env, capture_output=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return {"argv": argv, "exit": "timeout", "sha256": None}
+    sha = hashlib.sha256(done.stdout + done.stderr).hexdigest()
+    return {"argv": argv, "exit": done.returncode, "sha256": sha}
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python tools/stdout_digest.py SRC_ROOT", file=sys.stderr)
+        return 2
+    src_root = Path(argv[0]).resolve()
+    for args in invocations():
+        print(json.dumps(digest(src_root, args)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
