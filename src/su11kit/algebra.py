@@ -2,7 +2,8 @@
 
 The su(1,1) and spin algebras differ in one sign, ``triple.sign``, so each
 identity is written once with the sign as a coefficient, and one
-:func:`casimir` serves both kinds.
+:func:`casimir` serves both kinds. It is checked against the closed forms
+each realization records in ``params.casimir``.
 
 Residuals are evaluated behind an interior projector that strips states near
 the truncation boundary, plus, for clamped spin realizations, the states that
@@ -106,79 +107,48 @@ def check_adjointness(triple: AlgebraTriple, spec: CheckSpec = CheckSpec()) -> C
     )
 
 
-def _expected_casimir_diagonal(triple: AlgebraTriple) -> tuple[np.ndarray, str]:
-    """Closed-form Casimir diagonal implied by the triple's parameters."""
-    params = triple.params
-    basis = triple.basis
-    if params.variant == "mp":
-        value = params.k * (params.k - 1.0)
-        return np.full(basis.dim, value), "k*(k-1)"
-    if params.variant in ("hp", "villain"):
-        value = params.spin * (params.spin + 1.0)
-        return np.full(basis.dim, value), "S*(S+1)"
-    if params.variant in ("saf", "bose_form1", "bose_form2"):
-        value = -0.25 - params.p0.imag ** 2
-        return np.full(basis.dim, value), "-1/4 + (P0 - conj(P0))^2/4"
-    if params.variant == "two_mode":
-        occ = basis.occupations()
-        diff = occ[:, 0] - occ[:, 1]
-        return -0.25 + diff.astype(np.float64) ** 2 / 4.0, "-1/4 + (n_a - n_b)^2/4"
-    raise ValueError(f"no closed-form Casimir for variant {params.variant!r}")
-
-
 def check_casimir(triple: AlgebraTriple, spec: CheckSpec = CheckSpec()) -> CheckReport:
-    """Projected residual of the computed Casimir against its closed form.
+    """Projected residual of the computed Casimir against the closed forms
+    the triple records in ``params.casimir``.
 
-    For the Perelomov realization two candidate constants circulate,
-    -1/4 - lam^2/4 (as printed next to the realization) and -1/4 - lam^2
-    (what the shift-affine mapping implies). The report evaluates both,
-    states which one the matrices actually match, and uses the matching one
-    as the primary residual; the loser stays in the metadata as data.
+    With one recorded form the report states it, its expected value, and the
+    value the matrices actually produced on the first interior state; for
+    the as-printed variants that is the documented discrepancy. With several
+    (Perelomov's -1/4 - lam^2 and -1/4 - lam^2/4) the report evaluates each,
+    states which one the matrices match, and uses it as the primary residual;
+    the others stay in the metadata as data.
     """
+    params = triple.params
+    if not params.casimir:
+        raise ValueError(f"no closed-form Casimir recorded for variant {params.variant!r}")
     computed = casimir(triple)
     proj = masked_interior(triple, spec.margin)
     basis = triple.basis
-
-    if triple.params.variant == "perelomov":
-        lam = triple.params.lam
-        candidates = {
-            "-1/4 - lam^2": -0.25 - lam ** 2,
-            "-1/4 - lam^2/4": -0.25 - lam ** 2 / 4.0,
-        }
-        residuals = {
-            label: _projected_residual(
-                proj, computed - diagonal(basis, np.full(basis.dim, value))
-            )
-            for label, value in candidates.items()
-        }
-        best = min(residuals, key=residuals.get)
-        metadata = {"margin": str(spec.margin), "variant": "perelomov", "matches": best}
-        for label, value in candidates.items():
-            metadata[f"candidate[{label}]"] = repr(value)
-            metadata[f"residual[{label}]"] = repr(residuals[label])
-        return CheckReport(
-            (Check("casimir closed form", residuals[best], spec.tolerance, metadata),),
-        )
-
-    expected_diag, formula = _expected_casimir_diagonal(triple)
-    residual = _projected_residual(proj, computed - diagonal(basis, expected_diag))
-    metadata = {
-        "margin": str(spec.margin),
-        "variant": triple.params.variant,
-        "expected": formula,
+    residuals = {
+        formula: _projected_residual(
+            proj, computed - diagonal(basis, np.full(basis.dim, expected)))
+        for formula, expected in params.casimir
     }
-    if triple.params.fidelity is not None:
-        metadata["fidelity"] = triple.params.fidelity
-    if not np.all(expected_diag == expected_diag[0]):
-        metadata["expected_kind"] = "diagonal"
+    best = min(residuals, key=residuals.get)
+    metadata = {"margin": str(spec.margin), "variant": params.variant}
+    if len(residuals) > 1:
+        metadata["matches"] = best
+        for formula, expected in params.casimir:
+            metadata[f"candidate[{formula}]"] = repr(expected)
+            metadata[f"residual[{formula}]"] = repr(residuals[formula])
     else:
-        metadata["expected_value"] = repr(float(expected_diag[0]))
-    # Record what the matrices actually produced on the projected interior;
-    # for the as-printed variants this is the documented discrepancy.
-    first = np.flatnonzero(np.real(proj.diagonal()) > 0.5)[0]
-    metadata["observed_first"] = repr(float(computed.diagonal()[first].real))
+        ((formula, expected),) = params.casimir
+        metadata["expected"] = formula
+        if params.fidelity is not None:
+            metadata["fidelity"] = params.fidelity
+        if isinstance(expected, np.ndarray):
+            metadata["expected_kind"] = "diagonal"
+        else:
+            metadata["expected_value"] = repr(expected)
+        first = np.flatnonzero(np.real(proj.diagonal()) > 0.5)[0]
+        metadata["observed_first"] = repr(float(computed.diagonal()[first].real))
     return CheckReport(
-        (Check("casimir closed form", residual, spec.tolerance, metadata),),
+        (Check("casimir closed form", residuals[best], spec.tolerance, metadata),),
     )
 
 

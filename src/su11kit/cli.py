@@ -276,6 +276,9 @@ def _resolve(ns: argparse.Namespace) -> RunConfig:
 
     if ns.command in ("check", "casimir"):
         rep = values.get("rep", RunConfig.rep)
+        if rep == "all" and "margin" in values:
+            raise ValueError("--margin cannot be set with --rep all, whose suites run "
+                             "at their own fixed margins")
         if rep in ("hp", "villain"):
             block, padded = _spin_lattice(_validate_spin(values.get("spin", RunConfig.spin)))
         if rep == "hp":

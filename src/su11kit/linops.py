@@ -118,7 +118,10 @@ class CircleBasis:
     """Momentum eigenbasis of P = -i d/dX on a periodic coordinate.
 
     State ``j`` carries the dimensionless momentum ``p_min + j`` (unit
-    spacing), on which ``exp(+-iX)`` act as pure shifts.
+    spacing), on which ``exp(+-iX)`` act as pure shifts. A lattice that
+    reaches past ``|p_min| + count = 2^52`` is refused: up to there floats
+    lie at most 1/2 apart, so integer and half-integer momenta are exact,
+    while from 2^53 on neighbouring momenta round to one float.
     """
 
     p_min: float
@@ -132,6 +135,9 @@ class CircleBasis:
         if self.count < MIN_BASIS_DIM:
             raise ValueError(f"count must be >= {MIN_BASIS_DIM}, got {self.count}")
         _require_budget(16 * BAND_VECTORS * self.count, "bands of {} states", self.count)
+        if abs(self.p_min) + self.count > 2 ** 52:
+            raise ValueError(f"p_min = {self.p_min:g} with {self.count} states puts "
+                             f"momenta past 2^52, where p_min + j is no longer exact")
 
     @property
     def dim(self) -> int:

@@ -15,12 +15,15 @@ square-root of the Villain form. Those constructors take a ``fidelity``
 switch: ``corrected`` closes the algebra, ``as_printed`` reproduces the
 slipped form verbatim so the checkers can measure the damage instead of
 silently repairing it. The misprint is recorded in the triple's params.
+
+Each constructor also records its Casimir's closed forms in
+``params.casimir``; the checkers compare the matrices against them.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,16 +68,16 @@ def _require_norm_bound(largest: float, given: str) -> None:
 class RepParams:
     """Parameters that generated a realization, used to pick expected values.
 
+    ``casimir`` holds the Casimir's closed forms as (formula text, expected
+    value) pairs, the value a float or, for a Casimir that is not constant,
+    a read-only diagonal; they take no part in equality or hashing.
     ``clamp_excluded`` lists basis states that touch a clamped square-root
     amplitude (Villain outside the spin range); verification projects those
     states out along with the truncation boundary.
     """
 
     variant: str
-    k: float | None = None
-    spin: float | None = None
-    p0: complex | None = None
-    lam: float | None = None
+    casimir: tuple[tuple[str, float | np.ndarray], ...] = field(default=(), compare=False)
     fidelity: str | None = None
     clamp_excluded: tuple[int, ...] = ()
 
@@ -167,7 +170,8 @@ def mp_realization(k: float, dim: int = 64) -> AlgebraTriple:
     kplus = adag @ root
     k0 = diagonal(basis, k + n)
     return AlgebraTriple(
-        HYPERBOLIC, k0, kplus, kminus, RepParams(variant="mp", k=k)
+        HYPERBOLIC, k0, kplus, kminus,
+        RepParams(variant="mp", casimir=(("k*(k-1)", k * (k - 1.0)),)),
     )
 
 
@@ -208,7 +212,8 @@ def hp_spin(spin: float, fidelity: str = "corrected") -> AlgebraTriple:
     sz = diagonal(basis, n - spin)
     return AlgebraTriple(
         SPIN, sz, splus, sminus,
-        RepParams(variant="hp", spin=spin, fidelity=fidelity),
+        RepParams(variant="hp", casimir=(("S*(S+1)", spin * (spin + 1.0)),),
+                  fidelity=fidelity),
     )
 
 
@@ -276,7 +281,7 @@ def villain_spin(
         SPIN, pmat, splus, sminus,
         RepParams(
             variant="villain",
-            spin=spin,
+            casimir=(("S*(S+1)", spin * (spin + 1.0)),),
             fidelity=fidelity,
             clamp_excluded=tuple(excluded),
         ),
@@ -320,7 +325,8 @@ def saf_realization(p0: complex, basis: CircleBasis) -> AlgebraTriple:
     kplus = eplus @ diagonal(basis, p + np.conj(p0))
     k0 = diagonal(basis, p + p0.real - 0.5)
     return AlgebraTriple(
-        HYPERBOLIC, k0, kplus, kminus, RepParams(variant="saf", p0=p0)
+        HYPERBOLIC, k0, kplus, kminus,
+        RepParams(variant="saf", casimir=(("-1/4 + (P0 - conj(P0))^2/4", -0.25 - p0.imag ** 2),)),
     )
 
 
@@ -336,6 +342,8 @@ def perelomov_realization(lam: float, basis: CircleBasis) -> AlgebraTriple:
     K+ = Eplus (P + 1/2 - i lam). Entry for entry this equals
     :func:`saf_realization` at P0 = 1/2 + i lam, including at the lattice
     edges, which is what :func:`su11kit.algebra.compare_triples` certifies.
+    Its Casimir is quoted in print as -1/4 - lam^2/4, while the mapping to
+    ``saf`` implies -1/4 - lam^2; both are recorded, the implied one first.
     """
     lam = float(lam)
     if not (np.isfinite(lam) and lam > 0):
@@ -349,7 +357,9 @@ def perelomov_realization(lam: float, basis: CircleBasis) -> AlgebraTriple:
     kplus = eplus @ diagonal(basis, p + 0.5 - 1j * lam)
     k0 = diagonal(basis, p)
     return AlgebraTriple(
-        HYPERBOLIC, k0, kplus, kminus, RepParams(variant="perelomov", lam=lam)
+        HYPERBOLIC, k0, kplus, kminus,
+        RepParams(variant="perelomov", casimir=(("-1/4 - lam^2", -0.25 - lam ** 2),
+                                                ("-1/4 - lam^2/4", -0.25 - lam ** 2 / 4.0))),
     )
 
 
@@ -403,7 +413,8 @@ def saf_bose_form(p0: complex, dim: int = 64, form: str = "form1") -> AlgebraTri
     k0 = factor + (p0.real - 0.5) * one
     return AlgebraTriple(
         HYPERBOLIC, k0, kplus, kminus,
-        RepParams(variant=f"bose_{form}", p0=p0),
+        RepParams(variant=f"bose_{form}",
+                  casimir=(("-1/4 + (P0 - conj(P0))^2/4", -0.25 - p0.imag ** 2),)),
     )
 
 
@@ -422,6 +433,10 @@ def two_mode(dim_a: int = 24, dim_b: int = 24) -> AlgebraTriple:
     kminus = tensor(a, b)
     kplus = tensor(adag, bdag)
     k0 = (tensor(adag @ a, ib) + tensor(ia, bdag @ b) + tensor(ia, ib)) * 0.5
+    occ = k0.basis.occupations()
+    expected = -0.25 + (occ[:, 0] - occ[:, 1]).astype(np.float64) ** 2 / 4.0
+    expected.flags.writeable = False
     return AlgebraTriple(
-        HYPERBOLIC, k0, kplus, kminus, RepParams(variant="two_mode")
+        HYPERBOLIC, k0, kplus, kminus,
+        RepParams(variant="two_mode", casimir=(("-1/4 + (n_a - n_b)^2/4", expected),)),
     )

@@ -191,11 +191,13 @@ class TestCheckCasimir:
         assert not check.passed
         assert "observed_first" in check.metadata
 
-    def test_unknown_variant_rejected(self):
+    def test_empty_casimir_rejected(self):
+        # The forms come from the triple, not from its variant name: an mp
+        # triple that records none has nothing to be checked against.
         t = mp_realization(1.0, 8)
-        hacked = type(t.params)(variant="mystery")
-        bad = type(t)(t.kind, t.k0, t.kplus, t.kminus, hacked)
-        with pytest.raises(ValueError, match="closed-form"):
+        bare = type(t.params)(variant="mp")
+        bad = type(t)(t.kind, t.k0, t.kplus, t.kminus, bare)
+        with pytest.raises(ValueError, match="no closed-form Casimir"):
             check_casimir(bad)
 
     def test_saf_residual_ignores_real_offset(self, circle64):

@@ -370,6 +370,11 @@ EXIT_2_CASES = [
     pytest.param(["check", "--rep", "bose1", "--p0", "1e200"], None, id="bose1-p0-overflow"),
     pytest.param(["casimir", "--rep", "perelomov", "--p-min", "1e200"], None,
                  id="perelomov-casimir-p-min-overflow"),
+    pytest.param(["transfo", "--p-min", "1e300"], None, id="transfo-p-min-inexact"),
+    pytest.param(["check", "--rep", "saf", "--p-min", "1e17"], None, id="saf-p-min-inexact"),
+    pytest.param(["check", "--rep", "all", "--margin", "40"], None, id="check-all-margin"),
+    pytest.param(["casimir", "--rep", "all", "--margin", "40"], None, id="casimir-all-margin"),
+    pytest.param(["casimir"], '{"margin": 3}', id="config-all-margin"),
     pytest.param(CLAMPED_INTERIOR, None, id="check-no-interior"),
     pytest.param(["casimir"] + CLAMPED_INTERIOR[1:], None, id="casimir-no-interior"),
     *(pytest.param(argv, None, id=case) for case, argv in OVER_BUDGET.items()),
@@ -413,6 +418,11 @@ NAMED_PARAMETER = {
     "saf-p-min-overflow": "p_min",
     "bose1-p0-overflow": "p0",
     "perelomov-casimir-p-min-overflow": "p_min",
+    "transfo-p-min-inexact": "p_min",
+    "saf-p-min-inexact": "p_min",
+    "check-all-margin": "margin",
+    "casimir-all-margin": "margin",
+    "config-all-margin": "margin",
     "bose1-dense-over-budget": "200000x200000",
     "two_mode-over-budget": "10000000000 states",
     "reduce-over-budget": "10000400004 states",
@@ -560,6 +570,8 @@ class TestSuites:
         payload = json.loads(capsys.readouterr().out)
         assert payload["overall_passed"] is True
         assert all(c["passed"] for c in payload["checks"])
+        # The default margin is echoed; an explicit --margin exits 2 (EXIT_2_CASES).
+        assert payload["params"] == {"rep": "all", "margin": 2, "tolerance": 1e-10}
         return payload
 
     def test_check_all(self, capsys):

@@ -61,6 +61,13 @@ class TestBases:
         basis = CircleBasis(-2.0, 5)
         np.testing.assert_array_equal(basis.momenta(), [-2, -1, 0, 1, 2])
 
+    @pytest.mark.parametrize("p_min", [2.0 ** 52 - 64, -(2.0 ** 52 - 64)])
+    def test_circle_momenta_exact_up_to_2_to_the_52(self, p_min):
+        basis = CircleBasis(p_min, 64)
+        assert np.all(np.diff(basis.momenta()) == 1.0)
+        with pytest.raises(ValueError, match="p_min"):
+            CircleBasis(p_min + np.sign(p_min), 64)
+
 
 class TestOperatorMatrix:
     def test_shape_must_match_basis(self):

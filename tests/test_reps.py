@@ -320,3 +320,38 @@ class TestAlgebraTriple:
         t = mp_realization(1.0, 8)
         with pytest.raises(ValueError):
             AlgebraTriple("elliptic", t.k0, t.kplus, t.kminus, t.params)
+
+
+SAF_FORM = "-1/4 + (P0 - conj(P0))^2/4"
+# Each constructor's documented Casimir: its formula texts and the values they
+# take, in the order recorded; a list of values is a diagonal over the basis.
+RECORDED_CASIMIR = {
+    "mp": (lambda: mp_realization(0.5, 16), [("k*(k-1)", 0.5 * (0.5 - 1.0))]),
+    "hp": (lambda: hp_spin(1.5, "as_printed"), [("S*(S+1)", 1.5 * 2.5)]),
+    "villain": (lambda: villain_spin(1.5, exact_range_basis(1.5)),
+                [("S*(S+1)", 1.5 * 2.5)]),
+    "saf": (lambda: saf_realization(-1.5 + 0.3j, CircleBasis(-8.0, 16)),
+            [(SAF_FORM, -0.25 - 0.3 ** 2)]),
+    "bose1": (lambda: saf_bose_form(0.2 - 0.7j, 16, "form1"), [(SAF_FORM, -0.25 - 0.7 ** 2)]),
+    "bose2": (lambda: saf_bose_form(0.2 - 0.7j, 16, "form2"), [(SAF_FORM, -0.25 - 0.7 ** 2)]),
+    "perelomov": (lambda: perelomov_realization(2.5, CircleBasis(-8.0, 16)),
+                  [("-1/4 - lam^2", -0.25 - 2.5 ** 2), ("-1/4 - lam^2/4", -0.25 - 2.5 ** 2 / 4)]),
+    "two_mode": (lambda: two_mode(4, 5), [("-1/4 + (n_a - n_b)^2/4",
+                 [-0.25 + (na - nb) ** 2 / 4 for na in range(4) for nb in range(5)])]),
+}
+
+
+@pytest.mark.parametrize("rep", RECORDED_CASIMIR)
+def test_constructor_records_its_casimir_forms(rep):
+    build, documented = RECORDED_CASIMIR[rep]
+    params = build().params
+    assert [formula for formula, _ in params.casimir] == [formula for formula, _ in documented]
+    for (_, value), (_, expected) in zip(params.casimir, documented):
+        if isinstance(expected, list):
+            assert not value.flags.writeable
+            np.testing.assert_array_equal(value, expected)
+        else:
+            assert type(value) is float and value == expected
+    # The forms, arrays included, leave the params comparable and hashable.
+    again = build().params
+    assert params == again and hash(params) == hash(again)

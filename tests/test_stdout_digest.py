@@ -18,6 +18,7 @@ def test_covers_the_readme_in_every_format_and_the_float_edges():
         for fmt in stdout_digest.FORMATS:
             assert argv + ["--format", fmt] in argvs
     assert all(argv in argvs for argv in stdout_digest.BEYOND_FLOAT)
+    assert all(argv in argvs for argv in stdout_digest.REFUSED)
     assert ["casimir", "--rep", "villain", "--spin", "2.5", "--format", "csv"] in argvs
 
 
@@ -29,3 +30,11 @@ def test_digest_hashes_stdout_then_stderr_of_one_run():
                           capture_output=True, timeout=120)
     assert row == {"argv": argv, "exit": 2,
                    "sha256": hashlib.sha256(done.stdout + done.stderr).hexdigest()}
+
+
+def test_covers_casimir_of_every_rep_at_non_default_parameters():
+    argvs = stdout_digest.invocations()
+    assert {argv[2] for argv in stdout_digest.CASIMIR_PARAMS} == set(stdout_digest.REPS)
+    for argv in stdout_digest.CASIMIR_PARAMS:
+        assert argv[0] == "casimir" and len(argv) > 3
+        assert argv + ["--format", "json"] in argvs

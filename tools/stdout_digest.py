@@ -15,8 +15,11 @@ that invocation's bytes or exit code differ. The list covers
   and ``--spin 2.5`` for hp and villain, in text, json and csv;
 * ``transfo`` at beta in {1, 2, 3, 5} and n in {1, 2, 3}, with and without
   ``--p-min 0.3 --margin beta``, in json;
+* ``casimir`` of every ``--rep`` at non-default parameters, in json;
 * the shift powers and pair count past float range, which once hung or
-  exited with an unnamed message.
+  exited with an unnamed message;
+* the inputs refused with exit 2 because they could not be honoured: a
+  lattice whose momenta are past 2^52, and a margin given with ``--rep all``.
 
 Each invocation runs in its own interpreter, with one BLAS thread and an
 80-column terminal; one that runs past TIMEOUT_S seconds is recorded with
@@ -48,10 +51,29 @@ README = [
 ]
 REPS = ("mp", "hp", "villain", "saf", "perelomov", "bose1", "bose2", "two_mode", "all")
 SPIN_EXTRAS = ([], ["--fidelity", "both"], ["--spin", "2.5"])
+CASIMIR_PARAMS = [
+    ["casimir", "--rep", "mp", "--k", "0.5", "--dim", "128"],
+    ["casimir", "--rep", "hp", "--spin", "1.5", "--fidelity", "both"],
+    ["casimir", "--rep", "villain", "--spin", "1.5", "--fidelity", "both"],
+    ["casimir", "--rep", "saf", "--p0=-1.5+0.3i", "--dim", "96", "--margin", "3"],
+    ["casimir", "--rep", "perelomov", "--lam", "2.5"],
+    ["casimir", "--rep", "bose1", "--p0=0.2-0.7i", "--dim", "96", "--margin", "24",
+     "--tol", "1e-3"],
+    ["casimir", "--rep", "bose2", "--p0=0.2-0.7i", "--dim", "96", "--margin", "24",
+     "--tol", "1e-3"],
+    ["casimir", "--rep", "two_mode", "--dim", "9", "--margin", "1"],
+    ["casimir", "--rep", "all", "--tol", "1e-9"],
+]
 BEYOND_FLOAT = [
     ["transfo", "--beta", "1" + "0" * 400],
     ["transfo", "--beta", "1" + "0" * 104, "--n", "3"],
     ["reduce", "--pairs", "1" + "0" * 400],
+]
+REFUSED = [
+    ["transfo", "--p-min", "1e300"],
+    ["check", "--rep", "saf", "--p-min", "1e17"],
+    ["check", "--rep", "all", "--margin", "40"],
+    ["casimir", "--rep", "all", "--margin", "40"],
 ]
 
 
@@ -74,7 +96,8 @@ def invocations() -> list[list[str]]:
                for extra in ([], ["--p-min", "0.3", "--margin", str(beta)])]
     return [*_workload_argvs(),
             *(argv + ["--format", fmt] for argv in README + reps for fmt in FORMATS),
-            *transfo, *BEYOND_FLOAT]
+            *transfo, *(argv + ["--format", "json"] for argv in CASIMIR_PARAMS),
+            *BEYOND_FLOAT, *REFUSED]
 
 
 def digest(src_root: Path, argv: list[str]) -> dict:
