@@ -76,13 +76,19 @@ def _projected_residual(
 
 def check_commutators(triple: AlgebraTriple, spec: CheckSpec = CheckSpec()) -> CheckReport:
     """Residuals of the three defining brackets on the projected interior:
-    [K0,K+]-K+, [K0,K-]+K- and [K+,K-]+2 sign K0."""
+    [K0,K+]-K+, [K0,K-]+K- and [K+,K-]+2 sign K0.
+
+    Each bracket is formed, projected and reduced to its norm before the next
+    is formed, so for dense K+- at most three n x n arrays are alive at once
+    beyond the triple: a bracket's two products and their difference, or a
+    residual and its two projection products.
+    """
     proj = masked_interior(triple, spec.margin)
     z, plus, minus = triple.k0, triple.kplus, triple.kminus
     residuals = (
-        commutator(z, plus) - plus,
-        commutator(z, minus) + minus,
-        commutator(plus, minus) + (2.0 * triple.sign) * z,
+        lambda: commutator(z, plus) - plus,
+        lambda: commutator(z, minus) + minus,
+        lambda: commutator(plus, minus) + (2.0 * triple.sign) * z,
     )
     metadata = {"margin": str(spec.margin), "variant": triple.params.variant}
     if triple.params.fidelity is not None:
@@ -90,8 +96,8 @@ def check_commutators(triple: AlgebraTriple, spec: CheckSpec = CheckSpec()) -> C
     if triple.params.clamp_excluded:
         metadata["clamp_excluded"] = str(len(triple.params.clamp_excluded))
     checks = tuple(
-        Check(name, _projected_residual(proj, op), spec.tolerance, dict(metadata))
-        for name, op in zip(_BRACKET_NAMES[triple.kind], residuals)
+        Check(name, _projected_residual(proj, residual()), spec.tolerance, dict(metadata))
+        for name, residual in zip(_BRACKET_NAMES[triple.kind], residuals)
     )
     return CheckReport(checks)
 

@@ -13,17 +13,19 @@ number or momentum operator times a unit shift), stored as bands
 adjoints and Kronecker products of bands are bands, at O(bands * dim) cost.
 Arrays handed to the constructor and the results of :func:`unitary_exp` are
 dense; a product with one dense operand is dense, at O(bands * dim^2) by row
-or column scaling. Its first band is scaled straight into an uninitialized
-output, whose rows (columns) that band does not reach are zeroed, and every
-later band is scaled into one reused scratch array and added, in band order:
-one output and at most one temporary, whatever the band count. A sum with
+or column scaling. Its output is filled one row block of about 256 KiB at a
+time: the first band is scaled straight into the block, whose entries that
+band does not reach are zeroed, and every later band is scaled into one
+reused block-sized scratch and added, in band order. A product holds its
+output and one cache-sized scratch block, whatever the band count. A sum with
 one dense operand costs O(dim^2) with the band operand left unmaterialized.
 ``.entries`` materializes the dense array on request. A Hermitian
 tridiagonal band with a zero diagonal, such as a quadrature, is diagonalized
 through the SVD of a real bidiagonal block of half its size; every other
 Hermitian input goes to the dense eigensolver.
 Everything is double precision and eager. A dense matrix or a basis too
-large for :data:`BYTE_BUDGET` raises ValueError before any allocation.
+large for :data:`BYTE_BUDGET` raises ValueError before any allocation, and so
+does a bose realization whose :data:`DENSE_ARRAYS` arrays would not fit it.
 """
 
 from __future__ import annotations
@@ -51,6 +53,14 @@ BYTE_BUDGET = 2 * 2 ** 30
 #: Band vectors one check may hold at once; a saf check at 2^20 states peaks
 #: at about a dozen.
 BAND_VECTORS = 16
+
+#: Dense n x n arrays a bose check or casimir holds at its peak: K+ and K-,
+#: then the Casimir, its residual and two projection products.
+DENSE_ARRAYS = 6
+
+#: Bytes of the row block in which a band x dense product is filled: small
+#: enough for the block and its scratch to stay in cache.
+_BLOCK_BYTES = 2 ** 18
 
 
 def _figure(x: int | float) -> str:
@@ -181,22 +191,39 @@ def _new_dense(n: int, alloc=np.zeros) -> np.ndarray:
 
 
 def _scaled_rows(out: np.ndarray, terms: list[tuple]) -> None:
-    """Fill ``out`` with the sum of ``terms``: each ``(lo, hi, x, y)`` adds the
-    product ``x * y`` to rows [lo, hi).
+    """Fill ``out`` with the sum of ``terms``: each ``(lo, hi, c0, c1, x, y)``
+    adds ``x[j] * y[j]`` to row ``lo + j`` of ``out``, columns [c0, c1), for
+    the rows j of ``x`` and ``y``, which span [lo, hi).
 
-    The first term is written straight into ``out``, whose rows it does not
-    reach are zeroed; each later one is formed in one scratch array, reused,
-    and added, in order.
+    ``out`` is filled one row block of about :data:`_BLOCK_BYTES` at a time.
+    In each block the first term is written straight into ``out``, whose
+    entries it does not reach are zeroed; each later one is formed in one
+    block-sized scratch array, reused, and added, in order. Each entry gets
+    the same products in the same order whatever the block size.
     """
     if not terms:
         out[...] = 0.0
         return
-    lo, hi, x, y = terms[0]
-    out[:lo] = out[hi:] = 0.0
-    np.multiply(x, y, out=out[lo:hi])
-    scratch = np.empty_like(out) if len(terms) > 1 else None
-    for lo, hi, x, y in terms[1:]:
-        out[lo:hi] += np.multiply(x, y, out=scratch[lo:hi])
+    m, n = out.shape
+    step = max(1, _BLOCK_BYTES // (out.itemsize * n))
+    scratch = np.empty((step, n), dtype=out.dtype) if len(terms) > 1 else None
+    for r0 in range(0, m, step):
+        r1 = min(r0 + step, m)
+        for t, (lo, hi, c0, c1, x, y) in enumerate(terms):
+            # The term's rows in this block, [a, b), empty when a == b.
+            a = min(max(lo, r0), r1)
+            b = max(min(hi, r1), a)
+            if t == 0:
+                out[r0:a] = out[b:r1] = 0.0
+                out[a:b, :c0] = out[a:b, c1:] = 0.0
+            if a == b:
+                continue
+            x_rows, y_rows = x[a - lo:b - lo], y[a - lo:b - lo]
+            if t == 0:
+                np.multiply(x_rows, y_rows, out=out[a:b, c0:c1])
+            else:
+                out[a:b, c0:c1] += np.multiply(
+                    x_rows, y_rows, out=scratch[:b - a, :c1 - c0])
 
 
 def _to_dense(bands: dict[int, np.ndarray], n: int) -> np.ndarray:
@@ -271,9 +298,9 @@ class OperatorMatrix:
         return self._bands[0] if 0 in self._bands else np.zeros(self.dim, dtype=complex)
 
     def dag(self) -> "OperatorMatrix":
-        """Hermitian conjugate on the same basis."""
+        """Hermitian conjugate on the same basis; a dense one is row-major."""
         if self._bands is None:
-            return OperatorMatrix(self.basis, self._dense.conj().T)
+            return OperatorMatrix(self.basis, _Fresh(np.conj(self._dense.T, order="C")))
         return OperatorMatrix(self.basis, _Fresh(
             {-k: np.conj(_shift(v, -k)) for k, v in self._bands.items()}
         ))
@@ -300,18 +327,19 @@ class OperatorMatrix:
             terms = []
             for k, v in a.items():
                 lo, hi = _rows(k, n)
-                terms.append((lo, hi, v[lo:hi, None], other._dense[lo + k:hi + k]))
+                terms.append((lo, hi, 0, n, v[lo:hi, None], other._dense[lo + k:hi + k]))
             product = _new_dense(n, np.empty)
             _scaled_rows(product, terms)
         elif a is None:
-            # Column m + k of the product gathers column m times b_k[m]; as
-            # rows of the transposes, with the factors in the same order.
+            # Column m + k of the product gathers column m times b_k[m], in
+            # every row; the row vector is broadcast so that rows can be sliced.
             terms = []
             for k, v in b.items():
                 lo, hi = _rows(k, n)
-                terms.append((lo + k, hi + k, self._dense.T[lo:hi], v[lo:hi, None]))
+                terms.append((0, n, lo + k, hi + k, self._dense[:, lo:hi],
+                              np.broadcast_to(v[lo:hi], (n, hi - lo))))
             product = _new_dense(n, np.empty)
-            _scaled_rows(product.T, terms)
+            _scaled_rows(product, terms)
         else:
             product = {}
             for ka, va in a.items():

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linops import (
+    DENSE_ARRAYS,
     HERMITICITY_TOL,
     MIN_BASIS_DIM,
     BasisMismatchError,
@@ -40,6 +41,7 @@ from .linops import (
     identity,
     maxabs_norm,
     tensor,
+    _require_budget,
     unitary_exp,
 )
 
@@ -393,7 +395,10 @@ def saf_bose_form(p0: complex, dim: int = 64, form: str = "form1") -> AlgebraTri
     built as the adjoint of K-, which it is by definition, since
     ``exp(iH) = exp(-iH)^dag`` for Hermitian H; so a form costs one
     exponential, one eigensolve of Q or P done as the SVD of a real
-    bidiagonal matrix of half the size, and one dense product.
+    bidiagonal matrix of half the size, and one dense product. A check or
+    casimir of the result holds :data:`su11kit.linops.DENSE_ARRAYS` dense
+    dim x dim arrays at its peak, so a dim for which they would pass the
+    memory budget (from about 4 700) raises ValueError before any is built.
     """
     dim = int(dim)
     if dim < 16:
@@ -403,6 +408,8 @@ def saf_bose_form(p0: complex, dim: int = 64, form: str = "form1") -> AlgebraTri
     p0 = _validate_p0(p0)
     # |Q|, |P| <= sqrt(2 dim), and the shift is unitary.
     _require_norm_bound(abs(p0) + dim, f"p0 = {p0} at dim {dim}")
+    _require_budget(16 * DENSE_ARRAYS * dim * dim,
+                    f"{DENSE_ARRAYS} dense {{0}}x{{0}} complex matrices", dim)
     q, p = quadratures(dim)
     basis = q.basis
     one = identity(basis)

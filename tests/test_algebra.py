@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,8 @@ from su11kit.algebra import (
     masked_interior,
 )
 from su11kit.linops import (
+    _BLOCK_BYTES,
+    DENSE_ARRAYS,
     BasisMismatchError,
     CircleBasis,
     OperatorMatrix,
@@ -28,6 +33,7 @@ from su11kit.reps import (
     hp_spin,
     mp_realization,
     perelomov_realization,
+    saf_bose_form,
     saf_realization,
     two_mode,
     villain_spin,
@@ -338,3 +344,48 @@ class TestAlgebraProperties:
             CheckSpec(margin=2, tolerance=1e-11),
         )
         assert report.overall_passed
+
+
+def traced_peak(fn):
+    """Peak bytes traced while ``fn`` runs, after one untraced warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestDenseWorkingSet:
+    """Memory held beyond a dim-512 bose triple, in n x n complex arrays.
+
+    A row-block scratch is 1/16 of an array at this size; the slack of 1 MiB
+    covers numpy's iteration buffers and the isfinite mask of a new matrix.
+    """
+
+    N = 512
+    SPEC = CheckSpec(margin=128, tolerance=1e-3)
+
+    @pytest.fixture(scope="class")
+    def bose(self):
+        return saf_bose_form(0.7 + 0.4j, self.N)
+
+    def arrays(self, fn, scratch=True):
+        """Peak of ``fn`` in arrays, less a block scratch and the slack."""
+        unit = 16 * self.N ** 2
+        return (traced_peak(fn) - scratch * _BLOCK_BYTES - 2 ** 20) / unit
+
+    def test_band_dense_products_hold_their_output(self, bose):
+        assert bose.k0._dense is None and bose.kplus._dense is not None
+        assert self.arrays(lambda: bose.k0 @ bose.kplus) <= 1
+        assert self.arrays(lambda: bose.kplus @ bose.k0) <= 1
+
+    def test_checks_hold_one_bracket_at_a_time(self, bose):
+        brackets = self.arrays(lambda: check_commutators(bose, self.SPEC))
+        # The projector has one band, so the casimir's products need no scratch.
+        closed_form = self.arrays(lambda: check_casimir(bose, self.SPEC), scratch=False)
+        assert brackets <= 3
+        assert closed_form <= 4
+        # The budget of saf_bose_form counts K+- and the larger of the two.
+        assert DENSE_ARRAYS == 2 + math.ceil(max(brackets, closed_form))

@@ -293,11 +293,13 @@ class TestSharedParser:
 CLAMPED_INTERIOR = ["check", "--rep", "villain", "--spin", "0.5", "--p-min=-0.5",
                     "--dim", "20", "--margin", "2"]
 
-# Invocations whose operators would not fit the memory budget: a dense
-# 200000^2 matrix for the eigensolve of bose1 (596 GiB), band vectors of
-# 10^10 two-mode states, and band vectors of more bytes than a float can hold.
+# Invocations whose operators would not fit the memory budget: the six dense
+# 200000^2 matrices a bose1 check holds at its peak (3576 GiB), six dense
+# 6000^2 ones (3.2 GiB; one of them alone would fit), band vectors of 10^10
+# two-mode states, and band vectors of more bytes than a float can hold.
 OVER_BUDGET = {
     "bose1-dense-over-budget": ["check", "--rep", "bose1", "--dim", "200000"],
+    "bose1-dense-working-set": ["check", "--rep", "bose1", "--dim", "6000"],
     "two_mode-over-budget": ["check", "--rep", "two_mode", "--dim", "100000"],
     "reduce-over-budget": ["reduce", "--pairs", "100000"],
     "reduce-pairs-beyond-float": ["reduce", "--pairs", "1" + "0" * 400],
@@ -424,6 +426,7 @@ NAMED_PARAMETER = {
     "casimir-all-margin": "margin",
     "config-all-margin": "margin",
     "bose1-dense-over-budget": "200000x200000",
+    "bose1-dense-working-set": "6000x6000",
     "two_mode-over-budget": "10000000000 states",
     "reduce-over-budget": "10000400004 states",
     "reduce-pairs-beyond-float": "1.00e+400 states",

@@ -165,25 +165,44 @@ def signed_zero_cases(draw):
     return banded(basis, bands), d.dag() if draw(st.booleans()) else d
 
 
+def band_dense_pair(n, offsets, sparse, order, seed):
+    """A band operator with the given offsets on n states, whose vector at
+    offset k is mostly zeros when ``sparse[k]``, and a random dense operand
+    held in ``order`` ("C" or "F")."""
+    basis = FockBasis((n,))
+    rng = np.random.default_rng(seed)
+    bands = {}
+    for k in offsets:
+        bands[k] = rng.normal(size=n) + 1j * rng.normal(size=n)
+        if sparse[k]:
+            bands[k][rng.random(n) < 0.7] = 0.0
+    dense = np.asarray(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), order=order)
+    d = OperatorMatrix(basis, dense)
+    assert d.entries.flags.f_contiguous == (order == "F")
+    return banded(basis, bands), d
+
+
 @st.composite
 def band_dense_product_cases(draw):
     """A band operator with 0, 1, 2 or 4 offsets within +-(dim + 1), whose
     vectors are sometimes mostly zeros, and a dense operand held in C or
     Fortran order, on 2 to 16 states."""
     n = draw(st.integers(2, 16))
-    basis = FockBasis((n,))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 31 - 1)))
     size = draw(st.sampled_from([0, 1, 2, 4]))
-    bands = {}
-    for k in draw(st.sets(st.integers(-n - 1, n + 1), min_size=size, max_size=size)):
-        bands[k] = rng.normal(size=n) + 1j * rng.normal(size=n)
-        if draw(st.booleans()):
-            bands[k][rng.random(n) < 0.7] = 0.0
-    order = draw(st.sampled_from("CF"))
-    dense = np.asarray(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), order=order)
-    d = OperatorMatrix(basis, dense)
-    assert d.entries.flags.f_contiguous == (order == "F")
-    return banded(basis, bands), d
+    offsets = draw(st.sets(st.integers(-n - 1, n + 1), min_size=size, max_size=size))
+    sparse = {k: draw(st.booleans()) for k in sorted(offsets)}
+    return band_dense_pair(n, offsets, sparse, draw(st.sampled_from("CF")),
+                           draw(st.integers(0, 2 ** 31 - 1)))
+
+
+# Band offsets on n states, for products whose rows span several row blocks:
+# none, the diagonal alone, the edges of the range and past it, and a mix.
+BLOCK_EDGE_OFFSETS = {
+    "empty": lambda n: [],
+    "diagonal": lambda n: [0],
+    "edges": lambda n: [n - 1, -(n - 1), n, -n, n + 1, -(n + 1)],
+    "mixed": lambda n: [3, 0, -1, n // 2, -(n - 2)],
+}
 
 
 def zero_fill_products(a, d):
@@ -261,6 +280,28 @@ class TestBandStorage:
         left, right = zero_fill_products(a, d)
         assert np.array_equal((a @ d).entries, left)
         assert np.array_equal((d @ a).entries, right)
+
+    @pytest.mark.parametrize("order", "CF")
+    @pytest.mark.parametrize("offsets", BLOCK_EDGE_OFFSETS.values(),
+                             ids=BLOCK_EDGE_OFFSETS.keys())
+    @pytest.mark.parametrize("n", [129, 300, 1000])
+    def test_products_spanning_row_blocks_equal_zero_fill_and_add(self, n, offsets, order):
+        # From 129 states a product's output spans two or more row blocks of
+        # linops._BLOCK_BYTES, so every block edge is crossed by some band.
+        assert 16 * n * n > linops._BLOCK_BYTES
+        ks = offsets(n)
+        a, d = band_dense_pair(n, ks, {k: i % 2 == 1 for i, k in enumerate(ks)},
+                               order, seed=n)
+        left, right = zero_fill_products(a, d)
+        assert np.array_equal((a @ d).entries, left)
+        assert np.array_equal((d @ a).entries, right)
+
+    @pytest.mark.parametrize("order", "CF")
+    def test_dense_adjoint_is_row_major(self, order):
+        dense = np.asarray(random_operator(FockBasis((7,)), 5).entries, order=order)
+        adjoint = OperatorMatrix(FockBasis((7,)), dense).dag().entries
+        assert adjoint.flags.c_contiguous and not adjoint.flags.writeable
+        assert adjoint.tobytes() == np.ascontiguousarray(dense.conj().T).tobytes()
 
     def test_mixed_products_scale_rows_and_columns(self, monkeypatch):
         # band @ dense and dense @ band must not materialize the band operand.
