@@ -20,7 +20,7 @@ import functools
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .algebra import (
     CheckSpec,
@@ -61,14 +61,11 @@ FIDELITY_CHOICES = ("corrected", "as_printed", "both")
 # Default truncation sizes; chosen so the full default suite runs in seconds.
 SINGLE_MODE_DIM = 64
 TWO_MODE_DIM = 24
-CIRCLE_COUNT = 64
 VILLAIN_PAD = 8
 
-SUITE_KS = (0.5, 1.0, 1.75)
 SUITE_SPINS = (0.5, 1.0, 2.5)
 SUITE_LAMBDAS = (0.6, 1.0, 2.0)
 SUITE_P0_AXIS = (-1.0, -0.3, 0.0, 0.7, 2.0)
-SUITE_BOSE_P0 = 0.5 + 1.0j
 
 # Regression bound for the exponential (bose) forms at dim 64, margin 16:
 # frozen from a convergence sweep over dim in {32, 64, 128}, where the worst
@@ -102,22 +99,47 @@ class RunConfig:
 
 
 # Every realization --rep names: the RunConfig fields it reads, in the order
-# its report echoes them, and its builder (config, fidelity) -> AlgebraTriple.
-# A row that reads "fidelity" is built once per requested fidelity.
+# its report echoes them, and its builder config -> AlgebraTriple. A row that
+# reads "fidelity" is built once per requested fidelity. These builders are
+# the only ones: a --rep all triple is built from a config resolved as for
+# --rep REP with the same flags (see _suite_build).
 _REALIZATIONS = {
-    "mp": (("k", "dim"), lambda c, fid: mp_realization(c.k, c.dim)),
-    "hp": (("spin", "fidelity", "dim"), lambda c, fid: hp_spin(c.spin, fid)),
-    "villain": (("spin", "fidelity", "dim", "p_min"), lambda c, fid: villain_spin(
-        c.spin, _villain_basis(c.spin, c.dim, c.p_min), fid)),
-    "saf": (("p0", "dim", "p_min"), lambda c, fid: saf_realization(
+    "mp": (("k", "dim"), lambda c: mp_realization(c.k, c.dim)),
+    "hp": (("spin", "fidelity", "dim"), lambda c: hp_spin(c.spin, c.fidelity)),
+    "villain": (("spin", "fidelity", "dim", "p_min"), lambda c: villain_spin(
+        c.spin, _villain_basis(c.spin, c.dim, c.p_min), c.fidelity)),
+    "saf": (("p0", "dim", "p_min"), lambda c: saf_realization(
         c.p0, _centered_circle(c.dim, c.p_min))),
-    "perelomov": (("lam", "dim", "p_min"), lambda c, fid: perelomov_realization(
+    "perelomov": (("lam", "dim", "p_min"), lambda c: perelomov_realization(
         c.lam, _centered_circle(c.dim, c.p_min))),
-    "bose1": (("p0", "dim"), lambda c, fid: saf_bose_form(c.p0, c.dim, "form1")),
-    "bose2": (("p0", "dim"), lambda c, fid: saf_bose_form(c.p0, c.dim, "form2")),
-    "two_mode": (("dim",), lambda c, fid: two_mode(c.dim, c.dim)),
+    "bose1": (("p0", "dim"), lambda c: saf_bose_form(c.p0, c.dim, "form1")),
+    "bose2": (("p0", "dim"), lambda c: saf_bose_form(c.p0, c.dim, "form2")),
+    "two_mode": (("dim",), lambda c: two_mode(c.dim)),
 }
 REPS = (*_REALIZATIONS, "all")
+
+# The --rep all suites, one row per family: (label, rep, the flags of each
+# triple). The family reports, at each check, the worst of its triples.
+_CHECK_SUITE = [
+    *((f"mp[k={k:g}]", "mp", [{"k": k}]) for k in (0.5, 1.0, 1.75)),
+    ("saf[25-point P0 grid]", "saf",
+     [{"p0": complex(re, im)} for re in SUITE_P0_AXIS for im in SUITE_P0_AXIS]),
+    ("perelomov[lam in {0.6,1,2}]", "perelomov", [{"lam": lam} for lam in SUITE_LAMBDAS]),
+    ("two_mode[24x24]", "two_mode", [{}]),
+    ("hp[corrected,S in {1/2,1,5/2}]", "hp", [{"spin": s} for s in SUITE_SPINS]),
+    ("villain[corrected,S in {1/2,1,5/2}]", "villain", [{"spin": s} for s in SUITE_SPINS]),
+    *((f"bose_{form}[dim=64]", rep, [{"p0": 0.5 + 1j, "margin": SINGLE_MODE_DIM // 4,
+                                      "tol": BOSE_RESIDUAL_BOUND_64}])
+      for form, rep in (("form1", "bose1"), ("form2", "bose2"))),
+]
+_CASIMIR_SUITE = [
+    ("mp[k=1.75]", "mp", [{"k": 1.75}]),
+    ("saf[p0=0.5+1i]", "saf", [{"p0": 0.5 + 1j}]),
+    ("perelomov[lam=1]", "perelomov", [{"lam": 1.0}]),
+    ("two_mode[24x24]", "two_mode", [{}]),
+    ("hp[corrected,S=5/2]", "hp", [{"spin": 2.5}]),
+    ("villain[corrected,S=5/2]", "villain", [{"spin": 2.5}]),
+]
 
 
 def parse_complex(text: str) -> complex:
@@ -332,12 +354,9 @@ def _spin_lattice(spin: float) -> tuple[int, int]:
     return block, block + 2 * VILLAIN_PAD
 
 
-def _villain_basis(spin: float, count: int | None = None,
-                   p_min: float | None = None) -> CircleBasis:
-    block, padded = _spin_lattice(spin)
-    count = padded if count is None else count
+def _villain_basis(spin: float, count: int, p_min: float | None) -> CircleBasis:
     if p_min is None:
-        p_min = -spin - max((count - block) // 2, 0)
+        p_min = -spin - max((count - _spin_lattice(spin)[0]) // 2, 0)
     return CircleBasis(p_min, count)
 
 
@@ -356,97 +375,68 @@ def _labelled(label: str, reports: list[CheckReport]) -> list[Check]:
     return out
 
 
-def _run_families(families: list[tuple], runner) -> list[Check]:
-    """Run ``runner(triple, spec)`` over each (label, triples, spec) family."""
-    return [c for label, triples, spec in families
-            for c in _labelled(label, [runner(t, spec) for t in triples])]
+def _suite_build(command: str, rep: str, tolerance: float, flags: dict):
+    """The triple and CheckSpec that ``command --rep rep --tol tolerance`` with
+    ``flags`` would build; a ``tol`` in ``flags`` wins over ``tolerance``."""
+    config = _resolve(argparse.Namespace(command=command, config=None, rep=rep,
+                                         **{"tol": tolerance, **flags}))
+    return _REALIZATIONS[rep][1](config), CheckSpec(config.margin, config.tolerance)
 
 
-def _discrepancy_ledger(tolerance: float) -> list[Check]:
+def _run_suite(command: str, rows: list[tuple], tolerance: float) -> list[Check]:
+    """Run ``command`` over each (label, rep, flags of each triple) row."""
+    runner = check_commutators if command == "check" else check_casimir
+    return [c for label, rep, family in rows for c in _labelled(label, [
+        runner(*_suite_build(command, rep, tolerance, flags)) for flags in family])]
+
+
+def _discrepancy_ledger(tolerance: float, casimir: list[Check]) -> list[Check]:
     """The documented printing slips, asserted quantitatively.
 
     These checks PASS when the misprinted variants misbehave in exactly the
     recorded way; they are regression guards on the discrepancies, not bugs.
+    The villain and hp triples are built as ``--rep REP --fidelity as_printed``
+    builds them; the Perelomov entry restates ``perelomov[lam=1]`` of ``casimir``.
     """
-    checks: list[Check] = []
-
-    tri = villain_spin(1.0, _villain_basis(1.0), "as_printed")
-    proj = masked_interior(tri, 2)
+    tri, spec = _suite_build("check", "villain", tolerance,
+                             {"spin": 1.0, "fidelity": "as_printed"})
+    proj = masked_interior(tri, spec.margin)
     offset = commutator(tri.kplus, tri.kminus) - 2.0 * tri.k0 + 2.0 * identity(tri.basis)
-    residual = maxabs_norm(proj @ offset @ proj)
-    checks.append(Check(
-        "ledger/villain[as_printed,S=1]: [S+,S-]-2Sz = -2 on unclamped interior",
-        residual, tolerance,
-        {"documented_offset": "-2"},
-    ))
-
-    gap = check_adjointness(hp_spin(0.5, "as_printed")).checks[0].residual
+    tri, _ = _suite_build("check", "hp", tolerance, {"spin": 0.5, "fidelity": "as_printed"})
+    gap = check_adjointness(tri).checks[0].residual
     expected_gap = 2.0 ** 0.5 - 1.0
-    checks.append(Check(
-        "ledger/hp[as_printed,S=1/2]: adjointness gap = sqrt(2)-1",
-        abs(gap - expected_gap), tolerance,
-        {"gap": repr(gap), "expected_gap": repr(expected_gap)},
-    ))
-
-    lam = 1.0
-    report = check_casimir(
-        perelomov_realization(lam, _centered_circle(CIRCLE_COUNT, None)),
-        CheckSpec(margin=2, tolerance=tolerance),
-    )
-    primary = report.checks[0]
-    metadata = dict(primary.metadata)
-    metadata["printed_candidate_inconsistent"] = "-1/4 - lam^2/4"
-    checks.append(Check(
-        "ledger/perelomov[lam=1]: casimir matches -1/4-lam^2, not -1/4-lam^2/4",
-        primary.residual, tolerance, metadata,
-    ))
-    return checks
-
-
-def _casimir_families(tolerance: float) -> list[tuple]:
-    """Casimir closed forms of every realization at default dimensions."""
-    spec2 = CheckSpec(margin=2, tolerance=tolerance)
-    circle = _centered_circle(CIRCLE_COUNT, None)
+    perelomov = next(c for c in casimir if c.name.startswith("perelomov[lam=1]/"))
     return [
-        ("mp[k=1.75]", [mp_realization(1.75, SINGLE_MODE_DIM)], spec2),
-        ("saf[p0=0.5+1i]", [saf_realization(0.5 + 1j, circle)], spec2),
-        ("perelomov[lam=1]", [perelomov_realization(1.0, circle)], spec2),
-        ("two_mode[24x24]", [two_mode(TWO_MODE_DIM, TWO_MODE_DIM)], spec2),
-        ("hp[corrected,S=5/2]", [hp_spin(2.5, "corrected")],
-         CheckSpec(margin=0, tolerance=tolerance)),
-        ("villain[corrected,S=5/2]", [villain_spin(2.5, _villain_basis(2.5))], spec2),
+        Check("ledger/villain[as_printed,S=1]: [S+,S-]-2Sz = -2 on unclamped interior",
+              maxabs_norm(proj @ offset @ proj), tolerance, {"documented_offset": "-2"}),
+        Check("ledger/hp[as_printed,S=1/2]: adjointness gap = sqrt(2)-1",
+              abs(gap - expected_gap), tolerance,
+              {"gap": repr(gap), "expected_gap": repr(expected_gap)}),
+        Check("ledger/perelomov[lam=1]: casimir matches -1/4-lam^2, not -1/4-lam^2/4",
+              perelomov.residual, perelomov.tolerance,
+              {**perelomov.metadata, "printed_candidate_inconsistent": "-1/4 - lam^2/4"}),
     ]
 
 
 def _suite_all(tolerance: float) -> list[Check]:
-    """Every realization at default dimensions, plus the discrepancy ledger."""
-    spec2 = CheckSpec(margin=2, tolerance=tolerance)
-    tight = CheckSpec(margin=2, tolerance=1e-12)
-    bose = CheckSpec(margin=SINGLE_MODE_DIM // 4, tolerance=BOSE_RESIDUAL_BOUND_64)
-    circle = _centered_circle(CIRCLE_COUNT, None)
-    grid = [complex(re, im) for re in SUITE_P0_AXIS for im in SUITE_P0_AXIS]
-    checks = _run_families([
-        *((f"mp[k={k:g}]", [mp_realization(k, SINGLE_MODE_DIM)], spec2) for k in SUITE_KS),
-        ("saf[25-point P0 grid]", [saf_realization(p0, circle) for p0 in grid], spec2),
-        ("perelomov[lam in {0.6,1,2}]",
-         [perelomov_realization(lam, circle) for lam in SUITE_LAMBDAS], spec2),
-        ("two_mode[24x24]", [two_mode(TWO_MODE_DIM, TWO_MODE_DIM)], spec2),
-        ("hp[corrected,S in {1/2,1,5/2}]", [hp_spin(s, "corrected") for s in SUITE_SPINS],
-         CheckSpec(margin=0, tolerance=tolerance)),
-        ("villain[corrected,S in {1/2,1,5/2}]",
-         [villain_spin(s, _villain_basis(s), "corrected") for s in SUITE_SPINS], spec2),
-        *((f"bose_{form}[dim=64]", [saf_bose_form(SUITE_BOSE_P0, SINGLE_MODE_DIM, form)], bose)
-          for form in ("form1", "form2")),
-    ], check_commutators)
-    casimir = _run_families(_casimir_families(tolerance), check_casimir)
+    """Every realization at default dimensions, plus the discrepancy ledger.
+
+    Each triple of the families, the mapping rows and the ledger is built
+    exactly as ``--rep REP`` with the same flags would build it.
+    """
+    checks = _run_suite("check", _CHECK_SUITE, tolerance)
+    casimir = _run_suite("casimir", _CASIMIR_SUITE, tolerance)
     checks += _labelled("casimir", [CheckReport(casimir)])
+    tight = CheckSpec(margin=2, tolerance=1e-12)
+    circle = _centered_circle(SINGLE_MODE_DIM, None)
     for beta in (1, 2):
         for power in (1, 2, 3):
             checks += _labelled("transfo", [check_transfo(circle, beta, power, tight)])
     for lam in SUITE_LAMBDAS:
-        checks += _labelled(f"mapping[perelomov vs saf, lam={lam:g}]", [compare_triples(
-            perelomov_realization(lam, circle), saf_realization(0.5 + 1j * lam, circle), tight,
-        )])
+        perelomov, _ = _suite_build("check", "perelomov", tolerance, {"lam": lam})
+        saf, _ = _suite_build("check", "saf", tolerance, {"p0": 0.5 + 1j * lam})
+        checks += _labelled(f"mapping[perelomov vs saf, lam={lam:g}]",
+                            [compare_triples(perelomov, saf, tight)])
 
     result = verify_reduction(ModelParams(1.0, 0.1, 0.3), 16, 1e-9)
     checks.append(Check(
@@ -454,7 +444,7 @@ def _suite_all(tolerance: float) -> list[Check]:
         result.max_deviation, 1e-9,
         {"p0": repr(result.p0), "h0": repr(result.h0), "mass": repr(result.mass)},
     ))
-    checks += _discrepancy_ledger(tolerance)
+    checks += _discrepancy_ledger(tolerance, casimir)
     return checks
 
 
@@ -493,15 +483,14 @@ def run(config: RunConfig) -> tuple[str, int]:
         if config.rep == "all":
             reads = ()
             checks = (_suite_all(config.tolerance) if config.command == "check"
-                      else _run_families(_casimir_families(config.tolerance), runner))
+                      else _run_suite("casimir", _CASIMIR_SUITE, config.tolerance))
         else:
             reads, build = _REALIZATIONS[config.rep]
-            fidelities = ("",)
-            if "fidelity" in reads:
-                fidelities = (("corrected", "as_printed") if config.fidelity == "both"
-                              else (config.fidelity,))
-            checks = _run_families(
-                [(fid, [build(config, fid)], spec) for fid in fidelities], runner)
+            configs = [config]
+            if "fidelity" in reads and config.fidelity == "both":
+                configs = [replace(config, fidelity=fid) for fid in ("corrected", "as_printed")]
+            checks = [c for each in configs for c in _labelled(
+                each.fidelity if "fidelity" in reads else "", [runner(build(each), spec)])]
         params = _params(config, ("rep", *reads, "margin", "tolerance"))
         payload, code = _checks_payload(config, params, checks)
     elif config.command == "transfo":

@@ -63,9 +63,10 @@ DENSE_ARRAYS = 6
 _BLOCK_BYTES = 2 ** 18
 
 
-def _figure(x: int | float) -> str:
-    """A number for a message: in full, or in .3g form past 15 digits."""
-    text = f"{x:.1f}" if isinstance(x, float) else str(x)
+def _figure(x: int | float, places: int = 1) -> str:
+    """A number for a message: in full, a float to ``places`` decimals, or in
+    .3g form past 15 digits."""
+    text = f"{x:.{places}f}" if isinstance(x, float) else str(x)
     return text if sum(c.isdigit() for c in text) <= 15 else format(Decimal(text), ".3g")
 
 
@@ -75,8 +76,12 @@ def _require_budget(nbytes: int, what: str, *sizes: int) -> None:
     if nbytes > BYTE_BUDGET:
         # From 2^1024 bytes on, the float quotient overflows; whole GiB do not.
         gib = nbytes / 2 ** 30 if nbytes < 2 ** 1024 else nbytes // 2 ** 30
+        # One decimal, or as many more as it takes to print a size past the budget.
+        places = 1
+        while round(gib, places) <= BYTE_BUDGET / 2 ** 30:
+            places += 1
         raise ValueError(
-            f"{what.format(*map(_figure, sizes))} would take {_figure(gib)} "
+            f"{what.format(*map(_figure, sizes))} would take {_figure(gib, places)} "
             f"GiB, more than the {BYTE_BUDGET / 2 ** 30:g} GiB memory budget"
         )
 

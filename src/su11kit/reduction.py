@@ -90,10 +90,9 @@ class ReductionResult:
         return self.max_deviation <= self.tolerance
 
 
-def build_direct_hamiltonian(
-    params: ModelParams, dim_a: int = 24, dim_b: int = 24
-) -> OperatorMatrix:
-    """The two-oscillator Hamiltonian as explicit operator products.
+def build_direct_hamiltonian(params: ModelParams, dim: int = 24) -> OperatorMatrix:
+    """The two-oscillator Hamiltonian as explicit operator products, with
+    ``dim`` states in each mode.
 
     Annihilators act first in every quartic term, so each diagonal entry is
     exact all the way to the cutoff: the matrix equals
@@ -104,17 +103,16 @@ def build_direct_hamiltonian(
     term uses the mixed-product rule (A (x) B)(C (x) D) = AC (x) BD, so
     a+ b+ b a is built as (a+ a) (x) (b+ b) instead of a product of two
     d^2 x d^2 matrices. Every factor is band-stored, so the result is a
-    single band, the diagonal, and with d = max(dim_a, dim_b) the build
-    costs O(d^2) time and memory.
+    single band, the diagonal, and the build costs O(dim^2) time and memory.
     """
-    if dim_a < 4 or dim_b < 4:
-        raise ValueError(f"per-mode dims must be >= 4, got ({dim_a}, {dim_b})")
-    a, adag = bose_ladder(dim_a)
-    b, bdag = bose_ladder(dim_b)
-    ia, ib = identity(a.basis), identity(b.basis)
-    number = tensor(adag @ a, ib) + tensor(ia, bdag @ b)
-    cross = tensor(adag @ a, bdag @ b)
-    quartic = tensor(adag @ adag @ a @ a, ib) + tensor(ia, bdag @ bdag @ b @ b)
+    if dim < 4:
+        raise ValueError(f"per-mode dim must be >= 4, got {dim}")
+    a, adag = bose_ladder(dim)
+    one = identity(a.basis)
+    n, pair = adag @ a, adag @ adag @ a @ a
+    number = tensor(n, one) + tensor(one, n)
+    cross = tensor(n, n)
+    quartic = tensor(pair, one) + tensor(one, pair)
     return params.epsilon * number + params.phi2 * cross + params.phi1 * quartic
 
 
@@ -188,7 +186,7 @@ def verify_reduction(
         raise ValueError(f"tol must be > 0, got {tol}")
     # Two spare levels per mode beyond the last pair state.
     dim = n_pairs + 2
-    hamiltonian = build_direct_hamiltonian(params, dim, dim)
+    hamiltonian = build_direct_hamiltonian(params, dim)
     pairs = np.arange(n_pairs) * (dim + 1)  # |n, n> is state n dim + n
     # + 0.0 turns -0.0 entries into 0.0, so an exactly zero level prints as 0.0.
     direct = np.sort(hamiltonian.diagonal()[pairs].real + 0.0)

@@ -425,21 +425,21 @@ def saf_bose_form(p0: complex, dim: int = 64, form: str = "form1") -> AlgebraTri
     )
 
 
-def two_mode(dim_a: int = 24, dim_b: int = 24) -> AlgebraTriple:
-    """Pair-boson realization K- = ab, K+ = a^dag b^dag, K0 = (n_a + n_b + 1)/2.
+def two_mode(dim: int = 24) -> AlgebraTriple:
+    """Pair-boson realization K- = ab, K+ = a^dag b^dag, K0 = (n_a + n_b + 1)/2,
+    with ``dim`` states in each mode.
 
     The Casimir is diagonal with value -1/4 + (n_a - n_b)^2 / 4, so the
     equal-occupation (pair) sector sits at exactly -1/4.
     """
-    dim_a, dim_b = int(dim_a), int(dim_b)
-    if dim_a < 4 or dim_b < 4:
-        raise ValueError(f"per-mode dims must be >= 4, got ({dim_a}, {dim_b})")
-    a, adag = bose_ladder(dim_a)
-    b, bdag = bose_ladder(dim_b)
-    ia, ib = identity(a.basis), identity(b.basis)
-    kminus = tensor(a, b)
-    kplus = tensor(adag, bdag)
-    k0 = (tensor(adag @ a, ib) + tensor(ia, bdag @ b) + tensor(ia, ib)) * 0.5
+    dim = int(dim)
+    if dim < 4:
+        raise ValueError(f"per-mode dim must be >= 4, got {dim}")
+    a, adag = bose_ladder(dim)
+    one = identity(a.basis)
+    kminus = tensor(a, a)
+    kplus = tensor(adag, adag)
+    k0 = (tensor(adag @ a, one) + tensor(one, adag @ a) + tensor(one, one)) * 0.5
     occ = k0.basis.occupations()
     expected = -0.25 + (occ[:, 0] - occ[:, 1]).astype(np.float64) ** 2 / 4.0
     expected.flags.writeable = False

@@ -76,7 +76,7 @@ def test_criterion_1_commutator_suite():
         report = check_commutators(perelomov_realization(lam, CIRCLE), spec)
         worst = max(worst, *(c.residual for c in report.checks))
         ok &= report.overall_passed
-    report = check_commutators(two_mode(24, 24), spec)
+    report = check_commutators(two_mode(24), spec)
     worst = max(worst, *(c.residual for c in report.checks))
     ok &= report.overall_passed
     verdict(1, "hyperbolic commutators <= 1e-10", ok, f"worst residual {worst:.2e}")
@@ -131,10 +131,10 @@ def test_criterion_4_casimir_closed_forms():
         ok &= check_casimir(mp_realization(k, 64), spec).overall_passed
     for p0 in (0.5 + 1.0j, -0.3 - 0.7j, 2.0 + 0.0j):
         ok &= check_casimir(saf_realization(p0, CIRCLE), spec).overall_passed
-    ok &= check_casimir(two_mode(24, 24), spec).overall_passed
+    ok &= check_casimir(two_mode(24), spec).overall_passed
 
     # pair states: Casimir restricted to |n,n> equals -1/4
-    t = two_mode(24, 24)
+    t = two_mode(24)
     c = casimir(t)
     pair_idx = [n * 25 for n in range(22)]
     pair_gap = float(np.max(np.abs(np.real(np.diag(c.entries))[pair_idx] + 0.25)))
@@ -194,11 +194,11 @@ def random_model_draws(count=20, seed=20260810):
 
 
 def test_criterion_7_k_form_identity():
-    triple = two_mode(8, 8)
+    triple = two_mode(8)
     worst = 0.0
     for params in random_model_draws():
         gap = maxabs_norm(
-            build_k_form(params, triple) - build_direct_hamiltonian(params, 8, 8)
+            build_k_form(params, triple) - build_direct_hamiltonian(params, 8)
         )
         worst = max(worst, gap)
     ok = worst <= 1e-10

@@ -58,7 +58,7 @@ class TestCasimirSu11:
         np.testing.assert_allclose(interior_diag(c, 1), -0.25, atol=1e-12)
 
     def test_two_mode_diagonal_formula(self):
-        t = two_mode(6, 6)
+        t = two_mode(6)
         c = casimir(t)
         occ = t.basis.occupations()
         expected = -0.25 + (occ[:, 0] - occ[:, 1]) ** 2 / 4.0
@@ -68,7 +68,7 @@ class TestCasimirSu11:
         np.testing.assert_allclose(residual[kept], 0.0, atol=1e-12)
 
     def test_pair_states_sit_at_minus_quarter(self):
-        t = two_mode(6, 6)
+        t = two_mode(6)
         c = casimir(t)
         pair_idx = [n * 7 for n in range(5)]  # |n,n> below the edge
         np.testing.assert_allclose(
@@ -77,7 +77,7 @@ class TestCasimirSu11:
 
     def test_unbalanced_state_value(self):
         # |2,0>: -1/4 + (2-0)^2/4 = 3/4
-        t = two_mode(5, 5)
+        t = two_mode(5)
         c = casimir(t)
         idx = 2 * 5 + 0
         assert c.entries[idx, idx].real == pytest.approx(0.75, abs=1e-12)
@@ -327,7 +327,7 @@ class TestAlgebraProperties:
         assert maxabs_norm(proj @ commutator(c, t.k0) @ proj) <= 1e-10
 
     def test_casimir_centrality_two_mode(self):
-        t = two_mode(10, 10)
+        t = two_mode(10)
         c = casimir(t)
         proj = interior_projector(t.basis, 2)
         assert maxabs_norm(proj @ commutator(c, t.k0) @ proj) <= 1e-10

@@ -47,7 +47,7 @@ def no_dense_materialization(monkeypatch):
     lambda: saf_realization(0.7 + 0.4j, CircleBasis(-DIM // 2, DIM)),
     lambda: perelomov_realization(1.0, CircleBasis(-DIM // 2, DIM)),
     lambda: villain("corrected"),
-    lambda: two_mode(256, 256),
+    lambda: two_mode(256),
 ], ids=["mp", "saf", "perelomov", "villain", "two_mode"])
 def test_checks_stay_on_the_bands(build):
     triple = build()

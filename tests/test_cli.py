@@ -1,5 +1,7 @@
+import functools
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -295,11 +297,13 @@ CLAMPED_INTERIOR = ["check", "--rep", "villain", "--spin", "0.5", "--p-min=-0.5"
 
 # Invocations whose operators would not fit the memory budget: the six dense
 # 200000^2 matrices a bose1 check holds at its peak (3576 GiB), six dense
-# 6000^2 ones (3.2 GiB; one of them alone would fit), band vectors of 10^10
+# 6000^2 ones (3.2 GiB; one of them alone would fit), six dense 4730^2 ones
+# (2.0003 GiB, the smallest bose1 dim past the budget), band vectors of 10^10
 # two-mode states, and band vectors of more bytes than a float can hold.
 OVER_BUDGET = {
     "bose1-dense-over-budget": ["check", "--rep", "bose1", "--dim", "200000"],
     "bose1-dense-working-set": ["check", "--rep", "bose1", "--dim", "6000"],
+    "bose1-dense-just-over-budget": ["check", "--rep", "bose1", "--dim", "4730"],
     "two_mode-over-budget": ["check", "--rep", "two_mode", "--dim", "100000"],
     "reduce-over-budget": ["reduce", "--pairs", "100000"],
     "reduce-pairs-beyond-float": ["reduce", "--pairs", "1" + "0" * 400],
@@ -427,6 +431,7 @@ NAMED_PARAMETER = {
     "config-all-margin": "margin",
     "bose1-dense-over-budget": "200000x200000",
     "bose1-dense-working-set": "6000x6000",
+    "bose1-dense-just-over-budget": "would take 2.0003 GiB",
     "two_mode-over-budget": "10000000000 states",
     "reduce-over-budget": "10000400004 states",
     "reduce-pairs-beyond-float": "1.00e+400 states",
@@ -462,8 +467,11 @@ class TestExitTwo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert "memory budget" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "memory budget" in err
         assert peak < 2 ** 28
+        # The size shown is past the 2 GiB budget, however close the request.
+        assert float(re.search(r"would take (\S+) GiB", err).group(1)) > 2
 
     def test_budget_message_abbreviates_long_numbers(self, capsys):
         # The state count of spin 1e200 has 201 digits.
@@ -596,3 +604,54 @@ class TestSuites:
     def test_casimir_all(self, capsys):
         payload = self._payload("casimir", capsys)
         assert [c["name"] for c in payload["checks"]] == CASIMIR_SUITE
+
+
+P0_AXIS = (-1.0, -0.3, 0.0, 0.7, 2.0)
+SPINS = ("0.5", "1", "2.5")
+BOSE_FLAGS = ["--p0", "0.5+1i", "--margin", "16", "--tol", "1e-3"]
+# Each --rep all family: its command, label and rep, and the flags of the
+# single-rep run of each of its triples.
+SUITE_FAMILIES = [
+    *(("check", f"mp[k={k}]", "mp", [["--k", k]]) for k in ("0.5", "1", "1.75")),
+    ("check", "saf[25-point P0 grid]", "saf",
+     [[f"--p0={format_complex(complex(re, im))}"] for re in P0_AXIS for im in P0_AXIS]),
+    ("check", "perelomov[lam in {0.6,1,2}]", "perelomov",
+     [["--lam", lam] for lam in ("0.6", "1", "2")]),
+    ("check", "two_mode[24x24]", "two_mode", [[]]),
+    ("check", "hp[corrected,S in {1/2,1,5/2}]", "hp", [["--spin", s] for s in SPINS]),
+    ("check", "villain[corrected,S in {1/2,1,5/2}]", "villain", [["--spin", s] for s in SPINS]),
+    ("check", "bose_form1[dim=64]", "bose1", [BOSE_FLAGS]),
+    ("check", "bose_form2[dim=64]", "bose2", [BOSE_FLAGS]),
+    ("casimir", "mp[k=1.75]", "mp", [["--k", "1.75"]]),
+    ("casimir", "saf[p0=0.5+1i]", "saf", [["--p0", "0.5+1i"]]),
+    ("casimir", "perelomov[lam=1]", "perelomov", [["--lam", "1"]]),
+    ("casimir", "two_mode[24x24]", "two_mode", [[]]),
+    ("casimir", "hp[corrected,S=5/2]", "hp", [["--spin", "2.5"]]),
+    ("casimir", "villain[corrected,S=5/2]", "villain", [["--spin", "2.5"]]),
+]
+
+
+@functools.cache
+def _suite_checks(command):
+    output, code = run(parse_args([command, "--rep", "all", "--format", "json"]))
+    assert code == 0
+    return json.loads(output)["checks"]
+
+
+@pytest.mark.parametrize("command,label,rep,flag_sets", SUITE_FAMILIES,
+                         ids=[f"{family[0]}-{family[1]}" for family in SUITE_FAMILIES])
+def test_suite_family_is_the_worst_single_rep_run(command, label, rep, flag_sets, capsys):
+    singles = []
+    for flags in flag_sets:
+        assert main([command, "--rep", rep, *flags, "--format", "json"]) == 0
+        singles.append(json.loads(capsys.readouterr().out)["checks"])
+    # A casimir family appears in both suites, under casimir/ in the check suite.
+    prefixes = [f"{label}/"] + ([f"casimir/{label}/"] if command == "casimir" else [])
+    for prefix, suite in zip(prefixes, (_suite_checks(command), _suite_checks("check"))):
+        family = [c for c in suite if c["name"].startswith(prefix)]
+        assert len(family) == len(singles[0]) > 0
+        for i, check in enumerate(family):
+            assert check["residual"] == max(single[i]["residual"] for single in singles)
+            assert check["tolerance"] == singles[0][i]["tolerance"]
+            assert check["metadata"].get("aggregated_over") == (
+                str(len(singles)) if len(singles) > 1 else None)

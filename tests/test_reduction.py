@@ -55,24 +55,24 @@ class TestModelParams:
 
 class TestDirectHamiltonian:
     def test_vacuum_energy_zero(self):
-        h = build_direct_hamiltonian(EXAMPLE, 5, 5)
+        h = build_direct_hamiltonian(EXAMPLE, 5)
         assert h.entries[0, 0] == 0.0
 
     def test_one_pair_entry(self):
-        h = build_direct_hamiltonian(EXAMPLE, 5, 5)
+        h = build_direct_hamiltonian(EXAMPLE, 5)
         idx = 1 * 5 + 1
         assert h.entries[idx, idx].real == pytest.approx(2 * 1.0 + 0.3, abs=1e-14)
 
     def test_two_pair_entry(self):
         # 4*eps + 4*phi2 + 4*phi1 at |2,2>: 4 + 1.2 + 0.4 = 5.6
-        h = build_direct_hamiltonian(EXAMPLE, 6, 6)
+        h = build_direct_hamiltonian(EXAMPLE, 6)
         idx = 2 * 6 + 2
         assert h.entries[idx, idx].real == pytest.approx(5.6, abs=1e-14)
 
     def test_diagonal_formula_everywhere(self):
         params = ModelParams(0.7, -0.2, 0.9)
         dim = 7
-        h = build_direct_hamiltonian(params, dim, dim)
+        h = build_direct_hamiltonian(params, dim)
         occ = h.basis.occupations()
         na, nb = occ[:, 0].astype(float), occ[:, 1].astype(float)
         expected = (
@@ -85,12 +85,12 @@ class TestDirectHamiltonian:
         assert maxabs_norm(h - diagonal(h.basis, np.diag(h.entries))) == 0.0
 
 
-    @pytest.mark.parametrize("dims", [(4, 4), (5, 9), (18, 18), (34, 34)])
+    @pytest.mark.parametrize("dim", [4, 5, 18, 34])
     @pytest.mark.parametrize("params", [EXAMPLE, ModelParams(0.7, -0.2, 0.9),
                                         ModelParams(-0.4, 0.6, -0.5)])
-    def test_only_the_main_band(self, params, dims):
+    def test_only_the_main_band(self, params, dim):
         # verify_reduction reads the pair levels off the diagonal.
-        h = build_direct_hamiltonian(params, *dims)
+        h = build_direct_hamiltonian(params, dim)
         assert h._bands is not None and set(h._bands) == {0}
 
 
@@ -110,7 +110,7 @@ class TestMixedProductRoute:
     @pytest.mark.parametrize("dim", [4, 7, 12])
     @pytest.mark.parametrize("params", [EXAMPLE, ModelParams(0.7, -0.2, 0.9)])
     def test_matches_the_two_mode_product(self, params, dim):
-        h = build_direct_hamiltonian(params, dim, dim)
+        h = build_direct_hamiltonian(params, dim)
         oracle = two_mode_product_hamiltonian(params, dim)
         assert maxabs_norm(h - oracle) <= 1e-12
         occ = h.basis.occupations()
@@ -128,22 +128,22 @@ class TestMixedProductRoute:
             return original(self, other)
 
         monkeypatch.setattr(OperatorMatrix, "__matmul__", counting)
-        build_direct_hamiltonian(EXAMPLE, 8, 8)
+        build_direct_hamiltonian(EXAMPLE, 8)
         assert calls["one_mode"] > 0
         assert calls["two_mode"] == 0
 
 
 class TestKForm:
     def test_matches_direct_hamiltonian(self):
-        t = two_mode(10, 10)
-        h_direct = build_direct_hamiltonian(EXAMPLE, 10, 10)
+        t = two_mode(10)
+        h_direct = build_direct_hamiltonian(EXAMPLE, 10)
         h_k = build_k_form(EXAMPLE, t)
         assert maxabs_norm(h_k - h_direct) <= 1e-10
 
     def test_matches_for_random_draws(self):
-        t = two_mode(8, 8)
+        t = two_mode(8)
         for params in random_params(20):
-            h_direct = build_direct_hamiltonian(params, 8, 8)
+            h_direct = build_direct_hamiltonian(params, 8)
             h_k = build_k_form(params, t)
             assert maxabs_norm(h_k - h_direct) <= 1e-10
 
@@ -153,7 +153,7 @@ class TestKForm:
         # free point phi1 = phi2 = 0 is excluded by the singular-coupling
         # guard, so the cross term stays on.)
         params = ModelParams(0.5, 0.0, 1.0)
-        t = two_mode(6, 6)
+        t = two_mode(6)
         h = build_k_form(params, t)
         occ = t.basis.occupations()
         expected = 0.5 * (occ[:, 0] + occ[:, 1]) + 1.0 * occ[:, 0] * occ[:, 1]
@@ -186,13 +186,13 @@ class TestPairSubspace:
         return op.entries[np.ix_(pairs, pairs)]
 
     def test_casimir_restriction_is_minus_quarter(self):
-        c = self._pair_block(casimir(two_mode(6, 6)))
+        c = self._pair_block(casimir(two_mode(6)))
         # the top pair state feels the cutoff (K-K+ truncates), so the
         # constant holds on the levels below it
         np.testing.assert_allclose(c[:5, :5], -0.25 * np.eye(5), atol=1e-12)
 
     def test_k0_restriction_counts_pairs(self):
-        k0 = self._pair_block(two_mode(5, 5).k0)
+        k0 = self._pair_block(two_mode(5).k0)
         np.testing.assert_allclose(k0, np.diag(np.arange(5) + 0.5), atol=1e-14)
 
 
@@ -252,7 +252,7 @@ class TestVerifyReduction:
     def test_levels_are_the_pair_block_eigenvalues(self):
         for params in random_params(8):
             res = verify_reduction(params, n_pairs=10)
-            h = build_direct_hamiltonian(params, 12, 12)
+            h = build_direct_hamiltonian(params, 12)
             occ = h.basis.occupations()
             pairs = np.flatnonzero(occ[:, 0] == occ[:, 1])[:10]
             block = h.entries[np.ix_(pairs, pairs)]

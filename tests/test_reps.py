@@ -293,12 +293,12 @@ class TestBoseForms:
 
 class TestTwoMode:
     def test_pair_annihilation(self):
-        t = two_mode(4, 4)
+        t = two_mode(4)
         # K-|1,1> = |0,0>
         assert t.kminus.entries[0, 1 * 4 + 1] == pytest.approx(1.0, abs=1e-15)
 
     def test_k0_counts_pairs(self):
-        t = two_mode(4, 5)
+        t = two_mode(5)
         occ = t.basis.occupations()
         np.testing.assert_allclose(
             np.diag(t.k0.entries), (occ[:, 0] + occ[:, 1] + 1) / 2.0, atol=1e-14
@@ -306,7 +306,7 @@ class TestTwoMode:
 
     def test_small_dims_rejected(self):
         with pytest.raises(ValueError):
-            two_mode(3, 8)
+            two_mode(3)
 
 
 class TestAlgebraTriple:
@@ -336,8 +336,8 @@ RECORDED_CASIMIR = {
     "bose2": (lambda: saf_bose_form(0.2 - 0.7j, 16, "form2"), [(SAF_FORM, -0.25 - 0.7 ** 2)]),
     "perelomov": (lambda: perelomov_realization(2.5, CircleBasis(-8.0, 16)),
                   [("-1/4 - lam^2", -0.25 - 2.5 ** 2), ("-1/4 - lam^2/4", -0.25 - 2.5 ** 2 / 4)]),
-    "two_mode": (lambda: two_mode(4, 5), [("-1/4 + (n_a - n_b)^2/4",
-                 [-0.25 + (na - nb) ** 2 / 4 for na in range(4) for nb in range(5)])]),
+    "two_mode": (lambda: two_mode(4), [("-1/4 + (n_a - n_b)^2/4",
+                 [-0.25 + (na - nb) ** 2 / 4 for na in range(4) for nb in range(4)])]),
 }
 
 

@@ -10,6 +10,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 
 import stdout_digest  # noqa: E402
+from test_cli import OVER_BUDGET  # noqa: E402
 
 
 def test_covers_the_readme_in_every_format_and_the_float_edges():
@@ -19,6 +20,8 @@ def test_covers_the_readme_in_every_format_and_the_float_edges():
             assert argv + ["--format", fmt] in argvs
     assert all(argv in argvs for argv in stdout_digest.BEYOND_FLOAT)
     assert all(argv in argvs for argv in stdout_digest.REFUSED)
+    # Each budget refusal exits before it allocates, so it is cheap to run.
+    assert all(argv in argvs for argv in OVER_BUDGET.values())
     assert ["casimir", "--rep", "villain", "--spin", "2.5", "--format", "csv"] in argvs
 
 

@@ -19,7 +19,8 @@ that invocation's bytes or exit code differ. The list covers
 * the shift powers and pair count past float range, which once hung or
   exited with an unnamed message;
 * the inputs refused with exit 2 because they could not be honoured: a
-  lattice whose momenta are past 2^52, and a margin given with ``--rep all``.
+  lattice whose momenta are past 2^52, a margin given with ``--rep all``, and
+  requests past the memory budget, which are refused before they allocate.
 
 Each invocation runs in its own interpreter, with one BLAS thread and an
 80-column terminal; one that runs past TIMEOUT_S seconds is recorded with
@@ -74,6 +75,11 @@ REFUSED = [
     ["check", "--rep", "saf", "--p-min", "1e17"],
     ["check", "--rep", "all", "--margin", "40"],
     ["casimir", "--rep", "all", "--margin", "40"],
+    ["check", "--rep", "bose1", "--dim", "200000"],
+    ["check", "--rep", "bose1", "--dim", "6000"],
+    ["check", "--rep", "bose1", "--dim", "4730"],
+    ["check", "--rep", "two_mode", "--dim", "100000"],
+    ["reduce", "--pairs", "100000"],
 ]
 
 
