@@ -1,9 +1,10 @@
 """su11kit: finite-matrix realizations of the su(1,1) and spin ladder algebras.
 
 The package builds every realization as band-stored or dense matrices on
-truncated state spaces, verifies the defining commutators and Casimir closed forms behind an
-interior projection, and reproduces the exact reduction of two nonlinear
-coupled oscillators to a free particle on the pair ladder.
+truncated state spaces, verifies the defining commutators and Casimir closed
+forms on the interior states away from the truncation boundary, and
+reproduces the exact reduction of two nonlinear coupled oscillators to a free
+particle on the pair ladder.
 """
 
 from .algebra import (

@@ -5,9 +5,14 @@ identity is written once with the sign as a coefficient, and one
 :func:`casimir` serves both kinds. It is checked against the closed forms
 each realization records in ``params.casimir``.
 
-Residuals are evaluated behind an interior projector that strips states near
-the truncation boundary, plus, for clamped spin realizations, the states that
-touch a clamped square-root amplitude. On the surviving block each identity
+Residuals are evaluated on the kept block: the interior states away from the
+truncation boundary, less, for clamped spin realizations, the states that
+touch a clamped square-root amplitude. Each residual is written once, with
+its products and terms formed by a function it is given. For a triple held
+in bands that function forms them whole, and the residual goes behind the
+0/1 interior projector. For a triple with a dense generator, such as the
+bose forms, it forms only their kept block, with the same floating-point
+operations as the whole product has there. On the kept block each identity
 either holds to machine precision or fails by a finite, reportable amount;
 the reports never auto-resolve a discrepancy, they record it.
 """
@@ -26,8 +31,8 @@ from .linops import (
     CircleBasis,
     OperatorMatrix,
     _figure,
+    _kept_block,
     banded,
-    commutator,
     diagonal,
     interior_projector,
     maxabs_norm,
@@ -56,11 +61,23 @@ class CheckSpec:
             raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
 
 
+def _whole(a: OperatorMatrix, b: OperatorMatrix | None = None) -> OperatorMatrix:
+    """``a @ b``, or ``a`` alone."""
+    return a if b is None else a @ b
+
+
+def _casimir(triple: AlgebraTriple, form) -> OperatorMatrix | np.ndarray:
+    """The Casimir with each product ``a @ b`` formed as ``form(a, b)``."""
+    k0, kp, km = triple.k0, triple.kplus, triple.kminus
+    # The ladder term is formed first, so that at most three results are held.
+    ladder = (form(kp, km) + form(km, kp)) * (0.5 * triple.sign)
+    return form(k0, k0) - ladder
+
+
 def casimir(triple: AlgebraTriple) -> OperatorMatrix:
     """K0^2 - sign (K+K- + K-K+)/2: the su(1,1) Casimir for a hyperbolic
     triple, and Sz^2 + (S+S- + S-S+)/2, S(S+1) when exact, for a spin one."""
-    k0, kp, km = triple.k0, triple.kplus, triple.kminus
-    return k0 @ k0 - (kp @ km + km @ kp) * (0.5 * triple.sign)
+    return _casimir(triple, _whole)
 
 
 def masked_interior(triple: AlgebraTriple, margin: int) -> OperatorMatrix:
@@ -74,21 +91,40 @@ def _projected_residual(
     return maxabs_norm(proj @ residual_op @ proj)
 
 
+def _kept_form(triple: AlgebraTriple, margin: int):
+    """The kept states of ``triple`` at ``margin``, the function that forms
+    its products and terms, and the norm of a residual so formed.
+
+    A triple held in bands forms them whole and takes the norm behind the
+    interior projector. A triple with a dense generator forms their kept
+    block alone and takes the block's largest absolute entry, as the
+    projector, whose 0/1 entries keep the kept entries and zero all others,
+    would leave it.
+    """
+    proj = masked_interior(triple, margin)
+    keep = np.flatnonzero(proj.diagonal())
+    if all(op._dense is None for op in (triple.k0, triple.kplus, triple.kminus)):
+        return keep, _whole, lambda residual: _projected_residual(proj, residual)
+    return (keep, lambda a, b=None: _kept_block(keep, a, b),
+            lambda residual: float(np.max(np.abs(residual))))
+
+
 def check_commutators(triple: AlgebraTriple, spec: CheckSpec = CheckSpec()) -> CheckReport:
-    """Residuals of the three defining brackets on the projected interior:
+    """Residuals of the three defining brackets on the kept block:
     [K0,K+]-K+, [K0,K-]+K- and [K+,K-]+2 sign K0.
 
-    Each bracket is formed, projected and reduced to its norm before the next
-    is formed, so for dense K+- at most three n x n arrays are alive at once
-    beyond the triple: a bracket's two products and their difference, or a
-    residual and its two projection products.
+    Each bracket is formed and reduced to its norm before the next is formed.
+    For a triple held in bands a bracket is formed whole and projected. For
+    dense K+- only its kept block is formed, so beyond the triple a bracket
+    holds at most three kept blocks: two products and their difference, or
+    the difference, a term and their sum.
     """
-    proj = masked_interior(triple, spec.margin)
+    _, form, norm = _kept_form(triple, spec.margin)
     z, plus, minus = triple.k0, triple.kplus, triple.kminus
     residuals = (
-        lambda: commutator(z, plus) - plus,
-        lambda: commutator(z, minus) + minus,
-        lambda: commutator(plus, minus) + (2.0 * triple.sign) * z,
+        lambda: (form(z, plus) - form(plus, z)) - form(plus),
+        lambda: (form(z, minus) - form(minus, z)) + form(minus),
+        lambda: (form(plus, minus) - form(minus, plus)) + form((2.0 * triple.sign) * z),
     )
     metadata = {"margin": str(spec.margin), "variant": triple.params.variant}
     if triple.params.fidelity is not None:
@@ -96,7 +132,7 @@ def check_commutators(triple: AlgebraTriple, spec: CheckSpec = CheckSpec()) -> C
     if triple.params.clamp_excluded:
         metadata["clamp_excluded"] = str(len(triple.params.clamp_excluded))
     checks = tuple(
-        Check(name, _projected_residual(proj, residual()), spec.tolerance, dict(metadata))
+        Check(name, norm(residual()), spec.tolerance, dict(metadata))
         for name, residual in zip(_BRACKET_NAMES[triple.kind], residuals)
     )
     return CheckReport(checks)
@@ -114,8 +150,10 @@ def check_adjointness(triple: AlgebraTriple, spec: CheckSpec = CheckSpec()) -> C
 
 
 def check_casimir(triple: AlgebraTriple, spec: CheckSpec = CheckSpec()) -> CheckReport:
-    """Projected residual of the computed Casimir against the closed forms
-    the triple records in ``params.casimir``.
+    """Residual of the computed Casimir on the kept block against the closed
+    forms the triple records in ``params.casimir``. For a triple held in
+    bands the Casimir is formed whole and projected; for one with dense K+-
+    only its kept block is formed.
 
     With one recorded form the report states it, its expected value, and the
     value the matrices actually produced on the first interior state; for
@@ -127,12 +165,11 @@ def check_casimir(triple: AlgebraTriple, spec: CheckSpec = CheckSpec()) -> Check
     params = triple.params
     if not params.casimir:
         raise ValueError(f"no closed-form Casimir recorded for variant {params.variant!r}")
-    computed = casimir(triple)
-    proj = masked_interior(triple, spec.margin)
+    keep, form, norm = _kept_form(triple, spec.margin)
+    computed = _casimir(triple, form)
     basis = triple.basis
     residuals = {
-        formula: _projected_residual(
-            proj, computed - diagonal(basis, np.full(basis.dim, expected)))
+        formula: norm(computed - form(diagonal(basis, np.full(basis.dim, expected))))
         for formula, expected in params.casimir
     }
     best = min(residuals, key=residuals.get)
@@ -151,8 +188,10 @@ def check_casimir(triple: AlgebraTriple, spec: CheckSpec = CheckSpec()) -> Check
             metadata["expected_kind"] = "diagonal"
         else:
             metadata["expected_value"] = repr(expected)
-        first = np.flatnonzero(np.real(proj.diagonal()) > 0.5)[0]
-        metadata["observed_first"] = repr(float(computed.diagonal()[first].real))
+        # The first kept state is the first entry of a kept block.
+        first = (computed[0, 0] if isinstance(computed, np.ndarray)
+                 else computed.diagonal()[keep[0]])
+        metadata["observed_first"] = repr(float(first.real))
     return CheckReport(
         (Check("casimir closed form", residuals[best], spec.tolerance, metadata),),
     )

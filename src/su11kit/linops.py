@@ -19,7 +19,10 @@ band does not reach are zeroed, and every later band is scaled into one
 reused block-sized scratch and added, in band order. A product holds its
 output and one cache-sized scratch block, whatever the band count. A sum with
 one dense operand costs O(dim^2) with the band operand left unmaterialized.
-``.entries`` materializes the dense array on request. A Hermitian
+``.entries`` materializes the dense array on request. A residual check that
+reads only the kept rows and columns of a product with a dense operand forms
+just that block, from views of the operands, with the same floating-point
+operations for each kept entry as the whole product. A Hermitian
 tridiagonal band with a zero diagonal, such as a quadrature, is diagonalized
 through the SVD of a real bidiagonal block of half its size; every other
 Hermitian input goes to the dense eigensolver.
@@ -54,13 +57,18 @@ BYTE_BUDGET = 2 * 2 ** 30
 #: at about a dozen.
 BAND_VECTORS = 16
 
-#: Dense n x n arrays a bose check or casimir holds at its peak: K+ and K-,
-#: then the Casimir, its residual and two projection products.
-DENSE_ARRAYS = 6
+#: Dense n x n arrays a bose realization holds at its peak. Its build holds
+#: four and the isfinite mask of one: the exponential's eigenvectors, their
+#: phased copy and adjoint, and the product. A check or casimir holds K+ and
+#: K- and at most three kept blocks, each at most n x n.
+DENSE_ARRAYS = 5
 
 #: Bytes of the row block in which a band x dense product is filled: small
 #: enough for the block and its scratch to stay in cache.
 _BLOCK_BYTES = 2 ** 18
+
+#: Side of the square tiles in which a dense adjoint is written.
+_TILE = 64
 
 
 def _figure(x: int | float, places: int = 1) -> str:
@@ -231,16 +239,120 @@ def _scaled_rows(out: np.ndarray, terms: list[tuple]) -> None:
                     x_rows, y_rows, out=scratch[:b - a, :c1 - c0])
 
 
+def _adjoint(d: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of a square array, row-major, written one
+    :data:`_TILE` x :data:`_TILE` tile at a time so that the tile read and
+    the tile written both stay in cache."""
+    n = d.shape[0]
+    out = _new_dense(n, np.empty)
+    for r in range(0, n, _TILE):
+        for c in range(0, n, _TILE):
+            np.conjugate(d[c:c + _TILE, r:r + _TILE].T, out=out[r:r + _TILE, c:c + _TILE])
+    return out
+
+
 def _to_dense(bands: dict[int, np.ndarray], n: int) -> np.ndarray:
     """Materialize band storage as a read-only dense n x n array."""
-    out = _new_dense(n)
-    flat = out.reshape(-1)
-    for k, v in bands.items():
-        lo, hi = _rows(k, n)
-        # Entry (i, i + k) sits at flat index i (n + 1) + k.
-        flat[lo * (n + 1) + k:hi * (n + 1) + k:n + 1] = v[lo:hi]
+    out = _band_block(bands, n, 0, n)
     out.setflags(write=False)
     return out
+
+
+def _band_block(bands: dict[int, np.ndarray], n: int, p: int, q: int) -> np.ndarray:
+    """Rows and columns [p, q) of band storage on n states, as a dense array."""
+    w = q - p
+    out = _new_dense(w)
+    flat = out.reshape(-1)
+    for k, v in bands.items():
+        # The rows i in [p, q) whose column i + k is in [p, q) as well.
+        lo, hi = max(p, p - k), min(q, q - k)
+        if lo < hi:
+            # Entry (i, i + k) sits at flat index (i - p) (w + 1) + k.
+            flat[(lo - p) * (w + 1) + k:(hi - p) * (w + 1) + k:w + 1] = v[lo:hi]
+    return out
+
+
+def _mixed_block(a: "OperatorMatrix", b: "OperatorMatrix", p: int, q: int) -> np.ndarray:
+    """Rows and columns [p, q) of ``a @ b`` with one operand band-stored and
+    the other dense, by row or column scaling (see :func:`_scaled_rows`)."""
+    n, w = a.dim, q - p
+    terms = []
+    if b._bands is None:
+        # Row i of the product is the sum over k of a_k[i] times row i + k.
+        for k, v in a._bands.items():
+            lo, hi = max(p, -k), min(q, n - k)
+            if lo < hi:
+                terms.append((lo - p, hi - p, 0, w, v[lo:hi, None],
+                              b._dense[lo + k:hi + k, p:q]))
+    else:
+        # Column m + k of the product gathers column m times b_k[m], in every
+        # row; the row vector is broadcast so that rows can be sliced.
+        for k, v in b._bands.items():
+            lo, hi = max(0, p - k), min(n, q - k)
+            if lo < hi:
+                terms.append((0, w, lo + k - p, hi + k - p, a._dense[p:q, lo:hi],
+                              np.broadcast_to(v[lo:hi], (w, hi - lo))))
+    out = _new_dense(w, np.empty)
+    _scaled_rows(out, terms)
+    return out
+
+
+#: Column count that the column tile of every BLAS product kernel divides.
+#: A column past the last whole tile goes through an edge kernel, which
+#: rounds differently.
+_GEMM_COLUMNS = 64
+
+
+def _dense_block(x: np.ndarray, y: np.ndarray, p: int, q: int) -> np.ndarray:
+    """Rows and columns [p, q) of ``x @ y``, with ``q - p >= 2``.
+
+    So that each column goes through the BLAS kernel it goes through in the
+    full product, the columns multiplied are a whole number of
+    :data:`_GEMM_COLUMNS` before the full product's edge, and all of the edge
+    columns when the block reaches them; the columns outside [p, q) are
+    discarded. There are at least two rows and two columns, since numpy
+    hands a product with one of either to another routine, which sums in
+    another order.
+    """
+    n = x.shape[0]
+    edge = n - n % _GEMM_COLUMNS
+    if q <= edge:
+        width = -(-(q - p) // _GEMM_COLUMNS) * _GEMM_COLUMNS
+        s = min(p, edge - width)
+        e = s + width
+    else:
+        s, e = p - p % _GEMM_COLUMNS, n
+    return (x[p:q] @ y[:, s:e])[:, p - s:q - s]
+
+
+def _kept_block(keep: np.ndarray, a: "OperatorMatrix",
+                b: "OperatorMatrix | None" = None) -> np.ndarray:
+    """The block of ``a @ b``, or of ``a`` alone, at rows and columns ``keep``.
+
+    ``keep`` holds ascending state indices. The product is formed on the
+    rows and columns from the first kept state to the last, from views of
+    the operands; for a dense operand that costs a fraction (span / n)^2 of
+    the full product. Each entry is the sum of the same products, added in
+    the same order, as in ``a @ b`` (for a dense x dense product, with one
+    BLAS thread), so the block equals ``(a @ b).entries[np.ix_(keep, keep)]``
+    bit for bit; a band row or column outside [0, n) contributes nothing. A
+    band x band product is formed whole, at O(bands * n).
+    """
+    n, m = a.dim, keep.size
+    p, q = int(keep[0]), int(keep[-1]) + 1
+    if q - p == 1:
+        # numpy multiplies a lone element in another order than it multiplies
+        # an array of them, so a lone state is formed beside a neighbour.
+        p, q = (p, q + 1) if q < n else (p - 1, q)
+    if b is None:
+        block = a._dense[p:q, p:q] if a._bands is None else _band_block(a._bands, n, p, q)
+    elif a._bands is not None and b._bands is not None:
+        return _kept_block(keep, a @ b)
+    else:
+        a._require_same_basis(b)
+        block = (_dense_block(a._dense, b._dense, p, q) if a._bands is None and b._bands is None
+                 else _mixed_block(a, b, p, q))
+    return block if q - p == m else block[np.ix_(keep - p, keep - p)]
 
 
 class OperatorMatrix:
@@ -305,7 +417,7 @@ class OperatorMatrix:
     def dag(self) -> "OperatorMatrix":
         """Hermitian conjugate on the same basis; a dense one is row-major."""
         if self._bands is None:
-            return OperatorMatrix(self.basis, _Fresh(np.conj(self._dense.T, order="C")))
+            return OperatorMatrix(self.basis, _Fresh(_adjoint(self._dense)))
         return OperatorMatrix(self.basis, _Fresh(
             {-k: np.conj(_shift(v, -k)) for k, v in self._bands.items()}
         ))
@@ -327,24 +439,8 @@ class OperatorMatrix:
         a, b, n = self._bands, other._bands, self.dim
         if a is None and b is None:
             product = self._dense @ other._dense
-        elif b is None:
-            # Row i of the product is the sum over k of a_k[i] times row i + k.
-            terms = []
-            for k, v in a.items():
-                lo, hi = _rows(k, n)
-                terms.append((lo, hi, 0, n, v[lo:hi, None], other._dense[lo + k:hi + k]))
-            product = _new_dense(n, np.empty)
-            _scaled_rows(product, terms)
-        elif a is None:
-            # Column m + k of the product gathers column m times b_k[m], in
-            # every row; the row vector is broadcast so that rows can be sliced.
-            terms = []
-            for k, v in b.items():
-                lo, hi = _rows(k, n)
-                terms.append((0, n, lo + k, hi + k, self._dense[:, lo:hi],
-                              np.broadcast_to(v[lo:hi], (n, hi - lo))))
-            product = _new_dense(n, np.empty)
-            _scaled_rows(product, terms)
+        elif a is None or b is None:
+            product = _mixed_block(self, other, 0, n)
         else:
             product = {}
             for ka, va in a.items():

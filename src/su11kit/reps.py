@@ -395,10 +395,11 @@ def saf_bose_form(p0: complex, dim: int = 64, form: str = "form1") -> AlgebraTri
     built as the adjoint of K-, which it is by definition, since
     ``exp(iH) = exp(-iH)^dag`` for Hermitian H; so a form costs one
     exponential, one eigensolve of Q or P done as the SVD of a real
-    bidiagonal matrix of half the size, and one dense product. A check or
-    casimir of the result holds :data:`su11kit.linops.DENSE_ARRAYS` dense
-    dim x dim arrays at its peak, so a dim for which they would pass the
-    memory budget (from about 4 700) raises ValueError before any is built.
+    bidiagonal matrix of half the size, and one dense product. The build,
+    and a check or casimir of the result, hold at most
+    :data:`su11kit.linops.DENSE_ARRAYS` dense dim x dim arrays at their
+    peak, so a dim for which they would pass the memory budget (from about
+    5 200) raises ValueError before any is built.
     """
     dim = int(dim)
     if dim < 16:

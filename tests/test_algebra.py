@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import su11kit.linops as linops
 from conftest import exact_range_basis, spin_ladder_matrices
 from su11kit.algebra import (
     CheckSpec,
@@ -365,27 +366,89 @@ class TestDenseWorkingSet:
     """
 
     N = 512
-    SPEC = CheckSpec(margin=128, tolerance=1e-3)
+    P0 = 0.7 + 0.4j
 
     @pytest.fixture(scope="class")
     def bose(self):
-        return saf_bose_form(0.7 + 0.4j, self.N)
+        return saf_bose_form(self.P0, self.N)
 
     def arrays(self, fn, scratch=True):
         """Peak of ``fn`` in arrays, less a block scratch and the slack."""
         unit = 16 * self.N ** 2
         return (traced_peak(fn) - scratch * _BLOCK_BYTES - 2 ** 20) / unit
 
+    def check_peaks(self, bose, margin):
+        """Peaks of check_commutators and check_casimir at ``margin``."""
+        spec = CheckSpec(margin=margin, tolerance=1e-3)
+        # The Casimir runs no band x dense product, so it needs no scratch.
+        return (self.arrays(lambda: check_commutators(bose, spec)),
+                self.arrays(lambda: check_casimir(bose, spec), scratch=False))
+
     def test_band_dense_products_hold_their_output(self, bose):
         assert bose.k0._dense is None and bose.kplus._dense is not None
         assert self.arrays(lambda: bose.k0 @ bose.kplus) <= 1
         assert self.arrays(lambda: bose.kplus @ bose.k0) <= 1
 
-    def test_checks_hold_one_bracket_at_a_time(self, bose):
-        brackets = self.arrays(lambda: check_commutators(bose, self.SPEC))
-        # The projector has one band, so the casimir's products need no scratch.
-        closed_form = self.arrays(lambda: check_casimir(bose, self.SPEC), scratch=False)
-        assert brackets <= 3
-        assert closed_form <= 4
-        # The budget of saf_bose_form counts K+- and the larger of the two.
-        assert DENSE_ARRAYS == 2 + math.ceil(max(brackets, closed_form))
+    @pytest.mark.parametrize("margin", [0, 1, N // 4])
+    def test_checks_hold_three_kept_blocks(self, bose, margin):
+        # A bracket holds its two products and their difference, or their
+        # difference, a band term and the sum; the Casimir holds as many.
+        # Margin 1 pads the blocks' products to whole BLAS column tiles.
+        block = (1 - 2 * margin / self.N) ** 2
+        assert max(self.check_peaks(bose, margin)) <= 3 * block
+
+    def test_budget_counts_the_larger_of_build_and_check(self, bose):
+        # No block scratch is alive while the build holds its eigenvectors,
+        # so nothing is taken off its peak: four arrays and an isfinite mask.
+        build = traced_peak(lambda: saf_bose_form(self.P0, self.N)) / (16 * self.N ** 2)
+        assert build > 4
+        # Margin 0 keeps every state, so its checks hold the most.
+        checks = max(self.check_peaks(bose, 0))
+        assert DENSE_ARRAYS == max(math.ceil(build), 2 + math.ceil(checks))
+
+
+def test_bose_checks_form_no_full_dense_product(monkeypatch):
+    # K+- are dense, so each of their products is formed on the kept block.
+    bose = saf_bose_form(0.7 + 0.4j, 64)
+    spec = CheckSpec(margin=16, tolerance=1e-3)
+    full, blocks = [], []
+    matmul, dense_block = OperatorMatrix.__matmul__, linops._dense_block
+
+    def spy_matmul(a, b):
+        if a._dense is not None and b._dense is not None:
+            full.append(a.dim)
+        return matmul(a, b)
+
+    def spy_block(x, y, p, q):
+        blocks.append((x.shape, q - p))
+        return dense_block(x, y, p, q)
+
+    monkeypatch.setattr(OperatorMatrix, "__matmul__", spy_matmul)
+    monkeypatch.setattr(linops, "_dense_block", spy_block)
+    assert check_commutators(bose, spec).overall_passed
+    assert check_casimir(bose, spec).overall_passed
+    assert full == []
+    # [K+,K-] and the Casimir's K+K- + K-K+, each on the 32 kept states.
+    assert blocks == [((64, 64), 32)] * 4
+
+
+@pytest.mark.parametrize("form", ["form1", "form2"])
+@pytest.mark.parametrize("dim,margin", [(16, 7), (17, 2), (33, 0), (64, 16)])
+def test_bose_kept_blocks_equal_the_projected_residuals(dim, margin, form):
+    # The residuals formed whole and projected, as a band triple's are; up to
+    # 64 states BLAS forms every product on one thread.
+    bose = saf_bose_form(0.3 - 0.8j, dim, form)
+    spec = CheckSpec(margin=margin, tolerance=1e-3)
+    proj = masked_interior(bose, margin)
+    z, plus, minus = bose.k0, bose.kplus, bose.kminus
+    brackets = (commutator(z, plus) - plus, commutator(z, minus) + minus,
+                commutator(plus, minus) + 2.0 * z)
+    assert ([c.residual for c in check_commutators(bose, spec).checks]
+            == [maxabs_norm(proj @ r @ proj) for r in brackets])
+    ((_, expected),) = bose.params.casimir
+    computed = casimir(bose)
+    closed_form = check_casimir(bose, spec).checks[0]
+    assert closed_form.residual == maxabs_norm(
+        proj @ (computed - diagonal(bose.basis, np.full(dim, expected))) @ proj)
+    first = np.flatnonzero(proj.diagonal())[0]
+    assert closed_form.metadata["observed_first"] == repr(float(computed.diagonal()[first].real))

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +28,8 @@ from su11kit.linops import (
     unitary_exp,
 )
 from su11kit.reps import bose_ladder, quadratures
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def random_operator(basis, seed):
@@ -297,9 +304,12 @@ class TestBandStorage:
         assert np.array_equal((d @ a).entries, right)
 
     @pytest.mark.parametrize("order", "CF")
-    def test_dense_adjoint_is_row_major(self, order):
-        dense = np.asarray(random_operator(FockBasis((7,)), 5).entries, order=order)
-        adjoint = OperatorMatrix(FockBasis((7,)), dense).dag().entries
+    @pytest.mark.parametrize("n", [7, 64, 65, 200])
+    def test_dense_adjoint_is_row_major(self, n, order):
+        # The adjoint is written in tiles of linops._TILE; 7, 65 and 200
+        # states leave a partial tile on each axis.
+        dense = np.asarray(random_operator(FockBasis((n,)), 5).entries, order=order)
+        adjoint = OperatorMatrix(FockBasis((n,)), dense).dag().entries
         assert adjoint.flags.c_contiguous and not adjoint.flags.writeable
         assert adjoint.tobytes() == np.ascontiguousarray(dense.conj().T).tobytes()
 
@@ -329,6 +339,76 @@ class TestBandStorage:
     def test_band_vector_must_fit_the_basis(self):
         with pytest.raises(BasisMismatchError):
             banded(FockBasis((4,)), {0: np.ones(3)})
+
+
+# Kept state sets on n >= 16 states: every state (margin 0), one state inside
+# and one at the edge, a contiguous interior, and an interior with holes where
+# states are excluded as clamp-touching ones are.
+KEPT_SETS = {
+    "all": lambda n: interior_projector(FockBasis((n,)), 0),
+    "one": lambda n: interior_projector(FockBasis((n,)), 0,
+                                        tuple(j for j in range(n) if j != n // 3)),
+    "last": lambda n: interior_projector(FockBasis((n,)), 0, tuple(range(n - 1))),
+    "interior": lambda n: interior_projector(FockBasis((n,)), n // 4),
+    "holes": lambda n: interior_projector(FockBasis((n,)), 2, (3, 4, n // 2, n - 4)),
+}
+
+
+def projected_block(proj, op):
+    """The kept entries of ``proj @ op @ proj``, as a residual check reads them."""
+    keep = np.flatnonzero(proj.diagonal())
+    return keep, (proj @ op @ proj).entries[np.ix_(keep, keep)]
+
+
+def dense_block_mismatches():
+    """The (n, orders, kept set) cases whose dense x dense kept block is not
+    the kept entries of the projected full product."""
+    bad = []
+    for n in (16, 17, 64, 65, 130, 200):
+        basis = FockBasis((n,))
+        for left, right in ("CC", "CF", "FC", "FF"):
+            x = OperatorMatrix(basis, np.asarray(random_operator(basis, n).entries, order=left))
+            y = OperatorMatrix(basis, np.asarray(random_operator(basis, n + 1).entries,
+                                                 order=right))
+            for name, kept in KEPT_SETS.items():
+                keep, expected = projected_block(kept(n), x @ y)
+                if not np.array_equal(linops._kept_block(keep, x, y), expected):
+                    bad.append((n, left + right, name))
+    return bad
+
+
+class TestKeptBlock:
+    """linops._kept_block forms each kept entry of a product with the same
+    floating-point operations as the full product, so it equals the kept
+    entries of proj @ (a @ b) @ proj exactly."""
+
+    @pytest.mark.parametrize("kept", KEPT_SETS.values(), ids=KEPT_SETS.keys())
+    @pytest.mark.parametrize("order", "CF")
+    @pytest.mark.parametrize("offsets", BLOCK_EDGE_OFFSETS.values(),
+                             ids=BLOCK_EDGE_OFFSETS.keys())
+    @pytest.mark.parametrize("n", [17, 130])
+    def test_band_blocks_equal_the_projected_product(self, n, offsets, order, kept):
+        ks = offsets(n)
+        a, d = band_dense_pair(n, ks, {k: i % 2 == 1 for i, k in enumerate(ks)},
+                               order, seed=n)
+        proj = kept(n)
+        for x, y in ((a, d), (d, a), (a, a.dag())):
+            keep, expected = projected_block(proj, x @ y)
+            assert np.array_equal(linops._kept_block(keep, x, y), expected)
+        for x in (a, d):
+            keep, expected = projected_block(proj, x)
+            assert np.array_equal(linops._kept_block(keep, x), expected)
+
+    def test_dense_blocks_equal_the_projected_product(self):
+        # The sums run inside BLAS, whose split of a product among threads
+        # can change its rounding; the comparison runs on one thread.
+        script = "import test_linops; print(test_linops.dense_block_mismatches())"
+        env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+               "MKL_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([str(Path(__file__).parent), str(SRC)])}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300, check=True)
+        assert done.stdout.strip() == "[]"
 
 
 class TestCommutator:

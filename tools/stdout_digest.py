@@ -16,6 +16,9 @@ that invocation's bytes or exit code differ. The list covers
 * ``transfo`` at beta in {1, 2, 3, 5} and n in {1, 2, 3}, with and without
   ``--p-min 0.3 --margin beta``, in json;
 * ``casimir`` of every ``--rep`` at non-default parameters, in json;
+* ``check`` and ``casimir`` of the bose forms at the edges of the kept block:
+  margin 0, odd dims, two kept states, and a p0 with a negative imaginary
+  part, in json;
 * the shift powers and pair count past float range, which once hung or
   exited with an unnamed message;
 * the inputs refused with exit 2 because they could not be honoured: a
@@ -65,6 +68,14 @@ CASIMIR_PARAMS = [
     ["casimir", "--rep", "two_mode", "--dim", "9", "--margin", "1"],
     ["casimir", "--rep", "all", "--tol", "1e-9"],
 ]
+# The edges of the kept block on which the dense bose residuals are formed:
+# every state kept, odd dims (kept and not), two kept states, and a p0 below
+# the real axis.
+BOSE_EDGES = [[command, "--rep", rep, *flags]
+              for command in ("check", "casimir") for rep in ("bose1", "bose2")
+              for flags in (["--margin", "0"], ["--dim", "17"], ["--dim", "33"],
+                            ["--dim", "33", "--margin", "0"], ["--dim", "16", "--margin", "7"],
+                            ["--p0=0.3-0.8i", "--margin", "16"])]
 BEYOND_FLOAT = [
     ["transfo", "--beta", "1" + "0" * 400],
     ["transfo", "--beta", "1" + "0" * 104, "--n", "3"],
@@ -77,7 +88,7 @@ REFUSED = [
     ["casimir", "--rep", "all", "--margin", "40"],
     ["check", "--rep", "bose1", "--dim", "200000"],
     ["check", "--rep", "bose1", "--dim", "6000"],
-    ["check", "--rep", "bose1", "--dim", "4730"],
+    ["check", "--rep", "bose1", "--dim", "5182"],
     ["check", "--rep", "two_mode", "--dim", "100000"],
     ["reduce", "--pairs", "100000"],
 ]
@@ -102,7 +113,7 @@ def invocations() -> list[list[str]]:
                for extra in ([], ["--p-min", "0.3", "--margin", str(beta)])]
     return [*_workload_argvs(),
             *(argv + ["--format", fmt] for argv in README + reps for fmt in FORMATS),
-            *transfo, *(argv + ["--format", "json"] for argv in CASIMIR_PARAMS),
+            *transfo, *(argv + ["--format", "json"] for argv in CASIMIR_PARAMS + BOSE_EDGES),
             *BEYOND_FLOAT, *REFUSED]
 
 
