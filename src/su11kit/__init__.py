@@ -9,7 +9,6 @@ particle on the pair ladder.
 
 from .algebra import (
     CheckSpec,
-    casimir,
     check_adjointness,
     check_casimir,
     check_commutators,
@@ -77,7 +76,6 @@ __all__ = [
     "bose_ladder",
     "build_direct_hamiltonian",
     "build_k_form",
-    "casimir",
     "check_adjointness",
     "check_casimir",
     "check_commutators",

@@ -1,9 +1,10 @@
 """Verification engine: Casimir operators and interior-projected residuals.
 
 The su(1,1) and spin algebras differ in one sign, ``triple.sign``, so each
-identity is written once with the sign as a coefficient, and one
-:func:`casimir` serves both kinds. It is checked against the closed forms
-each realization records in ``params.casimir``.
+identity is written once with the sign as a coefficient, and one Casimir,
+``K0^2 - sign (K+K- + K-K+)/2``, serves both kinds. :func:`check_casimir`
+checks it against the closed forms each realization records in
+``params.casimir``.
 
 Residuals are evaluated on the kept block: the interior states away from the
 truncation boundary, less, for clamped spin realizations, the states that
@@ -67,17 +68,13 @@ def _whole(a: OperatorMatrix, b: OperatorMatrix | None = None) -> OperatorMatrix
 
 
 def _casimir(triple: AlgebraTriple, form) -> OperatorMatrix | np.ndarray:
-    """The Casimir with each product ``a @ b`` formed as ``form(a, b)``."""
+    """K0^2 - sign (K+K- + K-K+)/2, with each product ``a @ b`` formed as
+    ``form(a, b)``: the su(1,1) Casimir for a hyperbolic triple, and
+    Sz^2 + (S+S- + S-S+)/2, S(S+1) when exact, for a spin one."""
     k0, kp, km = triple.k0, triple.kplus, triple.kminus
     # The ladder term is formed first, so that at most three results are held.
     ladder = (form(kp, km) + form(km, kp)) * (0.5 * triple.sign)
     return form(k0, k0) - ladder
-
-
-def casimir(triple: AlgebraTriple) -> OperatorMatrix:
-    """K0^2 - sign (K+K- + K-K+)/2: the su(1,1) Casimir for a hyperbolic
-    triple, and Sz^2 + (S+S- + S-S+)/2, S(S+1) when exact, for a spin one."""
-    return _casimir(triple, _whole)
 
 
 def masked_interior(triple: AlgebraTriple, margin: int) -> OperatorMatrix:

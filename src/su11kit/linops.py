@@ -24,8 +24,9 @@ reads only the kept rows and columns of a product with a dense operand forms
 just that block, from views of the operands, with the same floating-point
 operations for each kept entry as the whole product. A Hermitian
 tridiagonal band with a zero diagonal, such as a quadrature, is diagonalized
-through the SVD of a real bidiagonal block of half its size; every other
-Hermitian input goes to the dense eigensolver.
+through the SVD of a real bidiagonal block of half its size, and
+exponentiated from real blocks of half its size; every other Hermitian
+input goes to the dense eigensolver.
 Everything is double precision and eager. A dense matrix or a basis too
 large for :data:`BYTE_BUDGET` raises ValueError before any allocation, and so
 does a bose realization whose :data:`DENSE_ARRAYS` arrays would not fit it.
@@ -58,9 +59,9 @@ BYTE_BUDGET = 2 * 2 ** 30
 BAND_VECTORS = 16
 
 #: Dense n x n arrays a bose realization holds at its peak. Its build holds
-#: four and the isfinite mask of one: the exponential's eigenvectors, their
-#: phased copy and adjoint, and the product. A check or casimir holds K+ and
-#: K- and at most three kept blocks, each at most n x n.
+#: four and an isfinite mask while the triple checks K+ against (K-)^dag:
+#: K+-, that adjoint and the difference. A check or casimir holds K+ and K-
+#: and at most three kept blocks, each at most n x n.
 DENSE_ARRAYS = 5
 
 #: Bytes of the row block in which a band x dense product is filled: small
@@ -541,33 +542,55 @@ def _require_hermitian(a: OperatorMatrix, caller: str) -> None:
         )
 
 
+def _unit(z: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """z / size part by part, 1 where size is 0: numpy divides by a real as
+    by a complex, and (x + 0j) / x need not be exactly 1."""
+    out = np.ones_like(z)
+    np.divide(z.real, size, out=out.real, where=size > 0)
+    np.divide(z.imag, size, out=out.imag, where=size > 0)
+    return out
+
+
+def _zero_diagonal_band(a: OperatorMatrix) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(d, |h|)`` for a band tridiagonal A whose diagonal has a zero real
+    part, None for any other input; if A is Hermitian, ``A = D T D^dag`` with
+    T real and lower band ``|h|``. Like LAPACK, it reads the diagonal's real
+    part and the lower band ``h[i] = A[i + 1, i]``. ``d[i]`` is the product
+    of the phases of ``h[:i]``, renormalized: exactly +-1 or +-i for a real
+    or imaginary band.
+    """
+    bands, n = a._bands, a.dim
+    if bands is None or not bands.keys() <= {-1, 0, 1} or a.diagonal().real.any():
+        return None
+    h = bands.get(-1, np.zeros(n, dtype=np.complex128))[1:]
+    size = np.abs(h)
+    d = np.concatenate(([1.0 + 0j], np.cumprod(_unit(h, size))))
+    return _unit(d, np.abs(d)), size
+
+
 def hermitian_eigensystem(a: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix.
 
     Raises ValueError, naming the offending residual, when the input fails the
     Hermiticity tolerance. A band-stored tridiagonal input whose diagonal has
-    a zero real part, as Q and P do, is written as ``H = D T D^dag``, with
-    ``D`` the diagonal of unit phases that makes ``T`` real symmetric; ``T``
-    is diagonalized through the SVD of a bidiagonal matrix of half its order
-    (Golub and Kahan, 1965), and the eigenvectors are ``D V`` for the
-    eigenvectors ``V`` of ``T``. Like LAPACK, it reads the diagonal's real
-    part and the lower band. Any other input is diagonalized densely, bands
-    materialized first.
+    a zero real part, as Q and P do, is written as ``H = D T D^dag`` (see
+    :func:`_zero_diagonal_band`); ``T`` is diagonalized through the SVD of a
+    bidiagonal matrix of half its order (Golub and Kahan, 1965), and the
+    eigenvectors are ``D V``, real when D is. Any other input is
+    diagonalized densely, bands materialized first.
     """
     _require_hermitian(a, "hermitian_eigensystem")
-    bands, n = a._bands, a.dim
-    if bands is None or not bands.keys() <= {-1, 0, 1} or a.diagonal().real.any():
+    split = _zero_diagonal_band(a)
+    if split is None:
         return np.linalg.eigh(a.entries)
-    # h[i] = A[i + 1, i]; its phase u[i] links state i + 1 to state i, and
-    # d[i] = u[0] ... u[i - 1] turns it into the real entry |h[i]|.
-    h = bands.get(-1, np.zeros(n, dtype=np.complex128))[1:]
-    size = np.abs(h)
-    u = np.divide(h, size, out=np.ones_like(h), where=size > 0)
-    d = np.concatenate(([1.0], np.cumprod(u)))
-    # The eigenvectors D V come back complex, so they are what the budget sees.
-    _require_budget(16 * n * n, "a dense {0}x{0} complex matrix", n)
+    d, size = split
+    # Complex eigenvectors D V are the most this route holds.
+    _require_budget(16 * a.dim ** 2, "a dense {0}x{0} complex matrix", a.dim)
     eigenvalues, v = _zero_diagonal_eigh(size)
-    return eigenvalues, d[:, None] * v
+    if d.imag.any():
+        return eigenvalues, d[:, None] * v
+    v *= d.real[:, None]  # in place: a copy raises the process's peak RSS
+    return eigenvalues, v
 
 
 def _zero_diagonal_eigh(size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -577,7 +600,11 @@ def _zero_diagonal_eigh(size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     T couples even states only to odd ones, ``T = [[0, B], [B^T, 0]]`` with
     ``B[j, j] = T[2j, 2j + 1]`` and ``B[j + 1, j] = T[2j + 2, 2j + 1]``. From
     ``B = U S W^T``, ``T [u; +-w] = +-s [u; +-w]``; for odd order, the last
-    column of U, which B^T sends to zero, gives the eigenvalue 0.
+    column z of U, which B^T sends to zero, gives the eigenvalue 0. With s
+    descending and even states in rows ``0::2``, column ``j < n // 2`` holds
+    ``-s[j]`` and ``[u_j; -w_j] / sqrt(2)``, column ``n - 1 - j`` holds
+    ``s[j]`` and ``[u_j; w_j] / sqrt(2)``, and column ``n // 2`` of odd order
+    holds ``[z; 0]``; :func:`unitary_exp` relies on this.
     """
     n = size.size + 1
     half = n // 2
@@ -597,19 +624,44 @@ def _zero_diagonal_eigh(size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def unitary_exp(h: OperatorMatrix, sign: int = 1) -> OperatorMatrix:
-    """exp(sign * i * H) for Hermitian H, via the spectral decomposition.
+    """exp(sign * i * H) for Hermitian H, from its eigensystem, so unitary up
+    to rounding, as a truncated series would not be. It is dense. The two
+    signs share one eigensystem: ``exp(-iH)`` is the adjoint of ``exp(iH)``,
+    so a caller that needs both takes one and its :meth:`OperatorMatrix.dag`.
 
-    The result is exactly unitary on the truncated space by construction
-    (phases of modulus one on an orthonormal frame), which is why this route
-    is used instead of a series expansion. It is dense. The two signs share
-    one eigensystem: ``exp(-iH)`` is the adjoint of ``exp(iH)``, so a caller
-    that needs both takes one and its :meth:`OperatorMatrix.dag`.
+    For H = D T D^dag as in :func:`_zero_diagonal_band`, cos T is even in T
+    and sin T odd. So with T's eigensystem as :func:`_zero_diagonal_eigh`
+    lays it out, and the even states first, exp(i sign T) is
+    ``[[U cos S U^T + z z^T, i U sin(sign S) W^T], [transpose, W cos S W^T]]``
+    (z for odd order only): three real products of half order, 0.75 n^3
+    flops, against 8 n^3 for the complex product any other input takes.
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    eigenvalues, v = hermitian_eigensystem(h)
-    phases = np.exp(1j * sign * eigenvalues)
-    return OperatorMatrix(h.basis, _Fresh((v * phases) @ v.conj().T))
+    split = _zero_diagonal_band(h)
+    if split is None:
+        eigenvalues, v = hermitian_eigensystem(h)
+        phases = np.exp(1j * sign * eigenvalues)
+        return OperatorMatrix(h.basis, _Fresh((v * phases) @ v.conj().T))
+    _require_hermitian(h, "unitary_exp")
+    d, size = split
+    n, half = h.dim, h.dim // 2
+    t = banded(h.basis, {-1: np.concatenate(([0.0], size)), 1: np.concatenate((size, [0.0]))})
+    eigenvalues, v = hermitian_eigensystem(t)
+    # even = U / sqrt(2) and odd = -W / sqrt(2), each pair summed once.
+    s, even, odd = -eigenvalues[:half], v[0::2, :half], v[1::2, :half]
+    cos2, sin2 = 2.0 * np.cos(s), -2.0 * np.sin(sign * s)
+    out = _new_dense(n)
+    out.real[0::2, 0::2] = (even * cos2) @ even.T
+    if n % 2:
+        out.real[0::2, 0::2] += np.outer(v[0::2, half], v[0::2, half])
+    out.real[1::2, 1::2] = (odd * cos2) @ odd.T
+    cross = (even * sin2) @ odd.T
+    out.imag[0::2, 1::2] = cross
+    out.imag[1::2, 0::2] = cross.T
+    out *= d[:, None]
+    out *= d.conj()
+    return OperatorMatrix(h.basis, _Fresh(out))
 
 
 def tensor(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:

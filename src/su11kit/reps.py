@@ -393,9 +393,11 @@ def saf_bose_form(p0: complex, dim: int = 64, form: str = "form1") -> AlgebraTri
     are exactly unitary on the truncated space; the ladder relations are then
     truncation-limited rather than exact, converging as dim grows. K+ is
     built as the adjoint of K-, which it is by definition, since
-    ``exp(iH) = exp(-iH)^dag`` for Hermitian H; so a form costs one
-    exponential, one eigensolve of Q or P done as the SVD of a real
-    bidiagonal matrix of half the size, and one dense product. The build,
+    ``exp(iH) = exp(-iH)^dag`` for Hermitian H. So a form costs one
+    exponential and one band x dense product. The exponential takes the SVD
+    of a real bidiagonal matrix of half the size, for the eigensystem of Q
+    or P, and three real products of half the size, one per parity block of
+    the result. The build,
     and a check or casimir of the result, hold at most
     :data:`su11kit.linops.DENSE_ARRAYS` dense dim x dim arrays at their
     peak, so a dim for which they would pass the memory budget (from about

@@ -13,7 +13,8 @@ import pytest
 from conftest import exact_range_basis, spin_ladder_matrices
 from su11kit.algebra import (
     CheckSpec,
-    casimir,
+    _casimir,
+    _whole,
     check_casimir,
     check_commutators,
     check_transfo,
@@ -135,7 +136,7 @@ def test_criterion_4_casimir_closed_forms():
 
     # pair states: Casimir restricted to |n,n> equals -1/4
     t = two_mode(24)
-    c = casimir(t)
+    c = _casimir(t, _whole)
     pair_idx = [n * 25 for n in range(22)]
     pair_gap = float(np.max(np.abs(np.real(np.diag(c.entries))[pair_idx] + 0.25)))
     ok &= pair_gap <= 1e-10

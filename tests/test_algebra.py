@@ -10,7 +10,8 @@ import su11kit.linops as linops
 from conftest import exact_range_basis, spin_ladder_matrices
 from su11kit.algebra import (
     CheckSpec,
-    casimir,
+    _casimir,
+    _whole,
     check_adjointness,
     check_casimir,
     check_commutators,
@@ -28,12 +29,14 @@ from su11kit.linops import (
     diagonal,
     interior_projector,
     maxabs_norm,
+    unitary_exp,
 )
 from su11kit.reps import (
     circle_momentum,
     hp_spin,
     mp_realization,
     perelomov_realization,
+    quadratures,
     saf_bose_form,
     saf_realization,
     two_mode,
@@ -51,16 +54,16 @@ def interior_diag(op, margin):
 
 class TestCasimirSu11:
     def test_mp_value(self):
-        c = casimir(mp_realization(1.0, 16))
+        c = _casimir(mp_realization(1.0, 16), _whole)
         np.testing.assert_allclose(interior_diag(c, 1), 0.0, atol=1e-12)
 
     def test_saf_real_offset_is_quarter(self, circle64):
-        c = casimir(saf_realization(0.7, circle64))
+        c = _casimir(saf_realization(0.7, circle64), _whole)
         np.testing.assert_allclose(interior_diag(c, 1), -0.25, atol=1e-12)
 
     def test_two_mode_diagonal_formula(self):
         t = two_mode(6)
-        c = casimir(t)
+        c = _casimir(t, _whole)
         occ = t.basis.occupations()
         expected = -0.25 + (occ[:, 0] - occ[:, 1]) ** 2 / 4.0
         proj = interior_projector(t.basis, 1)
@@ -70,7 +73,7 @@ class TestCasimirSu11:
 
     def test_pair_states_sit_at_minus_quarter(self):
         t = two_mode(6)
-        c = casimir(t)
+        c = _casimir(t, _whole)
         pair_idx = [n * 7 for n in range(5)]  # |n,n> below the edge
         np.testing.assert_allclose(
             np.real(np.diag(c.entries))[pair_idx], -0.25, atol=1e-12
@@ -79,33 +82,33 @@ class TestCasimirSu11:
     def test_unbalanced_state_value(self):
         # |2,0>: -1/4 + (2-0)^2/4 = 3/4
         t = two_mode(5)
-        c = casimir(t)
+        c = _casimir(t, _whole)
         idx = 2 * 5 + 0
         assert c.entries[idx, idx].real == pytest.approx(0.75, abs=1e-12)
 
 
 class TestCasimirSpin:
     def test_hp_half_is_three_quarters_everywhere(self):
-        c = casimir(hp_spin(0.5, "corrected"))
+        c = _casimir(hp_spin(0.5, "corrected"), _whole)
         np.testing.assert_allclose(c.entries, 0.75 * np.eye(2), atol=1e-14)
 
     def test_villain_spin_one_matches_oracle(self):
         t = villain_spin(1.0, exact_range_basis(1.0), "corrected")
         sz, sp, sm = spin_ladder_matrices(1.0)
         oracle = sz @ sz + (sp @ sm + sm @ sp) / 2.0
-        np.testing.assert_allclose(casimir(t).entries, oracle, atol=1e-12)
-        np.testing.assert_allclose(np.diag(casimir(t).entries), 2.0, atol=1e-12)
+        np.testing.assert_allclose(_casimir(t, _whole).entries, oracle, atol=1e-12)
+        np.testing.assert_allclose(np.diag(_casimir(t, _whole).entries), 2.0, atol=1e-12)
 
     def test_sign_reproduces_the_spin_form(self):
         t = villain_spin(2.5, CircleBasis(-10.5, 22), "as_printed")
         k0, kp, km = t.k0, t.kplus, t.kminus
         spin_form = k0 @ k0 + (kp @ km + km @ kp) * 0.5
-        assert np.array_equal(casimir(t).entries, spin_form.entries)
+        assert np.array_equal(_casimir(t, _whole).entries, spin_form.entries)
 
     def test_villain_as_printed_disagrees(self):
         basis = CircleBasis(-6.0, 13)
         t = villain_spin(1.0, basis, "as_printed")
-        c = casimir(t)
+        c = _casimir(t, _whole)
         proj = masked_interior(t, 2)
         kept = np.flatnonzero(np.real(np.diag(proj.entries)))
         values = np.real(np.diag(c.entries))[kept]
@@ -323,13 +326,13 @@ class TestAlgebraProperties:
     @pytest.mark.parametrize("p0", P0_GRID[::5])
     def test_casimir_commutes_with_k0(self, p0, circle64):
         t = saf_realization(p0, circle64)
-        c = casimir(t)
+        c = _casimir(t, _whole)
         proj = interior_projector(circle64, 2)
         assert maxabs_norm(proj @ commutator(c, t.k0) @ proj) <= 1e-10
 
     def test_casimir_centrality_two_mode(self):
         t = two_mode(10)
-        c = casimir(t)
+        c = _casimir(t, _whole)
         proj = interior_projector(t.basis, 2)
         assert maxabs_norm(proj @ commutator(c, t.k0) @ proj) <= 1e-10
 
@@ -397,9 +400,16 @@ class TestDenseWorkingSet:
         block = (1 - 2 * margin / self.N) ** 2
         assert max(self.check_peaks(bose, margin)) <= 3 * block
 
+    def test_exponential_holds_under_two_arrays(self, bose):
+        # T's real eigenvectors (half an array), the result, and two real
+        # blocks of half order (an eighth each) while one is formed.
+        q, _ = quadratures(self.N)
+        assert self.arrays(lambda: unitary_exp(q, -1), scratch=False) <= 1.75
+
     def test_budget_counts_the_larger_of_build_and_check(self, bose):
-        # No block scratch is alive while the build holds its eigenvectors,
-        # so nothing is taken off its peak: four arrays and an isfinite mask.
+        # The build peaks while the triple checks K+ against (K-)^dag: K+-,
+        # that adjoint and their difference, and an isfinite mask. No block
+        # scratch is alive then, so nothing is taken off its peak.
         build = traced_peak(lambda: saf_bose_form(self.P0, self.N)) / (16 * self.N ** 2)
         assert build > 4
         # Margin 0 keeps every state, so its checks hold the most.
@@ -446,7 +456,7 @@ def test_bose_kept_blocks_equal_the_projected_residuals(dim, margin, form):
     assert ([c.residual for c in check_commutators(bose, spec).checks]
             == [maxabs_norm(proj @ r @ proj) for r in brackets])
     ((_, expected),) = bose.params.casimir
-    computed = casimir(bose)
+    computed = _casimir(bose, _whole)
     closed_form = check_casimir(bose, spec).checks[0]
     assert closed_form.residual == maxabs_norm(
         proj @ (computed - diagonal(bose.basis, np.full(dim, expected))) @ proj)

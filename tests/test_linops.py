@@ -594,6 +594,78 @@ class TestUnitaryExp:
             unitary_exp(a, +1)
 
 
+def dense_exp(h, sign):
+    """exp(sign * i * H) through numpy's dense eigh of the materialized H."""
+    w, v = np.linalg.eigh(h.entries)
+    return (v * np.exp(1j * sign * w)) @ v.conj().T
+
+
+class TestZeroDiagonalExp:
+    """The bose route of unitary_exp: exp(i sign T) of the real parity-split
+    band T from three real half-order products, phased by d."""
+
+    @pytest.mark.parametrize("n", [16, 17, 64, 65, 512])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_quadratures_match_the_dense_exponential(self, n, sign):
+        for h in quadratures(n):
+            u = unitary_exp(h, sign)
+            assert u._dense is not None
+            assert np.max(np.abs(u.entries - dense_exp(h, sign))) <= 1e-13
+
+    @settings(max_examples=100, deadline=None)
+    @given(zero_diagonal_cases(), st.sampled_from([1, -1]))
+    def test_arbitrary_phases_match_the_dense_exponential(self, h, sign):
+        assert np.max(np.abs(unitary_exp(h, sign).entries - dense_exp(h, sign))) <= 1e-13
+
+    @pytest.mark.parametrize("n", [512, 2048])
+    def test_quadratures_give_unitaries_to_rounding(self, n):
+        for h in quadratures(n):
+            u = unitary_exp(h, -1).entries
+            assert np.max(np.abs(u @ u.conj().T - np.eye(n))) <= 1e-14
+
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_parity_blocks_are_exactly_real_or_imaginary(self, n):
+        same = np.add.outer(np.arange(n), np.arange(n)) % 2 == 0
+        for h in quadratures(n):
+            d, _ = linops._zero_diagonal_band(h)
+            e = d.conj()[:, None] * unitary_exp(h, 1).entries * d
+            assert np.all(e.imag[same] == 0) and np.all(e.real[~same] == 0)
+
+    def test_nonzero_diagonal_takes_the_dense_route(self, monkeypatch):
+        def refuse(size):
+            raise AssertionError("a nonzero diagonal reached the half-order route")
+
+        monkeypatch.setattr(linops, "_zero_diagonal_eigh", refuse)
+        q, _ = quadratures(17)
+        h = q + diagonal(q.basis, np.linspace(-1.0, 1.0, 17))
+        assert np.max(np.abs(unitary_exp(h, 1).entries - dense_exp(h, 1))) <= 1e-13
+
+    def test_mismatched_upper_band_rejected(self):
+        # The split reads only the lower band, so the Hermiticity check must
+        # still see the upper one.
+        sub = np.arange(1.0, 6.0)
+        h = banded(FockBasis((6,)), {-1: np.concatenate(([0.0], sub)),
+                                     1: np.concatenate((2 * sub, [0.0]))})
+        with pytest.raises(ValueError, match="requires a Hermitian matrix"):
+            unitary_exp(h, 1)
+
+
+class TestPhases:
+    def test_quadrature_phases_are_exact_units(self):
+        for h in quadratures(2048):
+            d, _ = linops._zero_diagonal_band(h)
+            assert np.all(np.isin(d, [1, -1, 1j, -1j]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(zero_diagonal_cases())
+    def test_phases_keep_unit_modulus(self, h):
+        d, size = linops._zero_diagonal_band(h)
+        assert np.max(np.abs(np.abs(d) - 1)) <= 4 * 2.0 ** -52
+        # D^dag H D has the real lower band |h|.
+        lower = d[1:].conj() * h.entries.diagonal(-1) * d[:-1]
+        np.testing.assert_allclose(lower, size, rtol=0, atol=1e-14 * (1 + size.max()))
+
+
 class TestTensor:
     def test_identity_times_identity(self):
         i2 = identity(FockBasis((2,)))

@@ -13,7 +13,7 @@ from su11kit.reduction import (
     verify_reduction,
 )
 from su11kit.reps import bose_ladder, hp_spin, saf_realization, two_mode
-from su11kit.algebra import casimir
+from su11kit.algebra import _casimir, _whole
 
 EXAMPLE = ModelParams(1.0, 0.1, 0.3)
 
@@ -186,7 +186,7 @@ class TestPairSubspace:
         return op.entries[np.ix_(pairs, pairs)]
 
     def test_casimir_restriction_is_minus_quarter(self):
-        c = self._pair_block(casimir(two_mode(6)))
+        c = self._pair_block(_casimir(two_mode(6), _whole))
         # the top pair state feels the cutoff (K-K+ truncates), so the
         # constant holds on the levels below it
         np.testing.assert_allclose(c[:5, :5], -0.25 * np.eye(5), atol=1e-12)

@@ -42,3 +42,21 @@ def test_covers_casimir_of_every_rep_at_non_default_parameters():
     for argv in stdout_digest.CASIMIR_PARAMS:
         assert argv[0] == "casimir" and len(argv) > 3
         assert argv + ["--format", "json"] in argvs
+
+
+def test_keep_writes_each_stdout_by_digest_line(tmp_path, monkeypatch, capsys):
+    argvs = [["transfo", "--beta", "0"], ["transfo", "--beta", "2", "--format", "json"]]
+    monkeypatch.setattr(stdout_digest, "invocations", lambda: argvs)
+    assert stdout_digest.main([str(ROOT)]) == 0
+    plain = capsys.readouterr().out
+    kept = tmp_path / "kept"
+    assert stdout_digest.main(["--keep", str(kept), str(ROOT)]) == 0
+    # The digest does not change with --keep.
+    assert capsys.readouterr().out == plain
+    assert sorted(p.name for p in kept.iterdir()) == ["001.out", "002.out"]
+    for line, argv in enumerate(argvs, start=1):
+        done = subprocess.run([sys.executable, "-m", "su11kit.cli", *argv], cwd=ROOT,
+                              env={"PYTHONPATH": str(ROOT / "src"), "COLUMNS": "80"},
+                              capture_output=True, timeout=120)
+        assert (kept / f"{line:03d}.out").read_bytes() == done.stdout
+    assert (kept / "002.out").read_bytes().startswith(b"{")

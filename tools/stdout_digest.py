@@ -1,10 +1,13 @@
 """Fingerprint what su11kit prints, one JSON line per invocation.
 
-    python tools/stdout_digest.py SRC_ROOT > digest.jsonl
+    python tools/stdout_digest.py [--keep DIR] SRC_ROOT > digest.jsonl
 
 SRC_ROOT is a checkout of this repository; the su11kit under its ``src`` is
 the one that runs. Each line holds an argv, its exit code and the sha256 of
-its stdout followed by its stderr. The argv list is fixed by this file and
+its stdout followed by its stderr. With ``--keep DIR``, the stdout of the
+invocation on line N is also written to ``DIR/N.out`` (N from 001), so that
+two runs whose digest lines differ can be compared number by number; the
+digest itself is the same with and without it. The argv list is fixed by this file and
 by the ``perfbench/workloads.py`` beside it, not by SRC_ROOT, so the digests
 of two checkouts can be compared with ``diff``: a line differs exactly when
 that invocation's bytes or exit code differ. The list covers
@@ -32,6 +35,7 @@ the exit code "timeout".
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import importlib.util
 import json
@@ -117,8 +121,10 @@ def invocations() -> list[list[str]]:
             *BEYOND_FLOAT, *REFUSED]
 
 
-def digest(src_root: Path, argv: list[str]) -> dict:
-    """Run ``su11kit argv`` from ``src_root`` and fingerprint what it printed."""
+def digest(src_root: Path, argv: list[str], keep: Path | None = None) -> dict:
+    """Run ``su11kit argv`` from ``src_root`` and fingerprint what it printed;
+    write its stdout to the file ``keep`` as well, when one is given and the
+    run finishes."""
     env = {**os.environ, "PYTHONPATH": str(src_root / "src"), "COLUMNS": "80",
            "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     try:
@@ -126,17 +132,24 @@ def digest(src_root: Path, argv: list[str]) -> dict:
                               env=env, capture_output=True, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return {"argv": argv, "exit": "timeout", "sha256": None}
+    if keep is not None:
+        keep.write_bytes(done.stdout)
     sha = hashlib.sha256(done.stdout + done.stderr).hexdigest()
     return {"argv": argv, "exit": done.returncode, "sha256": sha}
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: python tools/stdout_digest.py SRC_ROOT", file=sys.stderr)
-        return 2
-    src_root = Path(argv[0]).resolve()
-    for args in invocations():
-        print(json.dumps(digest(src_root, args)), flush=True)
+    parser = argparse.ArgumentParser(prog="python tools/stdout_digest.py")
+    parser.add_argument("--keep", type=Path, metavar="DIR",
+                        help="also write the stdout of line N to DIR/N.out")
+    parser.add_argument("src_root", type=Path, metavar="SRC_ROOT")
+    args = parser.parse_args(argv)
+    src_root = args.src_root.resolve()
+    if args.keep is not None:
+        args.keep.mkdir(parents=True, exist_ok=True)
+    for line, invocation in enumerate(invocations(), start=1):
+        keep = None if args.keep is None else args.keep / f"{line:03d}.out"
+        print(json.dumps(digest(src_root, invocation, keep)), flush=True)
     return 0
 
 
