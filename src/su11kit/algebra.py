@@ -12,8 +12,9 @@ touch a clamped square-root amplitude. Each residual is written once, with
 its products and terms formed by a function it is given. For a triple held
 in bands that function forms them whole, and the residual goes behind the
 0/1 interior projector. For a triple with a dense generator, such as the
-bose forms, it forms only their kept block, with the same floating-point
-operations as the whole product has there. On the kept block each identity
+bose forms, the residual is formed one row tile of the kept block at a time
+and reduced tile by tile, with the same floating-point operations as the
+whole product has there. On the kept block each identity
 either holds to machine precision or fails by a finite, reportable amount;
 the reports never auto-resolve a discrepancy, they record it.
 """
@@ -22,15 +23,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .linops import (
+    _TILE,
     BasisMismatchError,
     Check,
     CheckReport,
     CircleBasis,
     OperatorMatrix,
+    _adjoint_gap,
     _figure,
     _kept_block,
     banded,
@@ -89,21 +93,25 @@ def _projected_residual(
 
 
 def _kept_form(triple: AlgebraTriple, margin: int):
-    """The kept states of ``triple`` at ``margin``, the function that forms
-    its products and terms, and the norm of a residual so formed.
+    """The kept states of ``triple`` at ``margin``, the functions that form
+    its products and terms, one per tile, and the norm of a residual so
+    formed; a residual's norm is the largest over its tiles.
 
-    A triple held in bands forms them whole and takes the norm behind the
-    interior projector. A triple with a dense generator forms their kept
-    block alone and takes the block's largest absolute entry, as the
-    projector, whose 0/1 entries keep the kept entries and zero all others,
-    would leave it.
+    A triple held in bands has one tile: its function forms them whole, and
+    the norm is taken behind the interior projector. A triple with a dense
+    generator has a tile for each :data:`su11kit.linops._TILE` kept rows,
+    whose function forms those rows of their kept block, and the norm is the
+    tile's largest absolute entry, as the projector, whose 0/1 entries keep
+    the kept entries and zero all others, would leave it. A last tile of one
+    row is formed beside a neighbouring row (see :func:`su11kit.linops._span`).
     """
     proj = masked_interior(triple, margin)
     keep = np.flatnonzero(proj.diagonal())
     if all(op._dense is None for op in (triple.k0, triple.kplus, triple.kminus)):
-        return keep, _whole, lambda residual: _projected_residual(proj, residual)
-    return (keep, lambda a, b=None: _kept_block(keep, a, b),
-            lambda residual: float(np.max(np.abs(residual))))
+        return keep, (_whole,), lambda residual: _projected_residual(proj, residual)
+    forms = [partial(_kept_block, keep, rows=slice(r, r + _TILE))
+             for r in range(0, keep.size, _TILE)]
+    return keep, forms, lambda residual: float(np.max(np.abs(residual)))
 
 
 def check_commutators(triple: AlgebraTriple, spec: CheckSpec = CheckSpec()) -> CheckReport:
@@ -112,16 +120,17 @@ def check_commutators(triple: AlgebraTriple, spec: CheckSpec = CheckSpec()) -> C
 
     Each bracket is formed and reduced to its norm before the next is formed.
     For a triple held in bands a bracket is formed whole and projected. For
-    dense K+- only its kept block is formed, so beyond the triple a bracket
-    holds at most three kept blocks: two products and their difference, or
-    the difference, a term and their sum.
+    dense K+- its kept block is formed one row tile at a time, each reduced
+    before the next is formed, so beyond the triple a bracket holds at most
+    three row tiles: two products and their difference, or the difference, a
+    term and their sum.
     """
-    _, form, norm = _kept_form(triple, spec.margin)
+    _, forms, norm = _kept_form(triple, spec.margin)
     z, plus, minus = triple.k0, triple.kplus, triple.kminus
     residuals = (
-        lambda: (form(z, plus) - form(plus, z)) - form(plus),
-        lambda: (form(z, minus) - form(minus, z)) + form(minus),
-        lambda: (form(plus, minus) - form(minus, plus)) + form((2.0 * triple.sign) * z),
+        lambda form: (form(z, plus) - form(plus, z)) - form(plus),
+        lambda form: (form(z, minus) - form(minus, z)) + form(minus),
+        lambda form: (form(plus, minus) - form(minus, plus)) + form((2.0 * triple.sign) * z),
     )
     metadata = {"margin": str(spec.margin), "variant": triple.params.variant}
     if triple.params.fidelity is not None:
@@ -129,7 +138,8 @@ def check_commutators(triple: AlgebraTriple, spec: CheckSpec = CheckSpec()) -> C
     if triple.params.clamp_excluded:
         metadata["clamp_excluded"] = str(len(triple.params.clamp_excluded))
     checks = tuple(
-        Check(name, norm(residual()), spec.tolerance, dict(metadata))
+        Check(name, max(norm(residual(form)) for form in forms), spec.tolerance,
+              dict(metadata))
         for name, residual in zip(_BRACKET_NAMES[triple.kind], residuals)
     )
     return CheckReport(checks)
@@ -137,7 +147,7 @@ def check_commutators(triple: AlgebraTriple, spec: CheckSpec = CheckSpec()) -> C
 
 def check_adjointness(triple: AlgebraTriple, spec: CheckSpec = CheckSpec()) -> CheckReport:
     """max|K+ - (K-)^dag| as a single check (margin plays no role here)."""
-    gap = maxabs_norm(triple.kplus - triple.kminus.dag())
+    gap = _adjoint_gap(triple.kplus, triple.kminus)
     metadata = {"variant": triple.params.variant}
     if triple.params.fidelity is not None:
         metadata["fidelity"] = triple.params.fidelity
@@ -150,7 +160,8 @@ def check_casimir(triple: AlgebraTriple, spec: CheckSpec = CheckSpec()) -> Check
     """Residual of the computed Casimir on the kept block against the closed
     forms the triple records in ``params.casimir``. For a triple held in
     bands the Casimir is formed whole and projected; for one with dense K+-
-    only its kept block is formed.
+    its kept block is formed one row tile at a time, and every recorded form
+    is compared on a tile before the next is formed.
 
     With one recorded form the report states it, its expected value, and the
     value the matrices actually produced on the first interior state; for
@@ -162,13 +173,20 @@ def check_casimir(triple: AlgebraTriple, spec: CheckSpec = CheckSpec()) -> Check
     params = triple.params
     if not params.casimir:
         raise ValueError(f"no closed-form Casimir recorded for variant {params.variant!r}")
-    keep, form, norm = _kept_form(triple, spec.margin)
-    computed = _casimir(triple, form)
+    keep, forms, norm = _kept_form(triple, spec.margin)
     basis = triple.basis
-    residuals = {
-        formula: norm(computed - form(diagonal(basis, np.full(basis.dim, expected))))
-        for formula, expected in params.casimir
-    }
+    targets = [(formula, diagonal(basis, np.full(basis.dim, expected)))
+               for formula, expected in params.casimir]
+    residuals = dict.fromkeys((formula for formula, _ in targets), 0.0)
+    for tile, form in enumerate(forms):
+        computed = _casimir(triple, form)
+        if tile == 0:
+            # The first kept state is the first entry of the first tile.
+            first = (computed[0, 0] if isinstance(computed, np.ndarray)
+                     else computed.diagonal()[keep[0]])
+        for formula, target in targets:
+            residuals[formula] = max(residuals[formula], norm(computed - form(target)))
+        del computed  # before the next tile's Casimir is formed
     best = min(residuals, key=residuals.get)
     metadata = {"margin": str(spec.margin), "variant": params.variant}
     if len(residuals) > 1:
@@ -185,9 +203,6 @@ def check_casimir(triple: AlgebraTriple, spec: CheckSpec = CheckSpec()) -> Check
             metadata["expected_kind"] = "diagonal"
         else:
             metadata["expected_value"] = repr(expected)
-        # The first kept state is the first entry of a kept block.
-        first = (computed[0, 0] if isinstance(computed, np.ndarray)
-                 else computed.diagonal()[keep[0]])
         metadata["observed_first"] = repr(float(first.real))
     return CheckReport(
         (Check("casimir closed form", residuals[best], spec.tolerance, metadata),),

@@ -21,8 +21,11 @@ output and one cache-sized scratch block, whatever the band count. A sum with
 one dense operand costs O(dim^2) with the band operand left unmaterialized.
 ``.entries`` materializes the dense array on request. A residual check that
 reads only the kept rows and columns of a product with a dense operand forms
-just that block, from views of the operands, with the same floating-point
-operations for each kept entry as the whole product. A Hermitian
+just that block, a row tile of it at a time, from views of the operands, with
+the same floating-point operations for each kept entry as the whole product.
+The gap between a dense operator and the adjoint of another is measured one
+row block at a time, so neither an n x n adjoint nor a difference is formed
+for it. A Hermitian
 tridiagonal band with a zero diagonal, such as a quadrature, is diagonalized
 through the SVD of a real bidiagonal block of half its size, and
 exponentiated from real blocks of half its size; every other Hermitian
@@ -59,16 +62,20 @@ BYTE_BUDGET = 2 * 2 ** 30
 BAND_VECTORS = 16
 
 #: Dense n x n arrays a bose realization holds at its peak. Its build holds
-#: four and an isfinite mask while the triple checks K+ against (K-)^dag:
-#: K+-, that adjoint and the difference. A check or casimir holds K+ and K-
-#: and at most three kept blocks, each at most n x n.
-DENSE_ARRAYS = 5
+#: under two and a half, while the exponential is formed and multiplied. A
+#: check or casimir holds K+ and K- and at most three row tiles of a kept
+#: block, each :data:`_TILE` rows by at most n columns.
+DENSE_ARRAYS = 3
 
 #: Bytes of the row block in which a band x dense product is filled: small
 #: enough for the block and its scratch to stay in cache.
 _BLOCK_BYTES = 2 ** 18
 
-#: Side of the square tiles in which a dense adjoint is written.
+#: Rows of the tiles in which dense arrays are walked: a dense adjoint is
+#: written in square tiles of this side, a dense adjointness gap is reduced
+#: in row blocks of this height, and a dense residual in tiles of this many
+#: kept rows. Each tile of a product is one BLAS call, which repacks its right
+#: operand, so much smaller tiles cost time.
 _TILE = 64
 
 
@@ -197,11 +204,11 @@ def _shift(v: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _new_dense(n: int, alloc=np.zeros) -> np.ndarray:
-    """A writable n x n complex array from ``alloc``, refused above
+def _new_dense(rows: int, cols: int, alloc=np.zeros) -> np.ndarray:
+    """A writable rows x cols complex array from ``alloc``, refused above
     :data:`BYTE_BUDGET`."""
-    _require_budget(16 * n * n, "a dense {0}x{0} complex matrix", n)
-    return alloc((n, n), dtype=np.complex128)
+    _require_budget(16 * rows * cols, "a dense {}x{} complex matrix", rows, cols)
+    return alloc((rows, cols), dtype=np.complex128)
 
 
 def _scaled_rows(out: np.ndarray, terms: list[tuple]) -> None:
@@ -245,7 +252,7 @@ def _adjoint(d: np.ndarray) -> np.ndarray:
     :data:`_TILE` x :data:`_TILE` tile at a time so that the tile read and
     the tile written both stay in cache."""
     n = d.shape[0]
-    out = _new_dense(n, np.empty)
+    out = _new_dense(n, n, np.empty)
     for r in range(0, n, _TILE):
         for c in range(0, n, _TILE):
             np.conjugate(d[c:c + _TILE, r:r + _TILE].T, out=out[r:r + _TILE, c:c + _TILE])
@@ -254,36 +261,40 @@ def _adjoint(d: np.ndarray) -> np.ndarray:
 
 def _to_dense(bands: dict[int, np.ndarray], n: int) -> np.ndarray:
     """Materialize band storage as a read-only dense n x n array."""
-    out = _band_block(bands, n, 0, n)
+    out = _band_block(bands, n, 0, n, 0, n)
     out.setflags(write=False)
     return out
 
 
-def _band_block(bands: dict[int, np.ndarray], n: int, p: int, q: int) -> np.ndarray:
-    """Rows and columns [p, q) of band storage on n states, as a dense array."""
+def _band_block(bands: dict[int, np.ndarray], n: int, rp: int, rq: int,
+                p: int, q: int) -> np.ndarray:
+    """Rows [rp, rq) and columns [p, q) of band storage on n states, as a
+    dense array."""
     w = q - p
-    out = _new_dense(w)
+    out = _new_dense(rq - rp, w)
     flat = out.reshape(-1)
     for k, v in bands.items():
-        # The rows i in [p, q) whose column i + k is in [p, q) as well.
-        lo, hi = max(p, p - k), min(q, q - k)
+        # The rows i in [rp, rq) whose column i + k is in [p, q).
+        lo, hi = max(rp, p - k), min(rq, q - k)
         if lo < hi:
-            # Entry (i, i + k) sits at flat index (i - p) (w + 1) + k.
-            flat[(lo - p) * (w + 1) + k:(hi - p) * (w + 1) + k:w + 1] = v[lo:hi]
+            # Entry (i, i + k) sits at flat index (i - rp) w + i + k - p.
+            flat[(lo - rp) * w + lo + k - p:(hi - rp) * w + hi + k - p:w + 1] = v[lo:hi]
     return out
 
 
-def _mixed_block(a: "OperatorMatrix", b: "OperatorMatrix", p: int, q: int) -> np.ndarray:
-    """Rows and columns [p, q) of ``a @ b`` with one operand band-stored and
-    the other dense, by row or column scaling (see :func:`_scaled_rows`)."""
-    n, w = a.dim, q - p
+def _mixed_block(a: "OperatorMatrix", b: "OperatorMatrix", rp: int, rq: int,
+                 p: int, q: int) -> np.ndarray:
+    """Rows [rp, rq) and columns [p, q) of ``a @ b`` with one operand
+    band-stored and the other dense, by row or column scaling (see
+    :func:`_scaled_rows`)."""
+    n, h, w = a.dim, rq - rp, q - p
     terms = []
     if b._bands is None:
         # Row i of the product is the sum over k of a_k[i] times row i + k.
         for k, v in a._bands.items():
-            lo, hi = max(p, -k), min(q, n - k)
+            lo, hi = max(rp, -k), min(rq, n - k)
             if lo < hi:
-                terms.append((lo - p, hi - p, 0, w, v[lo:hi, None],
+                terms.append((lo - rp, hi - rp, 0, w, v[lo:hi, None],
                               b._dense[lo + k:hi + k, p:q]))
     else:
         # Column m + k of the product gathers column m times b_k[m], in every
@@ -291,9 +302,9 @@ def _mixed_block(a: "OperatorMatrix", b: "OperatorMatrix", p: int, q: int) -> np
         for k, v in b._bands.items():
             lo, hi = max(0, p - k), min(n, q - k)
             if lo < hi:
-                terms.append((0, w, lo + k - p, hi + k - p, a._dense[p:q, lo:hi],
-                              np.broadcast_to(v[lo:hi], (w, hi - lo))))
-    out = _new_dense(w, np.empty)
+                terms.append((0, h, lo + k - p, hi + k - p, a._dense[rp:rq, lo:hi],
+                              np.broadcast_to(v[lo:hi], (h, hi - lo))))
+    out = _new_dense(h, w, np.empty)
     _scaled_rows(out, terms)
     return out
 
@@ -304,8 +315,8 @@ def _mixed_block(a: "OperatorMatrix", b: "OperatorMatrix", p: int, q: int) -> np
 _GEMM_COLUMNS = 64
 
 
-def _dense_block(x: np.ndarray, y: np.ndarray, p: int, q: int) -> np.ndarray:
-    """Rows and columns [p, q) of ``x @ y``, with ``q - p >= 2``.
+def _dense_block(x: np.ndarray, y: np.ndarray, rp: int, rq: int, p: int, q: int) -> np.ndarray:
+    """Rows [rp, rq) and columns [p, q) of ``x @ y``, at least two of each.
 
     So that each column goes through the BLAS kernel it goes through in the
     full product, the columns multiplied are a whole number of
@@ -323,37 +334,66 @@ def _dense_block(x: np.ndarray, y: np.ndarray, p: int, q: int) -> np.ndarray:
         e = s + width
     else:
         s, e = p - p % _GEMM_COLUMNS, n
-    return (x[p:q] @ y[:, s:e])[:, p - s:q - s]
+    return (x[rp:rq] @ y[:, s:e])[:, p - s:q - s]
 
 
-def _kept_block(keep: np.ndarray, a: "OperatorMatrix",
-                b: "OperatorMatrix | None" = None) -> np.ndarray:
-    """The block of ``a @ b``, or of ``a`` alone, at rows and columns ``keep``.
+def _span(index: np.ndarray, n: int) -> tuple[int, int]:
+    """[first, last + 1) of ascending state indices out of n, widened by a
+    neighbour when it holds one: numpy multiplies a lone row or column in
+    another order than it multiplies an array of them."""
+    p, q = int(index[0]), int(index[-1]) + 1
+    if q - p == 1:
+        p, q = (p, q + 1) if q < n else (p - 1, q)
+    return p, q
+
+
+def _kept_block(keep: np.ndarray, a: "OperatorMatrix", b: "OperatorMatrix | None" = None,
+                rows: slice = slice(None)) -> np.ndarray:
+    """The block of ``a @ b``, or of ``a`` alone, at rows ``keep[rows]`` and
+    columns ``keep``.
 
     ``keep`` holds ascending state indices. The product is formed on the
-    rows and columns from the first kept state to the last, from views of
-    the operands; for a dense operand that costs a fraction (span / n)^2 of
-    the full product. Each entry is the sum of the same products, added in
-    the same order, as in ``a @ b`` (for a dense x dense product, with one
-    BLAS thread), so the block equals ``(a @ b).entries[np.ix_(keep, keep)]``
-    bit for bit; a band row or column outside [0, n) contributes nothing. A
-    band x band product is formed whole, at O(bands * n).
+    rows and the columns from the first to the last of those states, from
+    views of the operands; for a dense operand, r rows cost a fraction
+    r span / n^2 of the full product. Each entry is the sum of the same
+    products, added in the same order, as in ``a @ b`` (for a dense x dense
+    product, with one BLAS thread), so the block equals
+    ``(a @ b).entries[np.ix_(keep[rows], keep)]`` bit for bit; a band row or
+    column outside [0, n) contributes nothing. A band x band product is
+    formed whole, at O(bands * n).
     """
-    n, m = a.dim, keep.size
-    p, q = int(keep[0]), int(keep[-1]) + 1
-    if q - p == 1:
-        # numpy multiplies a lone element in another order than it multiplies
-        # an array of them, so a lone state is formed beside a neighbour.
-        p, q = (p, q + 1) if q < n else (p - 1, q)
+    n, kept = a.dim, keep[rows]
+    p, q = _span(keep, n)
+    rp, rq = _span(kept, n)
     if b is None:
-        block = a._dense[p:q, p:q] if a._bands is None else _band_block(a._bands, n, p, q)
+        block = (a._dense[rp:rq, p:q] if a._bands is None
+                 else _band_block(a._bands, n, rp, rq, p, q))
     elif a._bands is not None and b._bands is not None:
-        return _kept_block(keep, a @ b)
+        return _kept_block(keep, a @ b, rows=rows)
     else:
         a._require_same_basis(b)
-        block = (_dense_block(a._dense, b._dense, p, q) if a._bands is None and b._bands is None
-                 else _mixed_block(a, b, p, q))
-    return block if q - p == m else block[np.ix_(keep - p, keep - p)]
+        block = (_dense_block(a._dense, b._dense, rp, rq, p, q)
+                 if a._bands is None and b._bands is None
+                 else _mixed_block(a, b, rp, rq, p, q))
+    if rq - rp == kept.size and q - p == keep.size:
+        return block
+    return block[np.ix_(kept - rp, keep - p)]
+
+
+def _adjoint_gap(a: "OperatorMatrix", b: "OperatorMatrix") -> float:
+    """max|A - B^dag|, zero when A is exactly the adjoint of B.
+
+    Two dense operands are compared :data:`_TILE` rows of A at a time against
+    the matching columns of B, each block reduced to its largest entry before
+    the next is formed, so no n x n adjoint or difference is held. Each entry
+    is the same subtraction as in ``a - b.dag()``, which any other pair takes.
+    """
+    a._require_same_basis(b)
+    x, y = a._dense, b._dense
+    if x is None or y is None:
+        return maxabs_norm(a - b.dag())
+    return max(float(np.max(np.abs(x[r:r + _TILE] - y[:, r:r + _TILE].T.conj())))
+               for r in range(0, a.dim, _TILE))
 
 
 class OperatorMatrix:
@@ -364,7 +404,9 @@ class OperatorMatrix:
     values, so instances can be shared freely between threads. The
     constructor copies the caller's dense array once; the results of
     arithmetic, :func:`banded` and :func:`tensor` are adopted without a copy.
-    The shape, basis and finiteness checks run on every construction.
+    No CLI path hands the constructor an array of its own: every operator it
+    checks comes from arithmetic, :func:`banded` or :func:`unitary_exp`. The
+    shape, basis and finiteness checks run on every construction.
     """
 
     __slots__ = ("basis", "_dense", "_bands", "__weakref__")
@@ -425,7 +467,7 @@ class OperatorMatrix:
 
     def hermiticity_defect(self) -> float:
         """max|A - A^dag|, zero for an exactly Hermitian matrix."""
-        return maxabs_norm(self - self.dag())
+        return _adjoint_gap(self, self)
 
     def _require_same_basis(self, other: "OperatorMatrix") -> None:
         if not isinstance(other, OperatorMatrix):
@@ -441,7 +483,7 @@ class OperatorMatrix:
         if a is None and b is None:
             product = self._dense @ other._dense
         elif a is None or b is None:
-            product = _mixed_block(self, other, 0, n)
+            product = _mixed_block(self, other, 0, n, 0, n)
         else:
             product = {}
             for ka, va in a.items():
@@ -651,7 +693,7 @@ def unitary_exp(h: OperatorMatrix, sign: int = 1) -> OperatorMatrix:
     # even = U / sqrt(2) and odd = -W / sqrt(2), each pair summed once.
     s, even, odd = -eigenvalues[:half], v[0::2, :half], v[1::2, :half]
     cos2, sin2 = 2.0 * np.cos(s), -2.0 * np.sin(sign * s)
-    out = _new_dense(n)
+    out = _new_dense(n, n)
     out.real[0::2, 0::2] = (even * cos2) @ even.T
     if n % 2:
         out.real[0::2, 0::2] += np.outer(v[0::2, half], v[0::2, half])

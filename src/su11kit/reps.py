@@ -39,8 +39,8 @@ from .linops import (
     banded,
     diagonal,
     identity,
-    maxabs_norm,
     tensor,
+    _adjoint_gap,
     _require_budget,
     unitary_exp,
 )
@@ -116,7 +116,7 @@ class AlgebraTriple:
             self.params.variant == "hp" and self.params.fidelity == "as_printed"
         )
         if not adjoint_breaks:
-            gap = maxabs_norm(self.kplus - self.kminus.dag())
+            gap = _adjoint_gap(self.kplus, self.kminus)
             if gap > HERMITICITY_TOL:
                 raise ValueError(
                     f"raising operator is not the adjoint of the lowering one: "
@@ -397,11 +397,10 @@ def saf_bose_form(p0: complex, dim: int = 64, form: str = "form1") -> AlgebraTri
     exponential and one band x dense product. The exponential takes the SVD
     of a real bidiagonal matrix of half the size, for the eigensystem of Q
     or P, and three real products of half the size, one per parity block of
-    the result. The build,
-    and a check or casimir of the result, hold at most
-    :data:`su11kit.linops.DENSE_ARRAYS` dense dim x dim arrays at their
+    the result. The build, and a check or casimir of the result, hold at
+    most :data:`su11kit.linops.DENSE_ARRAYS` dense dim x dim arrays at their
     peak, so a dim for which they would pass the memory budget (from about
-    5 200) raises ValueError before any is built.
+    6 700) raises ValueError before any is built.
     """
     dim = int(dim)
     if dim < 16:

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from conftest import exact_range_basis, spin_ladder_matrices
 from su11kit.algebra import (
     CheckSpec,
     _casimir,
+    _kept_form,
     _whole,
     check_adjointness,
     check_casimir,
@@ -21,9 +26,11 @@ from su11kit.algebra import (
 )
 from su11kit.linops import (
     _BLOCK_BYTES,
+    _TILE,
     DENSE_ARRAYS,
     BasisMismatchError,
     CircleBasis,
+    FockBasis,
     OperatorMatrix,
     commutator,
     diagonal,
@@ -32,6 +39,9 @@ from su11kit.linops import (
     unitary_exp,
 )
 from su11kit.reps import (
+    HYPERBOLIC,
+    AlgebraTriple,
+    RepParams,
     circle_momentum,
     hp_spin,
     mp_realization,
@@ -42,6 +52,8 @@ from su11kit.reps import (
     two_mode,
     villain_spin,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 P0_GRID = [complex(re, im) for re in (-1.0, -0.3, 0.0, 0.7, 2.0)
            for im in (-1.0, -0.3, 0.0, 0.7, 2.0)]
@@ -322,6 +334,40 @@ class TestAdjointness:
         assert report.checks[0].residual > 0.1
 
 
+def dense_triple(kplus, kminus):
+    n = kminus.shape[0]
+    basis = FockBasis((n,))
+    return AlgebraTriple(HYPERBOLIC, diagonal(basis, np.arange(n)), OperatorMatrix(basis, kplus),
+                         OperatorMatrix(basis, kminus), RepParams("dense"))
+
+
+class TestDenseAdjointGap:
+    """A dense pair is gated in row blocks of linops._TILE rows; 7, 65 and 200
+    states leave a short last block."""
+
+    @pytest.mark.parametrize("n", [7, 64, 65, 200])
+    def test_one_entry_off_in_the_last_row_block_raises(self, n):
+        rng = np.random.default_rng(n)
+        kminus = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        kplus = kminus.conj().T.copy()
+        assert check_adjointness(dense_triple(kplus, kminus)).checks[0].residual == 0.0
+        kplus[n - 1, n // 2] += 2e-10
+        with pytest.raises(ValueError, match=r"max\|K\+ - \(K-\)\^dag\| = 2\.000e-10"):
+            dense_triple(kplus, kminus)
+
+    @pytest.mark.parametrize("order", "CF")
+    @pytest.mark.parametrize("n", [7, 64, 65, 200])
+    def test_gaps_equal_the_whole_difference(self, n, order):
+        rng = np.random.default_rng(n)
+        a = np.asarray(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), order=order)
+        defect = OperatorMatrix(FockBasis((n,)), a).hermiticity_defect()
+        assert defect == np.max(np.abs(a - a.conj().T))
+        # A pair inside the gate, so that it makes a triple.
+        kplus = np.asarray(a.conj().T + 1e-11 * rng.normal(size=(n, n)), order=order)
+        gap = check_adjointness(dense_triple(kplus, a)).checks[0].residual
+        assert 0 < gap == np.max(np.abs(kplus - a.conj().T))
+
+
 class TestAlgebraProperties:
     @pytest.mark.parametrize("p0", P0_GRID[::5])
     def test_casimir_commutes_with_k0(self, p0, circle64):
@@ -393,12 +439,13 @@ class TestDenseWorkingSet:
         assert self.arrays(lambda: bose.kplus @ bose.k0) <= 1
 
     @pytest.mark.parametrize("margin", [0, 1, N // 4])
-    def test_checks_hold_three_kept_blocks(self, bose, margin):
+    def test_checks_hold_three_row_tiles(self, bose, margin):
         # A bracket holds its two products and their difference, or their
-        # difference, a band term and the sum; the Casimir holds as many.
-        # Margin 1 pads the blocks' products to whole BLAS column tiles.
-        block = (1 - 2 * margin / self.N) ** 2
-        assert max(self.check_peaks(bose, margin)) <= 3 * block
+        # difference, a band term and the sum, each a tile of _TILE kept rows
+        # by at most N columns; the Casimir holds as many. Margin 1 pads the
+        # tiles' products to whole BLAS column tiles.
+        tile = _TILE / self.N
+        assert max(self.check_peaks(bose, margin)) <= 3 * tile
 
     def test_exponential_holds_under_two_arrays(self, bose):
         # T's real eigenvectors (half an array), the result, and two real
@@ -407,11 +454,11 @@ class TestDenseWorkingSet:
         assert self.arrays(lambda: unitary_exp(q, -1), scratch=False) <= 1.75
 
     def test_budget_counts_the_larger_of_build_and_check(self, bose):
-        # The build peaks while the triple checks K+ against (K-)^dag: K+-,
-        # that adjoint and their difference, and an isfinite mask. No block
-        # scratch is alive then, so nothing is taken off its peak.
+        # The build peaks while the exponential is formed and multiplied; the
+        # gate of K+ against (K-)^dag holds a few row blocks. No block scratch
+        # is taken off its peak.
         build = traced_peak(lambda: saf_bose_form(self.P0, self.N)) / (16 * self.N ** 2)
-        assert build > 4
+        assert build < 2.5
         # Margin 0 keeps every state, so its checks hold the most.
         checks = max(self.check_peaks(bose, 0))
         assert DENSE_ARRAYS == max(math.ceil(build), 2 + math.ceil(checks))
@@ -429,17 +476,18 @@ def test_bose_checks_form_no_full_dense_product(monkeypatch):
             full.append(a.dim)
         return matmul(a, b)
 
-    def spy_block(x, y, p, q):
-        blocks.append((x.shape, q - p))
-        return dense_block(x, y, p, q)
+    def spy_block(x, y, rp, rq, p, q):
+        blocks.append((x.shape, rq - rp, q - p))
+        return dense_block(x, y, rp, rq, p, q)
 
     monkeypatch.setattr(OperatorMatrix, "__matmul__", spy_matmul)
     monkeypatch.setattr(linops, "_dense_block", spy_block)
     assert check_commutators(bose, spec).overall_passed
     assert check_casimir(bose, spec).overall_passed
     assert full == []
-    # [K+,K-] and the Casimir's K+K- + K-K+, each on the 32 kept states.
-    assert blocks == [((64, 64), 32)] * 4
+    # [K+,K-] and the Casimir's K+K- + K-K+, each on the 32 kept states,
+    # which make one row tile.
+    assert blocks == [((64, 64), 32, 32)] * 4
 
 
 @pytest.mark.parametrize("form", ["form1", "form2"])
@@ -462,3 +510,65 @@ def test_bose_kept_blocks_equal_the_projected_residuals(dim, margin, form):
         proj @ (computed - diagonal(bose.basis, np.full(dim, expected))) @ proj)
     first = np.flatnonzero(proj.diagonal())[0]
     assert closed_form.metadata["observed_first"] == repr(float(computed.diagonal()[first].real))
+
+
+# Bose cases at the edges of the row tiles: a one-row remainder (129 kept
+# states at margin 0, and 65 at dim 67, margin 1), which numpy would hand to
+# another routine were it formed alone, exactly two kept states, and margin 1,
+# whose columns do not start on a BLAS column tile.
+ROW_TILE_CASES = [(129, 0), (67, 1), (16, 7), (200, 1)]
+
+
+def bose_residuals(bose):
+    """Each bracket and the Casimir less its closed form, by the function that
+    forms their products and terms."""
+    z, plus, minus = bose.k0, bose.kplus, bose.kminus
+    ((_, expected),) = bose.params.casimir
+    target = diagonal(bose.basis, np.full(bose.basis.dim, expected))
+    return {
+        "[K0,K+]-K+": lambda form: (form(z, plus) - form(plus, z)) - form(plus),
+        "[K0,K-]+K-": lambda form: (form(z, minus) - form(minus, z)) + form(minus),
+        "[K+,K-]+2K0": lambda form: (form(plus, minus) - form(minus, plus)) + form(2.0 * z),
+        "casimir closed form": lambda form: _casimir(bose, form) - form(target),
+    }
+
+
+def row_tile_mismatches():
+    """The (dim, margin, form, residual) cases in which a row tile is not the
+    kept rows of the residual formed whole, or the reported residual is not
+    the largest kept entry of the whole one."""
+    bad = []
+    for dim, margin in ROW_TILE_CASES:
+        for form_name in ("form1", "form2"):
+            bose = saf_bose_form(0.3 - 0.8j, dim, form_name)
+            spec = CheckSpec(margin=margin, tolerance=1e-3)
+            keep, forms, _ = _kept_form(bose, margin)
+            reported = {c.name: c.residual for report in (check_commutators(bose, spec),
+                                                          check_casimir(bose, spec))
+                        for c in report.checks}
+            for name, residual in bose_residuals(bose).items():
+                whole = residual(_whole).entries[np.ix_(keep, keep)]
+                tiles = [np.array_equal(residual(form), whole[form.keywords["rows"]])
+                         for form in forms]
+                if not all(tiles) or reported[name] != np.max(np.abs(whole)):
+                    bad.append((dim, margin, form_name, name))
+    return bad
+
+
+@pytest.mark.parametrize("dim,margin,sizes", [(129, 0, [64, 64, 1]), (67, 1, [64, 1]), (16, 7, [2]),
+                                              (200, 1, [64, 64, 64, 6])])
+def test_row_tiles_cover_the_kept_rows(dim, margin, sizes):
+    keep, forms, _ = _kept_form(saf_bose_form(0.3 - 0.8j, dim), margin)
+    assert [keep[form.keywords["rows"]].size for form in forms] == sizes
+
+
+def test_row_tiles_equal_the_whole_residual():
+    # Each tile is one BLAS product, whose rounding can change with the
+    # thread count; the comparison runs on one thread.
+    script = "import test_algebra; print(test_algebra.row_tile_mismatches())"
+    env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(Path(__file__).parent), str(SRC)])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    assert done.stdout.strip() == "[]"

@@ -295,15 +295,15 @@ class TestSharedParser:
 CLAMPED_INTERIOR = ["check", "--rep", "villain", "--spin", "0.5", "--p-min=-0.5",
                     "--dim", "20", "--margin", "2"]
 
-# Invocations whose operators would not fit the memory budget: the five dense
-# 200000^2 matrices a bose1 build or check holds at its peak (2980 GiB), five
-# dense 6000^2 ones (2.7 GiB; one of them alone would fit), five dense 5182^2
-# ones (2.001 GiB, the smallest bose1 dim past the budget), band vectors of 10^10
-# two-mode states, and band vectors of more bytes than a float can hold.
+# Invocations whose operators would not fit the memory budget: the three dense
+# 200000^2 matrices a bose1 build or check holds at its peak (1788 GiB), three
+# dense 8000^2 ones (2.9 GiB; one of them alone would fit), three dense 6689^2
+# ones (2.0002 GiB, the smallest bose1 dim past the budget), band vectors of
+# 10^10 two-mode states, and band vectors of more bytes than a float can hold.
 OVER_BUDGET = {
     "bose1-dense-over-budget": ["check", "--rep", "bose1", "--dim", "200000"],
-    "bose1-dense-working-set": ["check", "--rep", "bose1", "--dim", "6000"],
-    "bose1-dense-just-over-budget": ["check", "--rep", "bose1", "--dim", "5182"],
+    "bose1-dense-working-set": ["check", "--rep", "bose1", "--dim", "8000"],
+    "bose1-dense-just-over-budget": ["check", "--rep", "bose1", "--dim", "6689"],
     "two_mode-over-budget": ["check", "--rep", "two_mode", "--dim", "100000"],
     "reduce-over-budget": ["reduce", "--pairs", "100000"],
     "reduce-pairs-beyond-float": ["reduce", "--pairs", "1" + "0" * 400],
@@ -430,8 +430,8 @@ NAMED_PARAMETER = {
     "casimir-all-margin": "margin",
     "config-all-margin": "margin",
     "bose1-dense-over-budget": "200000x200000",
-    "bose1-dense-working-set": "6000x6000",
-    "bose1-dense-just-over-budget": "would take 2.001 GiB",
+    "bose1-dense-working-set": "8000x8000",
+    "bose1-dense-just-over-budget": "would take 2.0002 GiB",
     "two_mode-over-budget": "10000000000 states",
     "reduce-over-budget": "10000400004 states",
     "reduce-pairs-beyond-float": "1.00e+400 states",

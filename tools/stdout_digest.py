@@ -19,9 +19,9 @@ that invocation's bytes or exit code differ. The list covers
 * ``transfo`` at beta in {1, 2, 3, 5} and n in {1, 2, 3}, with and without
   ``--p-min 0.3 --margin beta``, in json;
 * ``casimir`` of every ``--rep`` at non-default parameters, in json;
-* ``check`` and ``casimir`` of the bose forms at the edges of the kept block:
-  margin 0, odd dims, two kept states, and a p0 with a negative imaginary
-  part, in json;
+* ``check`` and ``casimir`` of the bose forms at the edges of the kept block
+  and of its row tiles: margin 0, odd dims, two kept states, a p0 with a
+  negative imaginary part, a last tile of one row, and margin 1, in json;
 * the shift powers and pair count past float range, which once hung or
   exited with an unnamed message;
 * the inputs refused with exit 2 because they could not be honoured: a
@@ -73,13 +73,17 @@ CASIMIR_PARAMS = [
     ["casimir", "--rep", "all", "--tol", "1e-9"],
 ]
 # The edges of the kept block on which the dense bose residuals are formed:
-# every state kept, odd dims (kept and not), two kept states, and a p0 below
-# the real axis.
+# every state kept, odd dims (kept and not), two kept states, a p0 below the
+# real axis, and the edges of its row tiles: a last tile of one row (129 and
+# 65 kept states) and margin 1, whose columns do not start on a BLAS column
+# tile.
 BOSE_EDGES = [[command, "--rep", rep, *flags]
               for command in ("check", "casimir") for rep in ("bose1", "bose2")
               for flags in (["--margin", "0"], ["--dim", "17"], ["--dim", "33"],
                             ["--dim", "33", "--margin", "0"], ["--dim", "16", "--margin", "7"],
-                            ["--p0=0.3-0.8i", "--margin", "16"])]
+                            ["--p0=0.3-0.8i", "--margin", "16"],
+                            ["--dim", "129", "--margin", "0"], ["--dim", "67", "--margin", "1"],
+                            ["--margin", "1"])]
 BEYOND_FLOAT = [
     ["transfo", "--beta", "1" + "0" * 400],
     ["transfo", "--beta", "1" + "0" * 104, "--n", "3"],
@@ -91,8 +95,8 @@ REFUSED = [
     ["check", "--rep", "all", "--margin", "40"],
     ["casimir", "--rep", "all", "--margin", "40"],
     ["check", "--rep", "bose1", "--dim", "200000"],
-    ["check", "--rep", "bose1", "--dim", "6000"],
-    ["check", "--rep", "bose1", "--dim", "5182"],
+    ["check", "--rep", "bose1", "--dim", "8000"],
+    ["check", "--rep", "bose1", "--dim", "6689"],
     ["check", "--rep", "two_mode", "--dim", "100000"],
     ["reduce", "--pairs", "100000"],
 ]
