@@ -18,18 +18,18 @@ time: the first band is scaled straight into the block, whose entries that
 band does not reach are zeroed, and every later band is scaled into one
 reused block-sized scratch and added, in band order. A product holds its
 output and one cache-sized scratch block, whatever the band count. A sum with
-one dense operand costs O(dim^2) with the band operand left unmaterialized.
+one dense operand materializes the band operand and costs O(dim^2).
 ``.entries`` materializes the dense array on request. A residual check that
 reads only the kept rows and columns of a product with a dense operand forms
 just that block, a row tile of it at a time, from views of the operands, with
 the same floating-point operations for each kept entry as the whole product.
 The gap between a dense operator and the adjoint of another is measured one
 row block at a time, so neither an n x n adjoint nor a difference is formed
-for it. A Hermitian
-tridiagonal band with a zero diagonal, such as a quadrature, is diagonalized
-through the SVD of a real bidiagonal block of half its size, and
-exponentiated from real blocks of half its size; every other Hermitian
-input goes to the dense eigensolver.
+for it. The spectral routines take one kind of input, a Hermitian
+tridiagonal band with a zero real diagonal, such as a quadrature: it is
+diagonalized through the SVD of a real bidiagonal block of half its size, and
+exponentiated from real blocks of half its size. Any other input raises
+ValueError.
 Everything is double precision and eager. A dense matrix or a basis too
 large for :data:`BYTE_BUDGET` raises ValueError before any allocation, and so
 does a bose realization whose :data:`DENSE_ARRAYS` arrays would not fit it.
@@ -496,20 +496,8 @@ class OperatorMatrix:
     def _combine(self, other: "OperatorMatrix", ufunc) -> "OperatorMatrix":
         self._require_same_basis(other)
         a, b = self._bands, other._bands
-        if a is None and b is None:
-            return OperatorMatrix(self.basis, _Fresh(ufunc(self._dense, other._dense)))
         if a is None or b is None:
-            # Off its bands the band operand reads 0.0; on them, its vectors.
-            n = self.dim
-            left = self._dense if a is None else 0.0
-            right = other._dense if b is None else 0.0
-            out = ufunc(left, right)
-            for k, v in (b if a is None else a).items():
-                rows = np.arange(*_rows(k, n))
-                cols = rows + k
-                out[rows, cols] = (ufunc(left[rows, cols], v[rows]) if a is None
-                                   else ufunc(v[rows], right[rows, cols]))
-            return OperatorMatrix(self.basis, _Fresh(out))
+            return OperatorMatrix(self.basis, _Fresh(ufunc(self.entries, other.entries)))
         out = {}
         for k in sorted(a.keys() | b.keys()):  # an absent band reads as zeros
             out[k] = a[k] if k not in b else ufunc(a.get(k, 0.0), b[k])
@@ -575,15 +563,6 @@ def maxabs_norm(a: OperatorMatrix) -> float:
     return max((float(np.max(np.abs(v))) for v in a._bands.values()), default=0.0)
 
 
-def _require_hermitian(a: OperatorMatrix, caller: str) -> None:
-    defect = a.hermiticity_defect()
-    if defect > HERMITICITY_TOL:
-        raise ValueError(
-            f"{caller} requires a Hermitian matrix: max|A - A^dag| = "
-            f"{defect:.3e} exceeds {HERMITICITY_TOL:.0e}"
-        )
-
-
 def _unit(z: np.ndarray, size: np.ndarray) -> np.ndarray:
     """z / size part by part, 1 where size is 0: numpy divides by a real as
     by a complex, and (x + 0j) / x need not be exactly 1."""
@@ -593,17 +572,25 @@ def _unit(z: np.ndarray, size: np.ndarray) -> np.ndarray:
     return out
 
 
-def _zero_diagonal_band(a: OperatorMatrix) -> tuple[np.ndarray, np.ndarray] | None:
-    """``(d, |h|)`` for a band tridiagonal A whose diagonal has a zero real
-    part, None for any other input; if A is Hermitian, ``A = D T D^dag`` with
-    T real and lower band ``|h|``. Like LAPACK, it reads the diagonal's real
-    part and the lower band ``h[i] = A[i + 1, i]``. ``d[i]`` is the product
-    of the phases of ``h[:i]``, renormalized: exactly +-1 or +-i for a real
-    or imaginary band.
+def _zero_diagonal_band(a: OperatorMatrix, caller: str) -> tuple[np.ndarray, np.ndarray]:
+    """``(d, |h|)`` for a Hermitian band tridiagonal A whose diagonal has a
+    zero real part, with ``A = D T D^dag`` for T real and lower band ``|h|``.
+    Any other input (dense, a band off offsets -1 to 1, a nonzero real
+    diagonal, or a Hermiticity defect past :data:`HERMITICITY_TOL`) raises
+    ValueError naming ``caller``. Like LAPACK, the split reads the diagonal's
+    real part and the lower band ``h[i] = A[i + 1, i]``. ``d[i]`` is the
+    product of the phases of ``h[:i]``, renormalized: exactly +-1 or +-i for
+    a real or imaginary band.
     """
     bands, n = a._bands, a.dim
     if bands is None or not bands.keys() <= {-1, 0, 1} or a.diagonal().real.any():
-        return None
+        raise ValueError(f"{caller} requires a tridiagonal band with a zero real diagonal")
+    defect = a.hermiticity_defect()
+    if defect > HERMITICITY_TOL:
+        raise ValueError(
+            f"{caller} requires a Hermitian matrix: max|A - A^dag| = "
+            f"{defect:.3e} exceeds {HERMITICITY_TOL:.0e}"
+        )
     h = bands.get(-1, np.zeros(n, dtype=np.complex128))[1:]
     size = np.abs(h)
     d = np.concatenate(([1.0 + 0j], np.cumprod(_unit(h, size))))
@@ -611,21 +598,14 @@ def _zero_diagonal_band(a: OperatorMatrix) -> tuple[np.ndarray, np.ndarray] | No
 
 
 def hermitian_eigensystem(a: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix.
-
-    Raises ValueError, naming the offending residual, when the input fails the
-    Hermiticity tolerance. A band-stored tridiagonal input whose diagonal has
-    a zero real part, as Q and P do, is written as ``H = D T D^dag`` (see
-    :func:`_zero_diagonal_band`); ``T`` is diagonalized through the SVD of a
-    bidiagonal matrix of half its order (Golub and Kahan, 1965), and the
-    eigenvectors are ``D V``, real when D is. Any other input is
-    diagonalized densely, bands materialized first.
+    """Eigenvalues (ascending) and orthonormal eigenvector columns of a
+    Hermitian band tridiagonal H with a zero real diagonal, such as Q or P;
+    any other input raises ValueError naming this function. H is written as
+    ``D T D^dag`` (see :func:`_zero_diagonal_band`); ``T`` is diagonalized
+    through the SVD of a bidiagonal matrix of half its order (Golub and
+    Kahan, 1965), and the eigenvectors are ``D V``, real when D is.
     """
-    _require_hermitian(a, "hermitian_eigensystem")
-    split = _zero_diagonal_band(a)
-    if split is None:
-        return np.linalg.eigh(a.entries)
-    d, size = split
+    d, size = _zero_diagonal_band(a, "hermitian_eigensystem")
     # Complex eigenvectors D V are the most this route holds.
     _require_budget(16 * a.dim ** 2, "a dense {0}x{0} complex matrix", a.dim)
     eigenvalues, v = _zero_diagonal_eigh(size)
@@ -666,27 +646,23 @@ def _zero_diagonal_eigh(size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def unitary_exp(h: OperatorMatrix, sign: int = 1) -> OperatorMatrix:
-    """exp(sign * i * H) for Hermitian H, from its eigensystem, so unitary up
-    to rounding, as a truncated series would not be. It is dense. The two
-    signs share one eigensystem: ``exp(-iH)`` is the adjoint of ``exp(iH)``,
-    so a caller that needs both takes one and its :meth:`OperatorMatrix.dag`.
+    """exp(sign * i * H) for a Hermitian band tridiagonal H with a zero real
+    diagonal, such as Q or P, from its eigensystem, so unitary up to
+    rounding, as a truncated series would not be; any other H raises
+    ValueError naming this function. It is dense. The two signs share one
+    eigensystem: ``exp(-iH)`` is the adjoint of ``exp(iH)``, so a caller
+    that needs both takes one and its :meth:`OperatorMatrix.dag`.
 
     For H = D T D^dag as in :func:`_zero_diagonal_band`, cos T is even in T
     and sin T odd. So with T's eigensystem as :func:`_zero_diagonal_eigh`
     lays it out, and the even states first, exp(i sign T) is
     ``[[U cos S U^T + z z^T, i U sin(sign S) W^T], [transpose, W cos S W^T]]``
     (z for odd order only): three real products of half order, 0.75 n^3
-    flops, against 8 n^3 for the complex product any other input takes.
+    flops, against 8 n^3 for one complex product of full order.
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    split = _zero_diagonal_band(h)
-    if split is None:
-        eigenvalues, v = hermitian_eigensystem(h)
-        phases = np.exp(1j * sign * eigenvalues)
-        return OperatorMatrix(h.basis, _Fresh((v * phases) @ v.conj().T))
-    _require_hermitian(h, "unitary_exp")
-    d, size = split
+    d, size = _zero_diagonal_band(h, "unitary_exp")
     n, half = h.dim, h.dim // 2
     t = banded(h.basis, {-1: np.concatenate(([0.0], size)), 1: np.concatenate((size, [0.0]))})
     eigenvalues, v = hermitian_eigensystem(t)

@@ -9,6 +9,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 
+import cli_lines  # noqa: E402
 import stdout_digest  # noqa: E402
 from test_cli import OVER_BUDGET  # noqa: E402
 
@@ -60,3 +61,17 @@ def test_keep_writes_each_stdout_by_digest_line(tmp_path, monkeypatch, capsys):
                               capture_output=True, timeout=120)
         assert (kept / f"{line:03d}.out").read_bytes() == done.stdout
     assert (kept / "002.out").read_bytes().startswith(b"{")
+
+
+def test_cli_lines_lists_a_line_only_the_argvs_given_skip(monkeypatch, capsys):
+    # reduce builds the two-oscillator Hamiltonian; transfo never does.
+    source = (ROOT / "src" / "su11kit" / "reduction.py").read_text().splitlines()
+    line = source.index("    hamiltonian = build_direct_hamiltonian(params, dim)") + 1
+    entry = f"src/su11kit/reduction.py:{line}: "
+    transfo = ["transfo", "--beta", "2", "--format", "json"]
+    for argvs, listed in (([transfo, transfo], True),
+                          ([transfo, ["reduce", "--pairs", "2"]], False)):
+        monkeypatch.setattr(stdout_digest, "invocations", lambda: argvs)
+        assert cli_lines.main([str(ROOT)]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert any(row.startswith(entry) for row in rows) == listed
