@@ -495,6 +495,15 @@ def assert_eigensystem(h):
     assert np.max(np.abs((v * w) @ v.conj().T - dense)) <= 1e-12 * scale
 
 
+def random_zero_diagonal_band(basis, seed):
+    """A Hermitian band with offsets -1 and 1 and complex Gaussian
+    sub-diagonal entries: the one input the spectral routines accept."""
+    rng = np.random.default_rng(seed)
+    sub = rng.normal(size=basis.dim - 1) + 1j * rng.normal(size=basis.dim - 1)
+    return banded(basis, {-1: np.concatenate(([0.0], sub)),
+                          1: np.concatenate((sub.conj(), [0.0]))})
+
+
 def other_inputs():
     """Hermitian inputs the spectral routines refuse: a tridiagonal band
     with a nonzero real diagonal, a nonzero diagonal alone, bands at offsets
@@ -517,6 +526,23 @@ class TestEigensystem:
         for h in quadratures(dim):
             assert_eigensystem(h)
 
+    @pytest.mark.parametrize("n", [2, 17, 64])
+    def test_uniform_chain_spectrum_sorted(self, n):
+        # Closed form: the chain with unit off-diagonals has the eigenvalues
+        # 2 cos(k pi / (n + 1)), k = 1..n, which the parity blocks interleave.
+        h = banded(FockBasis((n,)), {-1: np.ones(n), 1: np.ones(n)})
+        w, _ = hermitian_eigensystem(h)
+        expected = np.sort(2 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1)))
+        np.testing.assert_allclose(w, expected, rtol=0, atol=1e-13)
+
+    def test_reconstruction_residual(self):
+        basis = FockBasis((8,))
+        h = random_zero_diagonal_band(basis, seed=7)
+        w, v = hermitian_eigensystem(h)
+        recon = (v * w) @ v.conj().T
+        scale = 1.0 + maxabs_norm(h)
+        assert np.max(np.abs(h.entries - recon)) <= 1e-9 * scale
+
     def test_position_spectrum_matches_hermite_nodes(self):
         # Independent oracle: the Gauss-Hermite nodes from numpy's own
         # Hermite-polynomial machinery. The truncated position quadrature has
@@ -531,6 +557,22 @@ class TestEigensystem:
         a, _ = bose_ladder(4)
         with pytest.raises(ValueError, match="max|"):
             hermitian_eigensystem(a)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1))
+    def test_spectrum_invariant_under_permutation(self, seed):
+        # Reversing the states keeps a zero-diagonal tridiagonal band one, and
+        # at even n it swaps the even and odd parity blocks.
+        basis = FockBasis((6,))
+        h = random_zero_diagonal_band(basis, seed)
+        pmat = np.eye(6)[::-1]
+        m = pmat @ h.entries @ pmat.T
+        reversed_h = banded(basis, {-1: np.concatenate(([0.0], np.diag(m, -1))),
+                                    1: np.concatenate((np.diag(m, 1), [0.0]))})
+        np.testing.assert_array_equal(reversed_h.entries, m)
+        w1, _ = hermitian_eigensystem(h)
+        w2, _ = hermitian_eigensystem(reversed_h)
+        np.testing.assert_allclose(w1, w2, atol=1e-9)
 
     @pytest.mark.parametrize("routine", [hermitian_eigensystem, unitary_exp])
     @settings(max_examples=50, deadline=None)
@@ -547,6 +589,13 @@ class TestUnitaryExp:
         u = unitary_exp(0 * identity(basis), +1)
         np.testing.assert_allclose(u.entries, np.eye(4), atol=1e-15)
 
+    def test_scalar_phases(self):
+        # exp(i theta sigma_x) = cos(theta) + i sin(theta) sigma_x.
+        basis = FockBasis((2,))
+        for theta, expected in ((np.pi, -np.eye(2)), (np.pi / 2, 1j * np.eye(2)[::-1])):
+            u = unitary_exp(banded(basis, {-1: [0.0, theta], 1: [theta, 0.0]}), +1)
+            np.testing.assert_allclose(u.entries, expected, atol=1e-12)
+
     def test_forward_backward_is_identity(self):
         q, _ = quadratures(32)
         u = unitary_exp(q, +1) @ unitary_exp(q, -1)
@@ -560,6 +609,14 @@ class TestUnitaryExp:
         q, _ = quadratures(48)
         u = unitary_exp(q, +1)
         assert maxabs_norm(u @ u.dag() - identity(q.basis)) <= 1e-9
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1))
+    def test_forward_backward_random_hermitian(self, seed):
+        basis = FockBasis((8,))
+        h = random_zero_diagonal_band(basis, seed)
+        u = unitary_exp(h, +1) @ unitary_exp(h, -1)
+        assert maxabs_norm(u - identity(basis)) <= 1e-9
 
     def test_bad_sign_rejected(self):
         with pytest.raises(ValueError):
