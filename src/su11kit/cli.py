@@ -19,6 +19,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -41,7 +42,7 @@ from .linops import (
     commutator,
     identity,
 )
-from .reduction import ModelParams, verify_reduction
+from .reduction import ModelParams, ReductionResult, verify_reduction
 from .reps import (
     _validate_spin,
     hp_spin,
@@ -164,6 +165,55 @@ def format_complex(z: complex) -> str:
     return f"{z.real!r}{sign}{abs(z.imag)!r}i"
 
 
+def _integer(value) -> int:
+    """int() that refuses rather than truncates: 64, 64.0 and "64" read as 64,
+    while 2.5, "2.5" and inf raise."""
+    number = int(value)
+    if isinstance(value, float) and number != value:
+        raise TypeError(value)
+    return number
+
+
+def _complex(value) -> complex:
+    return parse_complex(value) if isinstance(value, str) else complex(value)
+
+
+COMMANDS = {
+    "check": "commutator residuals of a realization",
+    "casimir": "Casimir closed-form residuals",
+    "transfo": "shift identity E+^b P^n E-^b = (P-b)^n",
+    "reduce": "pair-sector spectrum vs free particle",
+}
+_REP = ("check", "casimir")
+_LATTICE = (*_REP, "transfo")
+
+# Every option, in the order --help lists it: its --config key (the flag with
+# "_" in place of "-") -> the RunConfig field it sets, the type that reads a
+# value or the tuple of values allowed, the commands that take it as a flag,
+# and its help text. A new option is a row here and its RunConfig field; a
+# --config file may set any key, whatever the command.
+_OPTIONS = {
+    "rep": ("rep", REPS, _REP, "realization to check (default all)"),
+    "k": ("k", float, _REP, "Bargmann index (mp)"),
+    "spin": ("spin", float, _REP, "spin S, positive half-integer (hp, villain)"),
+    "p0": ("p0", _complex, _REP, "complex offset, e.g. 0.5+1i (saf, bose1, bose2)"),
+    "lam": ("lam", float, _REP, "lambda > 0 (perelomov)"),
+    "beta": ("beta", _integer, ("transfo",), "integer shift power"),
+    "n": ("n", _integer, ("transfo",), "momentum power, 1..3"),
+    "dim": ("dim", _integer, _LATTICE, "truncation dimension / lattice count"),
+    "p_min": ("p_min", float, _LATTICE, "lowest momentum of the circle lattice"),
+    "fidelity": ("fidelity", FIDELITY_CHOICES, _REP,
+                 "build the corrected or the as-printed variant (hp, villain)"),
+    "epsilon": ("epsilon", float, ("reduce",), "oscillator energy"),
+    "phi1": ("phi1", float, ("reduce",), "self-interaction"),
+    "phi2": ("phi2", float, ("reduce",), "cross-interaction"),
+    "pairs": ("pairs", _integer, ("reduce",), "number of pair levels"),
+    "margin": ("margin", _integer, _LATTICE, "interior margin for residual projection"),
+    "tol": ("tolerance", float, tuple(COMMANDS), "pass/fail tolerance for residuals"),
+    "format": ("fmt", FORMATS, tuple(COMMANDS), "output format (default text)"),
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built on the first call and shared by every later one.
@@ -171,6 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
     Building it costs about a millisecond, as much as a small check, so an
     in-process caller of :func:`main` pays it once. Nothing alters it after
     it is built, and parsing keeps its state in a new namespace each time.
+    Flag values stay text until :func:`_resolve` reads them.
     """
     parser = argparse.ArgumentParser(
         prog="su11kit",
@@ -178,56 +229,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "and the two-oscillator pair reduction.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--margin", type=int, default=None,
-                       help="interior margin for residual projection")
-        p.add_argument("--tol", type=float, default=None, dest="tol",
-                       help="pass/fail tolerance for residuals")
-        p.add_argument("--format", choices=FORMATS, default=None,
-                       help="output format (default text)")
-        p.add_argument("--config", default=None,
-                       help="JSON file with the same field names as the flags; "
+    for command, summary in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for key, (_, reader, commands, text) in _OPTIONS.items():
+            if command in commands:
+                p.add_argument("--" + key.replace("_", "-"), help=text,
+                               choices=reader if isinstance(reader, tuple) else None)
+        p.add_argument("--config", help="JSON file with the same field names as the flags; "
                        "flags override the file")
-
-    def add_rep(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--rep", choices=REPS, default=None,
-                       help="realization to check (default all)")
-        p.add_argument("--k", type=float, default=None, help="Bargmann index (mp)")
-        p.add_argument("--spin", type=float, default=None,
-                       help="spin S, positive half-integer (hp, villain)")
-        p.add_argument("--p0", default=None,
-                       help="complex offset, e.g. 0.5+1i (saf, bose1, bose2)")
-        p.add_argument("--lam", type=float, default=None, help="lambda > 0 (perelomov)")
-        p.add_argument("--dim", type=int, default=None,
-                       help="truncation dimension / lattice count")
-        p.add_argument("--p-min", type=float, default=None, dest="p_min",
-                       help="lowest momentum of the circle lattice")
-        p.add_argument("--fidelity", choices=FIDELITY_CHOICES, default=None,
-                       help="build the corrected or the as-printed variant (hp, villain)")
-
-    p_check = sub.add_parser("check", help="commutator residuals of a realization")
-    add_rep(p_check)
-    add_common(p_check)
-
-    p_cas = sub.add_parser("casimir", help="Casimir closed-form residuals")
-    add_rep(p_cas)
-    add_common(p_cas)
-
-    p_tr = sub.add_parser("transfo", help="shift identity E+^b P^n E-^b = (P-b)^n")
-    p_tr.add_argument("--beta", type=int, default=None, help="integer shift power")
-    p_tr.add_argument("--n", type=int, default=None, help="momentum power, 1..3")
-    p_tr.add_argument("--dim", type=int, default=None, help="lattice count")
-    p_tr.add_argument("--p-min", type=float, default=None, dest="p_min")
-    add_common(p_tr)
-
-    p_red = sub.add_parser("reduce", help="pair-sector spectrum vs free particle")
-    p_red.add_argument("--epsilon", type=float, default=None, help="oscillator energy")
-    p_red.add_argument("--phi1", type=float, default=None, help="self-interaction")
-    p_red.add_argument("--phi2", type=float, default=None, help="cross-interaction")
-    p_red.add_argument("--pairs", type=int, default=None, help="number of pair levels")
-    add_common(p_red)
-
     return parser
 
 
@@ -242,59 +251,41 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
-def _integer(value) -> int:
-    """int() that refuses rather than truncates: 64, 64.0 and "64" read as 64,
-    while 2.5, "2.5" and inf raise TypeError."""
+def _read(key: str, value, source: str):
+    """``value`` as option ``key`` reads it; ``source`` names it in the message."""
+    reader = _OPTIONS[key][1]
+    if isinstance(reader, tuple):
+        if value not in reader:
+            raise ValueError(f"--{key} must be one of {reader}, got {value!r}")
+        return value
     try:
-        number = int(value)
-    except (ValueError, OverflowError):
-        raise TypeError(value) from None
-    if isinstance(value, float) and number != value:
-        raise TypeError(value)
-    return number
-
-
-# Each config key (which is also the flag's dest) with the type it is read as;
-# the choice keys are checked against their choices instead.
-_CONVERTERS = {
-    "k": float, "spin": float, "lam": float, "dim": _integer, "p_min": float,
-    "margin": _integer, "tol": float, "epsilon": float, "phi1": float, "phi2": float,
-    "pairs": _integer, "beta": _integer, "n": _integer,
-    "p0": lambda v: parse_complex(v) if isinstance(v, str) else complex(v),
-}
-_CHOICES = {"rep": REPS, "fidelity": FIDELITY_CHOICES, "format": FORMATS}
-# Config keys whose RunConfig field has another name.
-_FIELDS = {"tol": "tolerance", "format": "fmt"}
+        if isinstance(value, bool):  # JSON true/false would read as 1/0
+            raise TypeError(value)
+        return reader(value)
+    except (TypeError, ValueError, OverflowError):
+        kind = "an integer" if reader is _integer else "a finite number"
+        raise ValueError(f"{source} is not {kind}: {value!r}") from None
 
 
 def _resolve(ns: argparse.Namespace) -> RunConfig:
-    """Merge flags over the optional config file and fill the rep defaults
-    of ``check`` and ``casimir``.
+    """Merge flags over the optional config file, read each value as its
+    option reads it, and fill the rep defaults of ``check`` and ``casimir``.
 
     The domain rules (spin, margin, tolerance, the singular coupling) are the
     library's own checks; k, lam, pairs, beta and n are checked by the
     constructors when :func:`run` builds them.
     """
     given = _load_config_file(ns.config) if ns.config else {}
-    unknown = set(given) - set(_CONVERTERS) - set(_CHOICES)
+    unknown = set(given) - set(_OPTIONS)
     if unknown:
         raise ValueError(f"unknown keys in --config file: {sorted(unknown)}")
-    given.update((key, value) for key, value in vars(ns).items()
-                 if value is not None and key not in ("command", "config"))
+    flags = {key: value for key, value in vars(ns).items()
+             if value is not None and key not in ("command", "config")}
     values: dict = {}
-    for key, value in given.items():
-        if key in _CHOICES:
-            if value not in _CHOICES[key]:
-                raise ValueError(f"--{key} must be one of {_CHOICES[key]}, got {value!r}")
-            values[_FIELDS.get(key, key)] = value
-        elif value is not None:  # a JSON null keeps the default
-            try:
-                if isinstance(value, bool):  # JSON true/false would read as 1/0
-                    raise TypeError(value)
-                values[_FIELDS.get(key, key)] = _CONVERTERS[key](value)
-            except (TypeError, OverflowError):
-                kind = "an integer" if _CONVERTERS[key] is _integer else "a finite number"
-                raise ValueError(f"--config value for {key} is not {kind}: {value!r}") from None
+    for key, value in {**given, **flags}.items():
+        if value is not None:  # a JSON null keeps the default
+            source = "--" + key.replace("_", "-") if key in flags else f"--config value for {key}"
+            values[_OPTIONS[key][0]] = _read(key, value, source)
 
     if ns.command in ("check", "casimir"):
         rep = values.get("rep", RunConfig.rep)
@@ -375,11 +366,15 @@ def _labelled(label: str, reports: list[CheckReport]) -> list[Check]:
     return out
 
 
+def _suite_config(command: str, **flags) -> RunConfig:
+    """The config that ``command`` with ``flags`` resolves to."""
+    return _resolve(argparse.Namespace(command=command, config=None, **flags))
+
+
 def _suite_build(command: str, rep: str, tolerance: float, flags: dict):
     """The triple and CheckSpec that ``command --rep rep --tol tolerance`` with
     ``flags`` would build; a ``tol`` in ``flags`` wins over ``tolerance``."""
-    config = _resolve(argparse.Namespace(command=command, config=None, rep=rep,
-                                         **{"tol": tolerance, **flags}))
+    config = _suite_config(command, rep=rep, **{"tol": tolerance, **flags})
     return _REALIZATIONS[rep][1](config), CheckSpec(config.margin, config.tolerance)
 
 
@@ -422,26 +417,28 @@ def _suite_all(tolerance: float) -> list[Check]:
     """Every realization at default dimensions, plus the discrepancy ledger.
 
     Each triple of the families, the mapping rows and the ledger is built
-    exactly as ``--rep REP`` with the same flags would build it.
+    exactly as ``--rep REP`` with the same flags would build it, and the
+    transfo and reduction rows as ``transfo`` and ``reduce`` would run them.
     """
     checks = _run_suite("check", _CHECK_SUITE, tolerance)
     casimir = _run_suite("casimir", _CASIMIR_SUITE, tolerance)
     checks += _labelled("casimir", [CheckReport(casimir)])
     tight = CheckSpec(margin=2, tolerance=1e-12)
-    circle = _centered_circle(SINGLE_MODE_DIM, None)
     for beta in (1, 2):
         for power in (1, 2, 3):
-            checks += _labelled("transfo", [check_transfo(circle, beta, power, tight)])
+            checks += _labelled("transfo", [_transfo(
+                _suite_config("transfo", beta=beta, n=power, tol=tight.tolerance))])
     for lam in SUITE_LAMBDAS:
         perelomov, _ = _suite_build("check", "perelomov", tolerance, {"lam": lam})
         saf, _ = _suite_build("check", "saf", tolerance, {"p0": 0.5 + 1j * lam})
         checks += _labelled(f"mapping[perelomov vs saf, lam={lam:g}]",
                             [compare_triples(perelomov, saf, tight)])
 
-    result = verify_reduction(ModelParams(1.0, 0.1, 0.3), 16, 1e-9)
+    reduce = _suite_config("reduce")
+    result = _reduction(reduce)
     checks.append(Check(
-        "reduction[eps=1,phi1=0.1,phi2=0.3]/max-spectral-deviation",
-        result.max_deviation, 1e-9,
+        f"reduction[eps={reduce.epsilon:g},phi1={reduce.phi1:g},phi2={reduce.phi2:g}]"
+        "/max-spectral-deviation", result.max_deviation, result.tolerance,
         {"p0": repr(result.p0), "h0": repr(result.h0), "mass": repr(result.mass)},
     ))
     checks += _discrepancy_ledger(tolerance, casimir)
@@ -475,9 +472,23 @@ def _params(config: RunConfig, keys: tuple[str, ...]) -> dict:
             for key, value in values if value is not None}
 
 
+def _transfo(config: RunConfig) -> CheckReport:
+    """The shift identity report of ``transfo`` with ``config``."""
+    return check_transfo(_centered_circle(config.dim, config.p_min), config.beta, config.n,
+                         CheckSpec(config.margin, config.tolerance))
+
+
+def _reduction(config: RunConfig) -> ReductionResult:
+    """Both spectra of ``reduce`` with ``config``."""
+    return verify_reduction(ModelParams(config.epsilon, config.phi1, config.phi2),
+                            config.pairs, config.tolerance)
+
+
 def run(config: RunConfig) -> tuple[str, int]:
     """Execute the resolved invocation; returns (rendered report, exit code)."""
-    spec = CheckSpec(margin=config.margin, tolerance=config.tolerance)
+    # transfo and reduce echo the fields of the options they take.
+    taken = tuple(field for key, (field, _, commands, _) in _OPTIONS.items()
+                  if config.command in commands and key != "format")
     if config.command in ("check", "casimir"):
         runner = check_commutators if config.command == "check" else check_casimir
         if config.rep == "all":
@@ -489,24 +500,19 @@ def run(config: RunConfig) -> tuple[str, int]:
             configs = [config]
             if "fidelity" in reads and config.fidelity == "both":
                 configs = [replace(config, fidelity=fid) for fid in ("corrected", "as_printed")]
+            spec = CheckSpec(config.margin, config.tolerance)
             checks = [c for each in configs for c in _labelled(
                 each.fidelity if "fidelity" in reads else "", [runner(build(each), spec)])]
         params = _params(config, ("rep", *reads, "margin", "tolerance"))
         payload, code = _checks_payload(config, params, checks)
     elif config.command == "transfo":
-        report = check_transfo(_centered_circle(config.dim, config.p_min),
-                               config.beta, config.n, spec)
-        params = _params(config, ("beta", "n", "dim", "p_min", "margin", "tolerance"))
-        payload, code = _checks_payload(config, params, list(report.checks))
+        payload, code = _checks_payload(config, _params(config, taken),
+                                        list(_transfo(config).checks))
     elif config.command == "reduce":
-        result = verify_reduction(
-            ModelParams(config.epsilon, config.phi1, config.phi2),
-            config.pairs, config.tolerance,
-        )
-        params = _params(config, ("epsilon", "phi1", "phi2", "pairs", "tolerance"))
+        result = _reduction(config)
         check = Check("max-spectral-deviation", result.max_deviation, result.tolerance,
                       {"levels": str(config.pairs)})
-        payload, code = _checks_payload(config, params, [check])
+        payload, code = _checks_payload(config, _params(config, taken), [check])
         payload.update(
             p0=result.p0,
             h0=result.h0,
@@ -589,7 +595,12 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(output)
+    try:
+        print(output, flush=True)
+    except BrokenPipeError:
+        # The reader closed stdout early. Point it at devnull, as the signal
+        # module's note on SIGPIPE does, so that the flush at exit is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return exit_code
 
 

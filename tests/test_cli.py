@@ -11,7 +11,16 @@ import pytest
 
 import su11kit
 
-from su11kit.cli import RunConfig, format_complex, main, parse_args, parse_complex, run
+from su11kit.cli import (
+    _OPTIONS,
+    COMMANDS,
+    RunConfig,
+    format_complex,
+    main,
+    parse_args,
+    parse_complex,
+    run,
+)
 
 
 class TestComplexParsing:
@@ -291,6 +300,77 @@ class TestSharedParser:
         assert done.stdout.split() == ["0", "5", "5"]
 
 
+@pytest.mark.parametrize("argv,code", [
+    (["check", "--rep", "saf", "--dim", "16"], 0),
+    (["check", "--rep", "villain", "--fidelity", "as_printed", "--spin", "1"], 1),
+])
+def test_closed_stdout_exits_quietly_with_the_run_code(argv, code):
+    read, write = os.pipe()
+    os.close(read)  # every write to the pipe now fails with EPIPE
+    try:
+        done = subprocess.run([sys.executable, "-c", MAIN, *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=FIXED_WIDTH, timeout=120, check=False)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (code, b"")
+
+
+# A value of each option that is not its default, as a flag would give it.
+OPTION_SAMPLES = {
+    "rep": "mp", "k": "0.5", "spin": "1.5", "p0": "0.2-0.7i", "lam": "2", "beta": "2",
+    "n": "3", "dim": "32", "p_min": "-9", "fidelity": "as_printed", "epsilon": "0.5",
+    "phi1": "0.2", "phi2": "0.4", "pairs": "8", "margin": "3", "tol": "1e-8",
+    "format": "json",
+}
+TAKEN = [(command, key) for key, (_, _, commands, _) in _OPTIONS.items() for command in commands]
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _base_argv(command: str, key: str) -> list[str]:
+    # A margin is refused with the default --rep all.
+    if command in ("check", "casimir") and key != "rep":
+        return [command, "--rep", "saf"]
+    return [command]
+
+
+class TestOptionTable:
+    """Each row of the option table gives one flag of each command it names,
+    read as the same key of a --config file is read."""
+
+    @pytest.mark.parametrize("command,key", TAKEN, ids=[f"{c}-{k}" for c, k in TAKEN])
+    def test_flag_and_config_key_resolve_alike(self, command, key, tmp_path):
+        base, text = _base_argv(command, key), OPTION_SAMPLES[key]
+        try:
+            value = json.loads(text)  # a JSON number where the text is one
+        except ValueError:
+            value = text
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({key: value}))
+        by_flag = parse_args(base + [f"{_flag(key)}={text}"])
+        assert by_flag == parse_args(base + ["--config", str(path)])
+        assert by_flag != parse_args(base)
+
+    @pytest.mark.parametrize("key", _OPTIONS)
+    def test_config_null_keeps_the_default(self, key, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({key: None}))
+        for command in COMMANDS:
+            base = _base_argv(command, key)
+            assert parse_args(base + ["--config", str(path)]) == parse_args(base)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_lists_the_options_of_the_command(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main([command, "--help"]) == 0
+        listed = re.findall(r"^  (?:-h, )?(--[\w-]+)", capsys.readouterr().out, re.M)
+        assert listed == ["--help", *(_flag(key) for key, (_, _, commands, _) in _OPTIONS.items()
+                                      if command in commands), "--config"]
+        assert ("--margin" in listed) == (command != "reduce")
+
+
 # Spin 1/2 on a lattice whose margin-2 interior is all clamp-excluded.
 CLAMPED_INTERIOR = ["check", "--rep", "villain", "--spin", "0.5", "--p-min=-0.5",
                     "--dim", "20", "--margin", "2"]
@@ -338,6 +418,10 @@ EXIT_2_CASES = [
     pytest.param(["check"], '{"dim": "64.5"}', id="config-dim-string-fraction"),
     pytest.param(["check", "--rep", "mp"], '{"k": true, "tol": true}', id="config-k-bool"),
     pytest.param(["check", "--rep", "mp"], '{"tol": true}', id="config-tol-bool"),
+    pytest.param(["check", "--rep", "mp"], '{"k": "abc"}', id="config-k-string"),
+    pytest.param(["check", "--rep", "mp"], '{"tol": "abc"}', id="config-tol-string"),
+    pytest.param(["check", "--rep", "saf", "--dim", "abc"], None, id="dim-string"),
+    pytest.param(["reduce", "--margin", "3"], None, id="reduce-margin"),
     pytest.param(["check", "--rep", "saf"], '{"p0": true}', id="config-p0-bool"),
     pytest.param(["casimir", "--rep", "perelomov"], '{"lam": false}', id="config-lam-bool"),
     pytest.param(["reduce"], '{"phi2": false}', id="config-phi2-bool"),
@@ -397,6 +481,10 @@ NAMED_PARAMETER = {
     "config-dim-string-fraction": "dim",
     "config-k-bool": "value for k is",
     "config-tol-bool": "value for tol is",
+    "config-k-string": "--config value for k is not a finite number: 'abc'",
+    "config-tol-string": "--config value for tol is not a finite number: 'abc'",
+    "dim-string": "--dim is not an integer: 'abc'",
+    "reduce-margin": "unrecognized arguments: --margin 3",
     "config-p0-bool": "value for p0 is",
     "config-lam-bool": "value for lam is",
     "config-phi2-bool": "value for phi2 is",

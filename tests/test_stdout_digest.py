@@ -2,6 +2,7 @@
 byte-stable; these checks keep its argv list and its hashing honest."""
 
 import hashlib
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -43,6 +44,19 @@ def test_covers_casimir_of_every_rep_at_non_default_parameters():
     for argv in stdout_digest.CASIMIR_PARAMS:
         assert argv[0] == "casimir" and len(argv) > 3
         assert argv + ["--format", "json"] in argvs
+
+
+def test_covers_a_config_file_and_a_refused_one():
+    argvs = stdout_digest.invocations()
+    assert all(argv in argvs for argv in stdout_digest.CONFIGS)
+    (accepted, *flags), (refused,) = (
+        [json.loads(Path(argv[2]).read_text()), *argv[3:]] for argv in stdout_digest.CONFIGS)
+    # A null keeps the default, 32.0 reads as the integer 32, and --margin
+    # overrides the file's margin.
+    assert None in accepted.values()
+    assert isinstance(accepted["dim"], float) and accepted["dim"] == 32
+    assert "margin" in accepted and "--margin" in flags
+    assert refused == {"margin": 2.5}
 
 
 def test_keep_writes_each_stdout_by_digest_line(tmp_path, monkeypatch, capsys):

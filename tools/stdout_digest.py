@@ -27,6 +27,9 @@ that invocation's bytes or exit code differ. The list covers
 * the inputs refused with exit 2 because they could not be honoured: a
   lattice whose momenta are past 2^52, a margin given with ``--rep all``, and
   requests past the memory budget, which are refused before they allocate.
+* a ``check --config`` file of this directory that holds a null, an
+  integer-valued float and a key that a flag overrides, and one refused for
+  a fractional margin.
 
 Each invocation runs in its own interpreter, with one BLAS thread and an
 80-column terminal; one that runs past TIMEOUT_S seconds is recorded with
@@ -101,6 +104,14 @@ REFUSED = [
     ["reduce", "--pairs", "100000"],
 ]
 
+# Given by their path in this checkout, so that every SRC_ROOT reads the same
+# files.
+CONFIGS = [
+    ["check", "--config", str(REPO / "tools" / "digest_config.json"), "--margin", "2",
+     "--format", "json"],
+    ["check", "--config", str(REPO / "tools" / "digest_config_refused.json")],
+]
+
 
 def _workload_argvs() -> list[list[str]]:
     spec = importlib.util.spec_from_file_location(
@@ -122,7 +133,7 @@ def invocations() -> list[list[str]]:
     return [*_workload_argvs(),
             *(argv + ["--format", fmt] for argv in README + reps for fmt in FORMATS),
             *transfo, *(argv + ["--format", "json"] for argv in CASIMIR_PARAMS + BOSE_EDGES),
-            *BEYOND_FLOAT, *REFUSED]
+            *BEYOND_FLOAT, *REFUSED, *CONFIGS]
 
 
 def digest(src_root: Path, argv: list[str], keep: Path | None = None) -> dict:
