@@ -107,7 +107,7 @@ def _kept_form(triple: AlgebraTriple, margin: int):
     """
     proj = masked_interior(triple, margin)
     keep = np.flatnonzero(proj.diagonal())
-    if all(op._dense is None for op in (triple.k0, triple.kplus, triple.kminus)):
+    if all(op._bands is not None for op in (triple.k0, triple.kplus, triple.kminus)):
         return keep, (_whole,), lambda residual: _projected_residual(proj, residual)
     forms = [partial(_kept_block, keep, rows=slice(r, r + _TILE))
              for r in range(0, keep.size, _TILE)]

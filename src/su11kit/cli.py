@@ -215,8 +215,9 @@ _OPTIONS = {
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call and shared by every later one.
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its parser of each command, built on the first call
+    and shared by every later one.
 
     Building it costs about a millisecond, as much as a small check, so an
     in-process caller of :func:`main` pays it once. Nothing alters it after
@@ -229,15 +230,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "and the two-oscillator pair reduction.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parsers = {}
     for command, summary in COMMANDS.items():
-        p = sub.add_parser(command, help=summary)
+        p = parsers[command] = sub.add_parser(command, help=summary)
         for key, (_, reader, commands, text) in _OPTIONS.items():
             if command in commands:
                 p.add_argument("--" + key.replace("_", "-"), help=text,
                                choices=reader if isinstance(reader, tuple) else None)
         p.add_argument("--config", help="JSON file with the same field names as the flags; "
                        "flags override the file")
-    return parser
+    return parser, parsers
 
 
 def _load_config_file(path: str) -> dict:
@@ -319,12 +321,15 @@ def _resolve(ns: argparse.Namespace) -> RunConfig:
 
 
 def parse_args(argv: list[str]) -> RunConfig:
-    parser = _build_parser()
+    """The run that ``argv`` asks for. A value that :func:`_resolve` refuses
+    exits 2 with the usage of the command that was run, as argparse's own
+    refusals do."""
+    parser, parsers = _build_parser()
     ns = parser.parse_args(argv)
     try:
         return _resolve(ns)
     except (ValueError, OverflowError) as exc:
-        parser.error(str(exc))
+        parsers[ns.command].error(str(exc))
         raise AssertionError("unreachable")  # parser.error always exits
 
 

@@ -12,20 +12,23 @@ number or momentum operator times a unit shift), stored as bands
 ``{offset k: vector v}`` with ``A[i, i + k] = v[i]``. Sums, products,
 adjoints and Kronecker products of bands are bands, at O(bands * dim) cost.
 Arrays handed to the constructor and the results of :func:`unitary_exp` are
-dense; a product with one dense operand is dense, at O(bands * dim^2) by row
-or column scaling. Its output is filled one row block of about 256 KiB at a
-time: the first band is scaled straight into the block, whose entries that
-band does not reach are zeroed, and every later band is scaled into one
-reused block-sized scratch and added, in band order. A product holds its
-output and one cache-sized scratch block, whatever the band count. A sum with
-one dense operand materializes the band operand and costs O(dim^2).
+dense. A dense operator may hold its array conjugate-transposed, as BLAS's
+``op(A) = A^H`` does, so its adjoint shares the array; rows of such an
+operator are read as conjugated copies of columns of the array. A product
+with one dense operand is dense, at O(bands * dim^2) by row or column
+scaling. Its output is filled one row block of about 256 KiB at a time: the
+first band is scaled straight into the block, whose entries that band does
+not reach are zeroed, and every later band is scaled into one reused
+block-sized scratch and added, in band order. A product holds its output
+and one cache-sized scratch block, whatever the band count; the bose
+lowering operator is written so over its exponential's own array. A sum
+with one dense operand materializes the band operand and costs O(dim^2).
 ``.entries`` materializes the dense array on request. A residual check that
-reads only the kept rows and columns of a product with a dense operand forms
-just that block, a row tile of it at a time, from views of the operands, with
+reads only the kept rows and columns of a product forms just that block, a
+row tile of it at a time, copying at most one row tile of an operand, with
 the same floating-point operations for each kept entry as the whole product.
 The gap between a dense operator and the adjoint of another is measured one
-row block at a time, so neither an n x n adjoint nor a difference is formed
-for it. The spectral routines take one kind of input, a Hermitian
+row block at a time. The spectral routines take one kind of input, a Hermitian
 tridiagonal band with a zero real diagonal, such as a quadrature: it is
 diagonalized through the SVD of a real bidiagonal block of half its size, and
 exponentiated from real blocks of half its size. Any other input raises
@@ -62,20 +65,20 @@ BYTE_BUDGET = 2 * 2 ** 30
 BAND_VECTORS = 16
 
 #: Dense n x n arrays a bose realization holds at its peak. Its build holds
-#: under two and a half, while the exponential is formed and multiplied. A
-#: check or casimir holds K+ and K- and at most three row tiles of a kept
+#: under one and a half: the exponential, with three real blocks of half order
+#: while they are scattered into it, and then K- written over it. A check or
+#: casimir holds K-, of which K+ is a view, and a few row tiles of a kept
 #: block, each :data:`_TILE` rows by at most n columns.
-DENSE_ARRAYS = 3
+DENSE_ARRAYS = 2
 
 #: Bytes of the row block in which a band x dense product is filled: small
 #: enough for the block and its scratch to stay in cache.
 _BLOCK_BYTES = 2 ** 18
 
-#: Rows of the tiles in which dense arrays are walked: a dense adjoint is
-#: written in square tiles of this side, a dense adjointness gap is reduced
-#: in row blocks of this height, and a dense residual in tiles of this many
-#: kept rows. Each tile of a product is one BLAS call, which repacks its right
-#: operand, so much smaller tiles cost time.
+#: Rows of the tiles in which dense arrays are walked: a dense adjointness gap
+#: is reduced in row blocks of this height, and a dense residual in tiles of
+#: this many kept rows. Each tile of a product is one BLAS call, which repacks
+#: its right operand, so much smaller tiles cost time.
 _TILE = 64
 
 
@@ -191,16 +194,35 @@ class _Fresh:
         self.storage = storage
 
 
+class _AdjointRows:
+    """Rows [r0, r1) and columns [c0, c1) of the adjoint of a held array,
+    formed as they are read: ``[s:e]`` is a conjugated copy of its rows s to
+    e, laid out as the held array's columns are, which copies fastest."""
+
+    __slots__ = ("held", "r0", "r1", "c0", "c1")
+
+    def __init__(self, held: np.ndarray, r0: int, r1: int, c0: int, c1: int) -> None:
+        self.held, self.r0, self.r1, self.c0, self.c1 = held, r0, r1, c0, c1
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        s, e, _ = rows.indices(self.r1 - self.r0)
+        return np.conjugate(self.held[self.c0:self.c1, self.r0 + s:self.r0 + e].T)
+
+
 def _rows(k: int, n: int) -> tuple[int, int]:
     """Range [lo, hi) of the rows i whose column i + k lies in [0, n)."""
     return max(0, -k), min(n, n - k)
 
 
-def _shift(v: np.ndarray, k: int) -> np.ndarray:
-    """w[i] = v[i + k], zero where i + k leaves the range."""
-    lo, hi = _rows(k, v.shape[0])
-    out = np.zeros_like(v)
-    out[lo:hi] = v[lo + k:hi + k]
+def _shift(v: np.ndarray, k: int, rp: int = 0, rq: int | None = None) -> np.ndarray:
+    """w[i - rp] = v[i + k] for the rows i in [rp, rq) (default: all), zero
+    where i + k leaves the range."""
+    n = v.shape[0]
+    rq = n if rq is None else rq
+    lo, hi = max(rp, -k), min(rq, n - k)
+    out = np.zeros(rq - rp, dtype=v.dtype)
+    if lo < hi:
+        out[lo - rp:hi - rp] = v[lo + k:hi + k]
     return out
 
 
@@ -211,52 +233,59 @@ def _new_dense(rows: int, cols: int, alloc=np.zeros) -> np.ndarray:
     return alloc((rows, cols), dtype=np.complex128)
 
 
-def _scaled_rows(out: np.ndarray, terms: list[tuple]) -> None:
+def _scaled_rows(out: np.ndarray, terms: list[tuple], carry: int | None = None) -> None:
     """Fill ``out`` with the sum of ``terms``: each ``(lo, hi, c0, c1, x, y)``
     adds ``x[j] * y[j]`` to row ``lo + j`` of ``out``, columns [c0, c1), for
     the rows j of ``x`` and ``y``, which span [lo, hi).
 
     ``out`` is filled one row block of about :data:`_BLOCK_BYTES` at a time.
-    In each block the first term is written straight into ``out``, whose
+    In each block the first term is written straight into the block, whose
     entries it does not reach are zeroed; each later one is formed in one
     block-sized scratch array, reused, and added, in order. Each entry gets
     the same products in the same order whatever the block size.
+
+    With ``carry`` given, ``out`` may also be the array that the terms read,
+    as long as the terms of row i read no row above ``i - carry``. Each
+    block is then formed in a block-sized array of its own and copied into
+    ``out``, all but its last ``carry`` rows, which the next block still
+    reads: they are carried and written once the next block is formed.
     """
     if not terms:
         out[...] = 0.0
         return
     m, n = out.shape
-    step = max(1, _BLOCK_BYTES // (out.itemsize * n))
+    step = max(1, carry or 0, _BLOCK_BYTES // (out.itemsize * n))
     scratch = np.empty((step, n), dtype=out.dtype) if len(terms) > 1 else None
+    if carry is not None:
+        own, held = np.empty((step, n), dtype=out.dtype), np.empty((carry, n), dtype=out.dtype)
     for r0 in range(0, m, step):
         r1 = min(r0 + step, m)
+        block = out[r0:r1] if carry is None else own[:r1 - r0]
         for t, (lo, hi, c0, c1, x, y) in enumerate(terms):
-            # The term's rows in this block, [a, b), empty when a == b.
+            # The term's rows in this block, [a, b) of out and [i, j) of the
+            # block, empty when a == b.
             a = min(max(lo, r0), r1)
             b = max(min(hi, r1), a)
+            i, j = a - r0, b - r0
             if t == 0:
-                out[r0:a] = out[b:r1] = 0.0
-                out[a:b, :c0] = out[a:b, c1:] = 0.0
+                block[:i] = block[j:] = 0.0
+                block[i:j, :c0] = block[i:j, c1:] = 0.0
             if a == b:
                 continue
             x_rows, y_rows = x[a - lo:b - lo], y[a - lo:b - lo]
             if t == 0:
-                np.multiply(x_rows, y_rows, out=out[a:b, c0:c1])
+                np.multiply(x_rows, y_rows, out=block[i:j, c0:c1])
             else:
-                out[a:b, c0:c1] += np.multiply(
+                block[i:j, c0:c1] += np.multiply(
                     x_rows, y_rows, out=scratch[:b - a, :c1 - c0])
-
-
-def _adjoint(d: np.ndarray) -> np.ndarray:
-    """The conjugate transpose of a square array, row-major, written one
-    :data:`_TILE` x :data:`_TILE` tile at a time so that the tile read and
-    the tile written both stay in cache."""
-    n = d.shape[0]
-    out = _new_dense(n, n, np.empty)
-    for r in range(0, n, _TILE):
-        for c in range(0, n, _TILE):
-            np.conjugate(d[c:c + _TILE, r:r + _TILE].T, out=out[r:r + _TILE, c:c + _TILE])
-    return out
+        if carry is not None:
+            if r0:
+                out[r0 - carry:r0] = held
+            if r1 < m:
+                out[r0:r1 - carry] = block[:r1 - r0 - carry]
+                held[...] = block[r1 - r0 - carry:]
+            else:
+                out[r0:r1] = block
 
 
 def _to_dense(bands: dict[int, np.ndarray], n: int) -> np.ndarray:
@@ -269,7 +298,7 @@ def _to_dense(bands: dict[int, np.ndarray], n: int) -> np.ndarray:
 def _band_block(bands: dict[int, np.ndarray], n: int, rp: int, rq: int,
                 p: int, q: int) -> np.ndarray:
     """Rows [rp, rq) and columns [p, q) of band storage on n states, as a
-    dense array."""
+    dense array; each vector holds its band's entries in rows [rp, rq)."""
     w = q - p
     out = _new_dense(rq - rp, w)
     flat = out.reshape(-1)
@@ -278,8 +307,36 @@ def _band_block(bands: dict[int, np.ndarray], n: int, rp: int, rq: int,
         lo, hi = max(rp, p - k), min(rq, q - k)
         if lo < hi:
             # Entry (i, i + k) sits at flat index (i - rp) w + i + k - p.
-            flat[(lo - rp) * w + lo + k - p:(hi - rp) * w + hi + k - p:w + 1] = v[lo:hi]
+            flat[(lo - rp) * w + lo + k - p:(hi - rp) * w + hi + k - p:w + 1] = v[lo - rp:hi - rp]
     return out
+
+
+def _product_rows(a: "OperatorMatrix", b: "OperatorMatrix", rp: int, rq: int
+                  ) -> dict[int, np.ndarray]:
+    """Rows [rp, rq) of the band vectors of ``a @ b`` for two band operands,
+    the only rows formed: band ka + kb gathers ``a_ka[i] * b_kb[i + ka]``,
+    summed over the band pairs in the order of the operands' bands."""
+    n, out = a.dim, {}
+    for ka, va in a._bands.items():
+        for kb, vb in b._bands.items():
+            k = ka + kb
+            if abs(k) < n:
+                out[k] = out.get(k, 0.0) + va[rp:rq] * _shift(vb, ka, rp, rq)
+    return out
+
+
+def _row_terms(bands: dict[int, np.ndarray], n: int, rp: int, rq: int, w: int,
+               rows) -> list[tuple]:
+    """The terms (see :func:`_scaled_rows`) of rows [rp, rq) of ``B @ D``,
+    for band storage B on n states and a dense D of which ``rows(lo, hi)``
+    gives rows [lo, hi), w columns wide: row i of the product is the sum
+    over k of ``b_k[i]`` times row i + k of D."""
+    terms = []
+    for k, v in bands.items():
+        lo, hi = max(rp, -k), min(rq, n - k)
+        if lo < hi:
+            terms.append((lo - rp, hi - rp, 0, w, v[lo:hi, None], rows(lo + k, hi + k)))
+    return terms
 
 
 def _mixed_block(a: "OperatorMatrix", b: "OperatorMatrix", rp: int, rq: int,
@@ -288,21 +345,16 @@ def _mixed_block(a: "OperatorMatrix", b: "OperatorMatrix", rp: int, rq: int,
     band-stored and the other dense, by row or column scaling (see
     :func:`_scaled_rows`)."""
     n, h, w = a.dim, rq - rp, q - p
-    terms = []
     if b._bands is None:
-        # Row i of the product is the sum over k of a_k[i] times row i + k.
-        for k, v in a._bands.items():
-            lo, hi = max(rp, -k), min(rq, n - k)
-            if lo < hi:
-                terms.append((lo - rp, hi - rp, 0, w, v[lo:hi, None],
-                              b._dense[lo + k:hi + k, p:q]))
+        terms = _row_terms(a._bands, n, rp, rq, w, lambda lo, hi: b._dense_rows(lo, hi, p, q))
     else:
         # Column m + k of the product gathers column m times b_k[m], in every
         # row; the row vector is broadcast so that rows can be sliced.
+        terms = []
         for k, v in b._bands.items():
             lo, hi = max(0, p - k), min(n, q - k)
             if lo < hi:
-                terms.append((0, h, lo + k - p, hi + k - p, a._dense[rp:rq, lo:hi],
+                terms.append((0, h, lo + k - p, hi + k - p, a._dense_rows(rp, rq, lo, hi),
                               np.broadcast_to(v[lo:hi], (h, hi - lo))))
     out = _new_dense(h, w, np.empty)
     _scaled_rows(out, terms)
@@ -315,8 +367,10 @@ def _mixed_block(a: "OperatorMatrix", b: "OperatorMatrix", rp: int, rq: int,
 _GEMM_COLUMNS = 64
 
 
-def _dense_block(x: np.ndarray, y: np.ndarray, rp: int, rq: int, p: int, q: int) -> np.ndarray:
-    """Rows [rp, rq) and columns [p, q) of ``x @ y``, at least two of each.
+def _dense_block(a: "OperatorMatrix", b: "OperatorMatrix", rp: int, rq: int,
+                 p: int, q: int) -> np.ndarray:
+    """Rows [rp, rq) and columns [p, q) of ``a @ b`` for two dense operands,
+    at least two of each, as one BLAS product.
 
     So that each column goes through the BLAS kernel it goes through in the
     full product, the columns multiplied are a whole number of
@@ -324,9 +378,11 @@ def _dense_block(x: np.ndarray, y: np.ndarray, rp: int, rq: int, p: int, q: int)
     columns when the block reaches them; the columns outside [p, q) are
     discarded. There are at least two rows and two columns, since numpy
     hands a product with one of either to another routine, which sums in
-    another order.
+    another order. The columns of a right operand held conjugate-transposed
+    are rows of its array, so that product is formed as
+    ``conj(conj(A[R]) @ H[S]^T)`` from the held H, copying only A's rows.
     """
-    n = x.shape[0]
+    n = a.dim
     edge = n - n % _GEMM_COLUMNS
     if q <= edge:
         width = -(-(q - p) // _GEMM_COLUMNS) * _GEMM_COLUMNS
@@ -334,7 +390,12 @@ def _dense_block(x: np.ndarray, y: np.ndarray, rp: int, rq: int, p: int, q: int)
         e = s + width
     else:
         s, e = p - p % _GEMM_COLUMNS, n
-    return (x[rp:rq] @ y[:, s:e])[:, p - s:q - s]
+    if b._adjointed:
+        block = np.conjugate(a._dense_rows(rp, rq)[:]) @ b.dag()._dense_rows(s, e)[:].T
+        np.conjugate(block, out=block)
+    else:
+        block = a._dense_rows(rp, rq)[:] @ b._dense_rows(0, n, s, e)[:]
+    return block[:, p - s:q - s]
 
 
 def _span(index: np.ndarray, n: int) -> tuple[int, int]:
@@ -359,22 +420,23 @@ def _kept_block(keep: np.ndarray, a: "OperatorMatrix", b: "OperatorMatrix | None
     products, added in the same order, as in ``a @ b`` (for a dense x dense
     product, with one BLAS thread), so the block equals
     ``(a @ b).entries[np.ix_(keep[rows], keep)]`` bit for bit; a band row or
-    column outside [0, n) contributes nothing. A band x band product is
-    formed whole, at O(bands * n).
+    column outside [0, n) contributes nothing. Of a band x band product only
+    the rows [first, last + 1) of ``keep[rows]`` are formed, at O(bands * r).
     """
     n, kept = a.dim, keep[rows]
     p, q = _span(keep, n)
     rp, rq = _span(kept, n)
     if b is None:
-        block = (a._dense[rp:rq, p:q] if a._bands is None
-                 else _band_block(a._bands, n, rp, rq, p, q))
-    elif a._bands is not None and b._bands is not None:
-        return _kept_block(keep, a @ b, rows=rows)
+        block = (a._dense_rows(rp, rq, p, q)[:] if a._bands is None
+                 else _band_block({k: v[rp:rq] for k, v in a._bands.items()}, n, rp, rq, p, q))
     else:
         a._require_same_basis(b)
-        block = (_dense_block(a._dense, b._dense, rp, rq, p, q)
-                 if a._bands is None and b._bands is None
-                 else _mixed_block(a, b, rp, rq, p, q))
+        if a._bands is not None and b._bands is not None:
+            block = _band_block(_product_rows(a, b, rp, rq), n, rp, rq, p, q)
+        elif a._bands is None and b._bands is None:
+            block = _dense_block(a, b, rp, rq, p, q)
+        else:
+            block = _mixed_block(a, b, rp, rq, p, q)
     if rq - rp == kept.size and q - p == keep.size:
         return block
     return block[np.ix_(kept - rp, keep - p)]
@@ -383,16 +445,19 @@ def _kept_block(keep: np.ndarray, a: "OperatorMatrix", b: "OperatorMatrix | None
 def _adjoint_gap(a: "OperatorMatrix", b: "OperatorMatrix") -> float:
     """max|A - B^dag|, zero when A is exactly the adjoint of B.
 
-    Two dense operands are compared :data:`_TILE` rows of A at a time against
-    the matching columns of B, each block reduced to its largest entry before
-    the next is formed, so no n x n adjoint or difference is held. Each entry
-    is the same subtraction as in ``a - b.dag()``, which any other pair takes.
+    Two dense operands are compared :data:`_TILE` rows at a time, each block
+    reduced to its largest entry before the next is formed. As that of
+    ``B - A^dag`` is the same, an A held conjugate-transposed is compared the
+    other way round, from views. Each entry is the same subtraction as in
+    ``a - b.dag()``, up to conjugate and sign, which any other pair takes.
     """
     a._require_same_basis(b)
-    x, y = a._dense, b._dense
-    if x is None or y is None:
+    if a._bands is not None or b._bands is not None:
         return maxabs_norm(a - b.dag())
-    return max(float(np.max(np.abs(x[r:r + _TILE] - y[:, r:r + _TILE].T.conj())))
+    if a._adjointed and not b._adjointed:
+        a, b = b, a
+    x, y = a._dense_rows(0, a.dim), b.dag()._dense_rows(0, a.dim)
+    return max(float(np.max(np.abs(x[r:r + _TILE] - y[r:r + _TILE])))
                for r in range(0, a.dim, _TILE))
 
 
@@ -407,9 +472,13 @@ class OperatorMatrix:
     No CLI path hands the constructor an array of its own: every operator it
     checks comes from arithmetic, :func:`banded` or :func:`unitary_exp`. The
     shape, basis and finiteness checks run on every construction.
+
+    Dense storage has one bit more, as in BLAS's ``op(A) = A^H``: the
+    operator is its array or the conjugate transpose of it. :meth:`dag` flips
+    the bit and shares the array; every reader goes through :meth:`_dense_rows`.
     """
 
-    __slots__ = ("basis", "_dense", "_bands", "__weakref__")
+    __slots__ = ("basis", "_dense", "_bands", "_adjointed", "__weakref__")
 
     def __init__(self, basis: BasisSpec, entries) -> None:
         if isinstance(entries, _Fresh):
@@ -433,9 +502,13 @@ class OperatorMatrix:
             if not np.all(np.isfinite(arr)):
                 raise ValueError("entries contain non-finite values")
             arr.setflags(write=False)
+        self._adopt(basis, dense, bands, False)
+
+    def _adopt(self, basis: BasisSpec, dense, bands, adjointed: bool) -> None:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "_dense", dense)
         object.__setattr__(self, "_bands", bands)
+        object.__setattr__(self, "_adjointed", adjointed)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"OperatorMatrix is immutable; cannot set {name!r}")
@@ -446,21 +519,40 @@ class OperatorMatrix:
 
     @property
     def entries(self) -> np.ndarray:
-        """The dense matrix, read-only; bands are materialized on each call."""
-        if self._bands is None:
-            return self._dense
-        return _to_dense(self._bands, self.dim)
+        """The dense matrix, read-only; bands, and an array held
+        conjugate-transposed, are materialized on each call."""
+        if self._bands is not None:
+            return _to_dense(self._bands, self.dim)
+        out = self._dense_rows(0, self.dim)[:]
+        if self._adjointed:
+            out = np.ascontiguousarray(out)
+        out.setflags(write=False)
+        return out
+
+    def _dense_rows(self, r0: int, r1: int, c0: int = 0, c1: int | None = None):
+        """Rows [r0, r1) and columns [c0, c1) (default: all) of a dense
+        operator, to be sliced by rows: a read-only view of its array or, for
+        an array held conjugate-transposed, an :class:`_AdjointRows`, whose
+        row slices are conjugated copies."""
+        c1 = self.dim if c1 is None else c1
+        if self._adjointed:
+            return _AdjointRows(self._dense, r0, r1, c0, c1)
+        return self._dense[r0:r1, c0:c1]
 
     def diagonal(self) -> np.ndarray:
-        """The main diagonal as a vector, without materializing."""
+        """The main diagonal as a vector; a band one without materializing."""
         if self._bands is None:
-            return np.diagonal(self._dense)
+            return np.diagonal(self.entries)
         return self._bands[0] if 0 in self._bands else np.zeros(self.dim, dtype=complex)
 
     def dag(self) -> "OperatorMatrix":
-        """Hermitian conjugate on the same basis; a dense one is row-major."""
+        """Hermitian conjugate on the same basis. A dense one shares this
+        operator's read-only array, with the conjugate-transpose bit flipped,
+        so nothing is copied or checked again; a band one is new bands."""
         if self._bands is None:
-            return OperatorMatrix(self.basis, _Fresh(_adjoint(self._dense)))
+            out = object.__new__(OperatorMatrix)
+            out._adopt(self.basis, self._dense, None, not self._adjointed)
+            return out
         return OperatorMatrix(self.basis, _Fresh(
             {-k: np.conj(_shift(v, -k)) for k, v in self._bands.items()}
         ))
@@ -481,16 +573,11 @@ class OperatorMatrix:
         self._require_same_basis(other)
         a, b, n = self._bands, other._bands, self.dim
         if a is None and b is None:
-            product = self._dense @ other._dense
+            product = _dense_block(self, other, 0, n, 0, n)
         elif a is None or b is None:
             product = _mixed_block(self, other, 0, n, 0, n)
         else:
-            product = {}
-            for ka, va in a.items():
-                for kb, vb in b.items():
-                    k = ka + kb
-                    if abs(k) < n:
-                        product[k] = product.get(k, 0.0) + va * _shift(vb, ka)
+            product = _product_rows(self, other, 0, n)
         return OperatorMatrix(self.basis, _Fresh(product))
 
     def _combine(self, other: "OperatorMatrix", ufunc) -> "OperatorMatrix":
@@ -505,7 +592,7 @@ class OperatorMatrix:
 
     def _map(self, fn) -> "OperatorMatrix":
         if self._bands is None:
-            return OperatorMatrix(self.basis, _Fresh(fn(self._dense)))
+            return OperatorMatrix(self.basis, _Fresh(fn(self.entries)))
         return OperatorMatrix(self.basis, _Fresh({k: fn(v) for k, v in self._bands.items()}))
 
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
@@ -559,7 +646,7 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
 def maxabs_norm(a: OperatorMatrix) -> float:
     """Maximum absolute entry; the residual norm used by every check."""
     if a._bands is None:
-        return float(np.max(np.abs(a._dense)))
+        return float(np.max(np.abs(a.entries)))
     return max((float(np.max(np.abs(v))) for v in a._bands.values()), default=0.0)
 
 
@@ -660,6 +747,13 @@ def unitary_exp(h: OperatorMatrix, sign: int = 1) -> OperatorMatrix:
     (z for odd order only): three real products of half order, 0.75 n^3
     flops, against 8 n^3 for one complex product of full order.
     """
+    return OperatorMatrix(h.basis, _Fresh(_exponential(h, sign)))
+
+
+def _exponential(h: OperatorMatrix, sign: int) -> np.ndarray:
+    """The array of :func:`unitary_exp`, writable and held by nothing else.
+    T's eigenvectors are dropped once the three blocks of half order are
+    formed, before the n x n result is allocated."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     d, size = _zero_diagonal_band(h, "unitary_exp")
@@ -669,17 +763,33 @@ def unitary_exp(h: OperatorMatrix, sign: int = 1) -> OperatorMatrix:
     # even = U / sqrt(2) and odd = -W / sqrt(2), each pair summed once.
     s, even, odd = -eigenvalues[:half], v[0::2, :half], v[1::2, :half]
     cos2, sin2 = 2.0 * np.cos(s), -2.0 * np.sin(sign * s)
-    out = _new_dense(n, n)
-    out.real[0::2, 0::2] = (even * cos2) @ even.T
+    upper = (even * cos2) @ even.T
     if n % 2:
-        out.real[0::2, 0::2] += np.outer(v[0::2, half], v[0::2, half])
-    out.real[1::2, 1::2] = (odd * cos2) @ odd.T
+        upper += np.outer(v[0::2, half], v[0::2, half])
+    lower = (odd * cos2) @ odd.T
     cross = (even * sin2) @ odd.T
+    del v, even, odd
+    out = _new_dense(n, n)
+    out.real[0::2, 0::2] = upper
+    out.real[1::2, 1::2] = lower
     out.imag[0::2, 1::2] = cross
     out.imag[1::2, 0::2] = cross.T
     out *= d[:, None]
     out *= d.conj()
-    return OperatorMatrix(h.basis, _Fresh(out))
+    return out
+
+
+def _times_exp(a: OperatorMatrix, h: OperatorMatrix, sign: int) -> OperatorMatrix:
+    """``a @ unitary_exp(h, sign)`` for a band-stored ``a``, written over the
+    exponential's own array one row block at a time (see
+    :func:`_scaled_rows`), so that the product holds no second n x n array.
+    Each entry is the same products, added in the same order, as in the
+    product of the two operators."""
+    a._require_same_basis(h)
+    u, n = _exponential(h, sign), a.dim
+    _scaled_rows(u, _row_terms(a._bands, n, 0, n, n, lambda lo, hi: u[lo:hi]),
+                 carry=max(0, -min(a._bands, default=0)))
+    return OperatorMatrix(a.basis, _Fresh(u))
 
 
 def tensor(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:

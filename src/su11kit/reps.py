@@ -42,7 +42,7 @@ from .linops import (
     tensor,
     _adjoint_gap,
     _require_budget,
-    unitary_exp,
+    _times_exp,
 )
 
 FIDELITIES = ("corrected", "as_printed")
@@ -392,15 +392,16 @@ def saf_bose_form(p0: complex, dim: int = 64, form: str = "form1") -> AlgebraTri
     The exponentials go through :func:`su11kit.linops.unitary_exp`, so they
     are exactly unitary on the truncated space; the ladder relations are then
     truncation-limited rather than exact, converging as dim grows. K+ is
-    built as the adjoint of K-, which it is by definition, since
-    ``exp(iH) = exp(-iH)^dag`` for Hermitian H. So a form costs one
-    exponential and one band x dense product. The exponential takes the SVD
-    of a real bidiagonal matrix of half the size, for the eigensystem of Q
-    or P, and three real products of half the size, one per parity block of
-    the result. The build, and a check or casimir of the result, hold at
-    most :data:`su11kit.linops.DENSE_ARRAYS` dense dim x dim arrays at their
-    peak, so a dim for which they would pass the memory budget (from about
-    6 700) raises ValueError before any is built.
+    the adjoint of K-, which it is by definition, since
+    ``exp(iH) = exp(-iH)^dag`` for Hermitian H: a view of K-'s array, with
+    nothing copied. So a form costs one exponential and one band x dense
+    product, which is written over the exponential's own array. The
+    exponential takes the SVD of a real bidiagonal matrix of half the size,
+    for the eigensystem of Q or P, and three real products of half the size,
+    one per parity block of the result. The build, and a check or casimir of
+    the result, hold at most :data:`su11kit.linops.DENSE_ARRAYS` dense
+    dim x dim arrays at their peak, so a dim for which they would pass the
+    memory budget (from 8 193) raises ValueError before any is built.
     """
     dim = int(dim)
     if dim < 16:
@@ -417,7 +418,7 @@ def saf_bose_form(p0: complex, dim: int = 64, form: str = "form1") -> AlgebraTri
     one = identity(basis)
     # The factor beside the exponential, and exp(sign * i * generator) of K-.
     factor, generator, sign = (p, q, -1) if form == "form1" else (q, p, +1)
-    kminus = (factor + p0 * one) @ unitary_exp(generator, sign)
+    kminus = _times_exp(factor + p0 * one, generator, sign)
     kplus = kminus.dag()
     k0 = factor + (p0.real - 0.5) * one
     return AlgebraTriple(

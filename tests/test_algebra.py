@@ -434,7 +434,7 @@ class TestDenseWorkingSet:
                 self.arrays(lambda: check_casimir(bose, spec), scratch=False))
 
     def test_band_dense_products_hold_their_output(self, bose):
-        assert bose.k0._dense is None and bose.kplus._dense is not None
+        assert bose.k0._bands is not None and bose.kplus._bands is None
         assert self.arrays(lambda: bose.k0 @ bose.kplus) <= 1
         assert self.arrays(lambda: bose.kplus @ bose.k0) <= 1
 
@@ -454,14 +454,21 @@ class TestDenseWorkingSet:
         assert self.arrays(lambda: unitary_exp(q, -1), scratch=False) <= 1.75
 
     def test_budget_counts_the_larger_of_build_and_check(self, bose):
-        # The build peaks while the exponential is formed and multiplied; the
-        # gate of K+ against (K-)^dag holds a few row blocks. No block scratch
+        # The build holds the exponential, with its three real blocks of half
+        # order while they are scattered into it, then K- written over it and
+        # the gate of K+ against (K-)^dag, a few row blocks. No block scratch
         # is taken off its peak.
         build = traced_peak(lambda: saf_bose_form(self.P0, self.N)) / (16 * self.N ** 2)
-        assert build < 2.5
-        # Margin 0 keeps every state, so its checks hold the most.
+        assert build < 1.5
+        # Margin 0 keeps every state, so its checks hold the most. A check
+        # holds one array, K-, of which K+ is a view.
         checks = max(self.check_peaks(bose, 0))
-        assert DENSE_ARRAYS == max(math.ceil(build), 2 + math.ceil(checks))
+        assert DENSE_ARRAYS == max(math.ceil(build), 1 + math.ceil(checks))
+
+    def test_adjoint_shares_the_array(self, bose):
+        assert bose.kplus._bands is None and bose.kplus._adjointed
+        assert bose.kminus.dag().entries.tobytes() == bose.kplus.entries.tobytes()
+        assert traced_peak(lambda: bose.kminus.dag()) < 2 ** 10
 
 
 def test_bose_checks_form_no_full_dense_product(monkeypatch):
@@ -472,13 +479,13 @@ def test_bose_checks_form_no_full_dense_product(monkeypatch):
     matmul, dense_block = OperatorMatrix.__matmul__, linops._dense_block
 
     def spy_matmul(a, b):
-        if a._dense is not None and b._dense is not None:
+        if a._bands is None and b._bands is None:
             full.append(a.dim)
         return matmul(a, b)
 
-    def spy_block(x, y, rp, rq, p, q):
-        blocks.append((x.shape, rq - rp, q - p))
-        return dense_block(x, y, rp, rq, p, q)
+    def spy_block(a, b, rp, rq, p, q):
+        blocks.append((a.dim, rq - rp, q - p))
+        return dense_block(a, b, rp, rq, p, q)
 
     monkeypatch.setattr(OperatorMatrix, "__matmul__", spy_matmul)
     monkeypatch.setattr(linops, "_dense_block", spy_block)
@@ -487,7 +494,25 @@ def test_bose_checks_form_no_full_dense_product(monkeypatch):
     assert full == []
     # [K+,K-] and the Casimir's K+K- + K-K+, each on the 32 kept states,
     # which make one row tile.
-    assert blocks == [((64, 64), 32, 32)] * 4
+    assert blocks == [(64, 32, 32)] * 4
+
+
+def test_bose_casimir_forms_no_band_product(monkeypatch):
+    # K0 @ K0 is formed on each row tile's rows of the band vectors, not whole.
+    bose = saf_bose_form(0.7 + 0.4j, 256)
+    band_products = []
+    matmul = OperatorMatrix.__matmul__
+
+    def spy_matmul(a, b):
+        if a._bands is not None and b._bands is not None:
+            band_products.append(a.dim)
+        return matmul(a, b)
+
+    monkeypatch.setattr(OperatorMatrix, "__matmul__", spy_matmul)
+    _, forms, _ = _kept_form(bose, 64)
+    assert len(forms) == 2
+    assert check_casimir(bose, CheckSpec(margin=64, tolerance=1e-3)).overall_passed
+    assert band_products == []
 
 
 @pytest.mark.parametrize("form", ["form1", "form2"])

@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import os
 import re
 import subprocess
@@ -21,6 +22,7 @@ from su11kit.cli import (
     parse_complex,
     run,
 )
+from su11kit.linops import BYTE_BUDGET, DENSE_ARRAYS, _require_budget
 
 
 class TestComplexParsing:
@@ -375,15 +377,19 @@ class TestOptionTable:
 CLAMPED_INTERIOR = ["check", "--rep", "villain", "--spin", "0.5", "--p-min=-0.5",
                     "--dim", "20", "--margin", "2"]
 
-# Invocations whose operators would not fit the memory budget: the three dense
-# 200000^2 matrices a bose1 build or check holds at its peak (1788 GiB), three
-# dense 8000^2 ones (2.9 GiB; one of them alone would fit), three dense 6689^2
-# ones (2.0002 GiB, the smallest bose1 dim past the budget), band vectors of
-# 10^10 two-mode states, and band vectors of more bytes than a float can hold.
+# The smallest bose dim whose DENSE_ARRAYS dense arrays, the most a bose1
+# build or check holds at its peak, would pass the memory budget, and a larger
+# one at which a single such array would still fit.
+BOSE_JUST_OVER = math.isqrt(BYTE_BUDGET // (16 * DENSE_ARRAYS)) + 1
+BOSE_WORKING_SET = 9000
+# Invocations whose operators would not fit the memory budget: the dense
+# 200000^2 matrices a bose1 build or check holds at its peak (over 1000 GiB),
+# the bose working set at the two dims above, band vectors of 10^10 two-mode
+# states, and band vectors of more bytes than a float can hold.
 OVER_BUDGET = {
     "bose1-dense-over-budget": ["check", "--rep", "bose1", "--dim", "200000"],
-    "bose1-dense-working-set": ["check", "--rep", "bose1", "--dim", "8000"],
-    "bose1-dense-just-over-budget": ["check", "--rep", "bose1", "--dim", "6689"],
+    "bose1-dense-working-set": ["check", "--rep", "bose1", "--dim", str(BOSE_WORKING_SET)],
+    "bose1-dense-just-over-budget": ["check", "--rep", "bose1", "--dim", str(BOSE_JUST_OVER)],
     "two_mode-over-budget": ["check", "--rep", "two_mode", "--dim", "100000"],
     "reduce-over-budget": ["reduce", "--pairs", "100000"],
     "reduce-pairs-beyond-float": ["reduce", "--pairs", "1" + "0" * 400],
@@ -518,8 +524,9 @@ NAMED_PARAMETER = {
     "casimir-all-margin": "margin",
     "config-all-margin": "margin",
     "bose1-dense-over-budget": "200000x200000",
-    "bose1-dense-working-set": "8000x8000",
-    "bose1-dense-just-over-budget": "would take 2.0002 GiB",
+    "bose1-dense-working-set": f"{DENSE_ARRAYS} dense {BOSE_WORKING_SET}x{BOSE_WORKING_SET}",
+    "bose1-dense-just-over-budget": f"{DENSE_ARRAYS} dense {BOSE_JUST_OVER}x{BOSE_JUST_OVER} "
+                                    "complex matrices would take 2.0005 GiB",
     "two_mode-over-budget": "10000000000 states",
     "reduce-over-budget": "10000400004 states",
     "reduce-pairs-beyond-float": "1.00e+400 states",
@@ -547,6 +554,13 @@ class TestExitTwo:
         if named is not None:
             assert named in captured.err
 
+    def test_bose_budget_edges(self):
+        # The last bose dim whose working set fits clears the budget check;
+        # the working-set dim fails it, though one of its arrays alone fits.
+        _require_budget(16 * DENSE_ARRAYS * (BOSE_JUST_OVER - 1) ** 2, "{}", BOSE_JUST_OVER - 1)
+        assert 16 * BOSE_WORKING_SET ** 2 <= BYTE_BUDGET < 16 * DENSE_ARRAYS * BOSE_WORKING_SET ** 2
+        assert BOSE_JUST_OVER < BOSE_WORKING_SET
+
     @pytest.mark.parametrize("argv", OVER_BUDGET.values(), ids=OVER_BUDGET.keys())
     def test_over_budget_allocates_nothing_large(self, argv, capsys):
         tracemalloc.start()
@@ -560,6 +574,17 @@ class TestExitTwo:
         assert peak < 2 ** 28
         # The size shown is past the 2 GiB budget, however close the request.
         assert float(re.search(r"would take (\S+) GiB", err).group(1)) > 2
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--config", str(Path(__file__).resolve().parents[1] / "tools"
+                                  / "digest_config_refused.json")],
+        ["reduce", "--phi1", "0.5", "--phi2", "-1"],
+    ], ids=["check-config", "reduce-coupling"])
+    def test_resolve_refusal_shows_the_usage_of_the_command(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: su11kit {argv[0]} ")
+        assert f"su11kit {argv[0]}: error: " in err
 
     def test_budget_message_abbreviates_long_numbers(self, capsys):
         # The state count of spin 1e200 has 201 digits.

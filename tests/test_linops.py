@@ -643,7 +643,7 @@ class TestZeroDiagonalExp:
     def test_quadratures_match_the_dense_exponential(self, n, sign):
         for h in quadratures(n):
             u = unitary_exp(h, sign)
-            assert u._dense is not None
+            assert u._bands is None
             assert np.max(np.abs(u.entries - dense_exp(h, sign))) <= 1e-13
 
     @settings(max_examples=100, deadline=None)
@@ -664,6 +664,20 @@ class TestZeroDiagonalExp:
             d, _ = linops._zero_diagonal_band(h, "unitary_exp")
             e = d.conj()[:, None] * unitary_exp(h, 1).entries * d
             assert np.all(e.imag[same] == 0) and np.all(e.real[~same] == 0)
+
+    @pytest.mark.parametrize("offsets", [[-1, 0, 1], [2, -3, 0], [0], [1]],
+                             ids=["tridiagonal", "carry-3", "diagonal", "upper"])
+    @pytest.mark.parametrize("n", [16, 17, 129, 512])
+    def test_product_written_over_the_exponential_is_the_product(self, n, offsets):
+        # From 129 states the product spans several row blocks, each of which
+        # reads rows of the array it overwrites, up to three above its own;
+        # at 129 the last block is two rows.
+        rng = np.random.default_rng(n)
+        basis = FockBasis((n,))
+        a = banded(basis, {k: rng.normal(size=n) + 1j * rng.normal(size=n) for k in offsets})
+        for h, sign in zip(quadratures(n), (-1, 1)):
+            expected = (a @ unitary_exp(h, sign)).entries
+            assert linops._times_exp(a, h, sign).entries.tobytes() == expected.tobytes()
 
     def test_mismatched_upper_band_rejected(self):
         # The split reads only the lower band, so the Hermiticity check must

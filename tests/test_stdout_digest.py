@@ -3,6 +3,7 @@ byte-stable; these checks keep its argv list and its hashing honest."""
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -89,3 +90,28 @@ def test_cli_lines_lists_a_line_only_the_argvs_given_skip(monkeypatch, capsys):
         assert cli_lines.main([str(ROOT)]) == 0
         rows = capsys.readouterr().out.splitlines()
         assert any(row.startswith(entry) for row in rows) == listed
+
+
+UNREACHED_REASONS = ("refusal", "public-API edge", "read by perfbench/tracing.py until item 1",
+                     "given a caller by item 4/7")
+
+
+def test_every_unrun_line_is_listed_with_its_reason():
+    # A fresh interpreter, as the tool runs alone: a cache that an earlier
+    # test filled would hide the lines that fill it.
+    listed = {}
+    for row in (ROOT / "tools" / "unreached.txt").read_text().splitlines():
+        if row and not row.startswith("#"):
+            reason, path, function, source = row.split(" | ", 3)
+            assert reason in UNREACHED_REASONS, row
+            listed[(path, function, source)] = reason
+    env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "cli_lines.py"), str(ROOT)],
+                          env=env, capture_output=True, text=True, timeout=300, check=True)
+    unrun = set()
+    for row in done.stdout.splitlines():
+        place, function, source = row.split(": ", 2)
+        unrun.add((place.rsplit(":", 1)[0], function, source))
+    assert sorted(unrun - listed.keys()) == [], "unrun lines missing from tools/unreached.txt"
+    assert sorted(listed.keys() - unrun) == [], "lines in tools/unreached.txt that run or are gone"

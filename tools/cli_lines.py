@@ -6,14 +6,17 @@ Runs every argv of ``stdout_digest.invocations()`` in this one interpreter
 through ``su11kit.cli.main``, with the output discarded, under a
 ``sys.settrace`` line tracer, and prints each statement line of a function
 in ``SRC_ROOT/src/su11kit`` (default: this checkout) that none of them ran,
-as ``path:line: source``. A statement line is one that carries bytecode in a
-function, method, lambda or comprehension; the lines that run at import
-(module and class bodies and the comprehensions in them) are left out, so
-the list does not depend on whether su11kit was imported before tracing
-began. Only numpy and the standard library are needed.
+as ``path:line: function: source``, where ``function`` is the qualified name
+of the outermost function that holds the line. A statement line is one that
+carries bytecode in a function, method, lambda or comprehension; the lines
+that run at import (module and class bodies and the comprehensions in them)
+are left out, so the list does not depend on whether su11kit was imported
+before tracing began. Only numpy and the standard library are needed.
 
 Since the argv list is the digest's, no line of ``tools/stdout_digest.py``
-output depends on a line listed here.
+output depends on a line listed here. ``tools/unreached.txt`` lists, by
+path, function and source text, each line that may stay unrun, and why; the
+tests fail on an unrun line it does not list.
 """
 
 from __future__ import annotations
@@ -31,11 +34,12 @@ sys.path.insert(0, str(REPO / "tools"))
 import stdout_digest  # noqa: E402
 
 
-def statement_lines(path: Path) -> set[int]:
+def statement_lines(path: Path) -> dict[int, str]:
     """Lines of ``path`` that carry bytecode in a function body, outside
-    the code that runs at import."""
-    lines, todo = set(), [(compile(path.read_text(), str(path), "exec"), True)]
-    while todo:
+    the code that runs at import, each with the qualified name of the
+    outermost function that holds it."""
+    lines, todo = {}, [(compile(path.read_text(), str(path), "exec"), True)]
+    while todo:  # a function is taken before the code nested in it
         code, outer_at_import = todo.pop()
         # Module and class bodies have no fast locals; functions, lambdas and
         # comprehensions do, and a comprehension runs where it is written.
@@ -43,14 +47,18 @@ def statement_lines(path: Path) -> set[int]:
                                          or code.co_name in ("<listcomp>", "<setcomp>",
                                                              "<dictcomp>", "<genexpr>"))
         if not at_import:
-            lines.update(line for _, _, line in code.co_lines() if line is not None)
+            name = getattr(code, "co_qualname", code.co_name)
+            for _, _, line in code.co_lines():
+                if line is not None:
+                    lines.setdefault(line, name)
         todo.extend((c, at_import) for c in code.co_consts if isinstance(c, types.CodeType))
     return lines
 
 
-def unrun_lines(argvs: list[list[str]]) -> dict[Path, list[int]]:
+def unrun_lines(argvs: list[list[str]]) -> dict[Path, dict[int, str]]:
     """For each module of the imported su11kit, its statement lines that no
-    ``su11kit.cli.main(argv)`` of ``argvs`` runs, ascending."""
+    ``su11kit.cli.main(argv)`` of ``argvs`` runs, ascending, each with the
+    function that holds it."""
     import su11kit
     from su11kit import cli
 
@@ -78,7 +86,8 @@ def unrun_lines(argvs: list[list[str]]) -> dict[Path, list[int]]:
                 cli.main(argv)
     finally:
         sys.settrace(previous)
-    return {path: sorted(line for line in statement_lines(path) if (name, line) not in ran)
+    return {path: {line: function for line, function in sorted(statement_lines(path).items())
+                   if (name, line) not in ran}
             for name, path in files.items()}
 
 
@@ -87,8 +96,8 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, str(src_root / "src"))
     for path, lines in unrun_lines(stdout_digest.invocations()).items():
         text = path.read_text().splitlines()
-        for line in lines:
-            print(f"{path.relative_to(src_root)}:{line}: {text[line - 1].strip()}")
+        for line, function in lines.items():
+            print(f"{path.relative_to(src_root)}:{line}: {function}: {text[line - 1].strip()}")
     return 0
 
 

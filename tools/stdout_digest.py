@@ -98,8 +98,8 @@ REFUSED = [
     ["check", "--rep", "all", "--margin", "40"],
     ["casimir", "--rep", "all", "--margin", "40"],
     ["check", "--rep", "bose1", "--dim", "200000"],
-    ["check", "--rep", "bose1", "--dim", "8000"],
-    ["check", "--rep", "bose1", "--dim", "6689"],
+    ["check", "--rep", "bose1", "--dim", "9000"],
+    ["check", "--rep", "bose1", "--dim", "8193"],
     ["check", "--rep", "two_mode", "--dim", "100000"],
     ["reduce", "--pairs", "100000"],
 ]
