@@ -465,7 +465,7 @@ def _checks_payload(config: RunConfig, params: dict, checks: list[Check]) -> tup
             }
             for c in checks
         ],
-        "overall_passed": all(c.passed for c in checks),
+        "overall_passed": CheckReport(checks).overall_passed,
     }
     return payload, 0 if payload["overall_passed"] else 1
 

@@ -11,24 +11,16 @@ Every ladder operator here is a sum of a few diagonals (a function of a
 number or momentum operator times a unit shift), stored as bands
 ``{offset k: vector v}`` with ``A[i, i + k] = v[i]``. Sums, products,
 adjoints and Kronecker products of bands are bands, at O(bands * dim) cost.
-Arrays handed to the constructor and the results of :func:`unitary_exp` are
-dense. A dense operator may hold its array conjugate-transposed, as BLAS's
-``op(A) = A^H`` does, so its adjoint shares the array; rows of such an
-operator are read as conjugated copies of columns of the array. A product
-with one dense operand is dense, at O(bands * dim^2) by row or column
-scaling. Its output is filled one row block of about 256 KiB at a time: the
-first band is scaled straight into the block, whose entries that band does
-not reach are zeroed, and every later band is scaled into one reused
-block-sized scratch and added, in band order. A product holds its output
-and one cache-sized scratch block, whatever the band count; the bose
-lowering operator is written so over its exponential's own array. A sum
-with one dense operand materializes the band operand and costs O(dim^2).
-``.entries`` materializes the dense array on request. A residual check that
-reads only the kept rows and columns of a product forms just that block, a
-row tile of it at a time, copying at most one row tile of an operand, with
-the same floating-point operations for each kept entry as the whole product.
-The gap between a dense operator and the adjoint of another is measured one
-row block at a time. The spectral routines take one kind of input, a Hermitian
+Dense storage holds the arrays handed to the constructor and the results of
+:func:`unitary_exp`. Arithmetic takes bands only; a dense operand raises
+ValueError naming the operation. A dense operator is read in two places
+only: the kept block of a residual, formed a row tile at a time with the
+same floating-point operations for each kept entry as the whole product, and
+the gap between it and the adjoint of another, measured a row tile at a time.
+It may hold its array conjugate-transposed, as BLAS's ``op(A) = A^H`` does,
+so its adjoint shares the array and rows of it are read as one conjugated
+copy of columns of the array. ``.entries`` materializes the dense array on
+request. The spectral routines take one kind of input, a Hermitian
 tridiagonal band with a zero real diagonal, such as a quadrature: it is
 diagonalized through the SVD of a real bidiagonal block of half its size, and
 exponentiated from real blocks of half its size. Any other input raises
@@ -194,21 +186,6 @@ class _Fresh:
         self.storage = storage
 
 
-class _AdjointRows:
-    """Rows [r0, r1) and columns [c0, c1) of the adjoint of a held array,
-    formed as they are read: ``[s:e]`` is a conjugated copy of its rows s to
-    e, laid out as the held array's columns are, which copies fastest."""
-
-    __slots__ = ("held", "r0", "r1", "c0", "c1")
-
-    def __init__(self, held: np.ndarray, r0: int, r1: int, c0: int, c1: int) -> None:
-        self.held, self.r0, self.r1, self.c0, self.c1 = held, r0, r1, c0, c1
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        s, e, _ = rows.indices(self.r1 - self.r0)
-        return np.conjugate(self.held[self.c0:self.c1, self.r0 + s:self.r0 + e].T)
-
-
 def _rows(k: int, n: int) -> tuple[int, int]:
     """Range [lo, hi) of the rows i whose column i + k lies in [0, n)."""
     return max(0, -k), min(n, n - k)
@@ -343,19 +320,27 @@ def _mixed_block(a: "OperatorMatrix", b: "OperatorMatrix", rp: int, rq: int,
                  p: int, q: int) -> np.ndarray:
     """Rows [rp, rq) and columns [p, q) of ``a @ b`` with one operand
     band-stored and the other dense, by row or column scaling (see
-    :func:`_scaled_rows`)."""
+    :func:`_scaled_rows`). The dense operand is read once, as the window of
+    its rows (or columns) from the first to the last that a band reaches,
+    which is one conjugated copy for an operand held conjugate-transposed;
+    every band slices it."""
     n, h, w = a.dim, rq - rp, q - p
     if b._bands is None:
-        terms = _row_terms(a._bands, n, rp, rq, w, lambda lo, hi: b._dense_rows(lo, hi, p, q))
+        ks = [k for k in a._bands if max(rp, -k) < min(rq, n - k)]
+        s = max(0, rp + min(ks, default=0))
+        window = b._dense_rows(s, min(n, rq + max(ks, default=0)), p, q)
+        terms = _row_terms(a._bands, n, rp, rq, w, lambda lo, hi: window[lo - s:hi - s])
     else:
         # Column m + k of the product gathers column m times b_k[m], in every
         # row; the row vector is broadcast so that rows can be sliced.
+        ks = [k for k in b._bands if max(0, p - k) < min(n, q - k)]
+        s = max(0, p - max(ks, default=0))
+        window = a._dense_rows(rp, rq, s, min(n, q - min(ks, default=0)))
         terms = []
-        for k, v in b._bands.items():
-            lo, hi = max(0, p - k), min(n, q - k)
-            if lo < hi:
-                terms.append((0, h, lo + k - p, hi + k - p, a._dense_rows(rp, rq, lo, hi),
-                              np.broadcast_to(v[lo:hi], (h, hi - lo))))
+        for k in ks:
+            v, lo, hi = b._bands[k], max(0, p - k), min(n, q - k)
+            terms.append((0, h, lo + k - p, hi + k - p, window[:, lo - s:hi - s],
+                          np.broadcast_to(v[lo:hi], (h, hi - lo))))
     out = _new_dense(h, w, np.empty)
     _scaled_rows(out, terms)
     return out
@@ -391,10 +376,10 @@ def _dense_block(a: "OperatorMatrix", b: "OperatorMatrix", rp: int, rq: int,
     else:
         s, e = p - p % _GEMM_COLUMNS, n
     if b._adjointed:
-        block = np.conjugate(a._dense_rows(rp, rq)[:]) @ b.dag()._dense_rows(s, e)[:].T
+        block = np.conjugate(a._dense_rows(rp, rq)) @ b.dag()._dense_rows(s, e).T
         np.conjugate(block, out=block)
     else:
-        block = a._dense_rows(rp, rq)[:] @ b._dense_rows(0, n, s, e)[:]
+        block = a._dense_rows(rp, rq) @ b._dense_rows(0, n, s, e)
     return block[:, p - s:q - s]
 
 
@@ -417,17 +402,18 @@ def _kept_block(keep: np.ndarray, a: "OperatorMatrix", b: "OperatorMatrix | None
     rows and the columns from the first to the last of those states, from
     views of the operands; for a dense operand, r rows cost a fraction
     r span / n^2 of the full product. Each entry is the sum of the same
-    products, added in the same order, as in ``a @ b`` (for a dense x dense
-    product, with one BLAS thread), so the block equals
-    ``(a @ b).entries[np.ix_(keep[rows], keep)]`` bit for bit; a band row or
-    column outside [0, n) contributes nothing. Of a band x band product only
-    the rows [first, last + 1) of ``keep[rows]`` are formed, at O(bands * r).
+    products, added in the same order, as in the block of all n states, and
+    for two dense operands as in numpy's product of their arrays (with one
+    BLAS thread), so the block equals those entries of the whole product bit
+    for bit; a band row or column outside [0, n) contributes nothing. Of a
+    band x band product only the rows [first, last + 1) of ``keep[rows]``
+    are formed, at O(bands * r).
     """
     n, kept = a.dim, keep[rows]
     p, q = _span(keep, n)
     rp, rq = _span(kept, n)
     if b is None:
-        block = (a._dense_rows(rp, rq, p, q)[:] if a._bands is None
+        block = (a._dense_rows(rp, rq, p, q) if a._bands is None
                  else _band_block({k: v[rp:rq] for k, v in a._bands.items()}, n, rp, rq, p, q))
     else:
         a._require_same_basis(b)
@@ -445,33 +431,42 @@ def _kept_block(keep: np.ndarray, a: "OperatorMatrix", b: "OperatorMatrix | None
 def _adjoint_gap(a: "OperatorMatrix", b: "OperatorMatrix") -> float:
     """max|A - B^dag|, zero when A is exactly the adjoint of B.
 
-    Two dense operands are compared :data:`_TILE` rows at a time, each block
-    reduced to its largest entry before the next is formed. As that of
-    ``B - A^dag`` is the same, an A held conjugate-transposed is compared the
-    other way round, from views. Each entry is the same subtraction as in
-    ``a - b.dag()``, up to conjugate and sign, which any other pair takes.
+    Two band operands are compared as ``a - b.dag()``. Two dense operands
+    are compared :data:`_TILE` rows at a time, each block reduced to its
+    largest entry before the next is formed. As that of ``B - A^dag`` is the
+    same, an A held conjugate-transposed is compared the other way round, so
+    that A's side is a view. A band and a dense operand raise ValueError.
     """
     a._require_same_basis(b)
     if a._bands is not None or b._bands is not None:
         return maxabs_norm(a - b.dag())
     if a._adjointed and not b._adjointed:
         a, b = b, a
-    x, y = a._dense_rows(0, a.dim), b.dag()._dense_rows(0, a.dim)
-    return max(float(np.max(np.abs(x[r:r + _TILE] - y[r:r + _TILE])))
+    b = b.dag()
+    return max(float(np.max(np.abs(a._dense_rows(r, r + _TILE) - b._dense_rows(r, r + _TILE))))
                for r in range(0, a.dim, _TILE))
+
+
+def _require_bands(what: str, a: "OperatorMatrix", b: "OperatorMatrix | None" = None) -> None:
+    """Refuse a dense ``a`` or ``b``: ``what`` takes band-stored operators only."""
+    if a._bands is None or (b is not None and b._bands is None):
+        raise ValueError(f"{what} requires band-stored operators, got a dense one")
 
 
 class OperatorMatrix:
     """Square complex matrix tagged with the basis it acts on.
 
-    Storage is dense or bands (see the module docstring), picked by the
-    arithmetic. Every array held is read-only and all arithmetic returns new
-    values, so instances can be shared freely between threads. The
-    constructor copies the caller's dense array once; the results of
-    arithmetic, :func:`banded` and :func:`tensor` are adopted without a copy.
-    No CLI path hands the constructor an array of its own: every operator it
-    checks comes from arithmetic, :func:`banded` or :func:`unitary_exp`. The
-    shape, basis and finiteness checks run on every construction.
+    Storage is bands or dense (see the module docstring). Dense storage holds
+    the constructor's arrays and the results of :func:`unitary_exp`;
+    arithmetic takes bands only, and a dense operator is read only through
+    the kept block of a residual and the adjoint gap. Every array held is
+    read-only and all arithmetic returns new values, so instances can be
+    shared freely between threads. The constructor copies the caller's dense
+    array once; the results of arithmetic, :func:`banded` and :func:`tensor`
+    are adopted without a copy. No CLI path hands the constructor an array
+    of its own: every operator it checks comes from arithmetic,
+    :func:`banded` or :func:`unitary_exp`. The shape, basis and finiteness
+    checks run on every construction.
 
     Dense storage has one bit more, as in BLAS's ``op(A) = A^H``: the
     operator is its array or the conjugate transpose of it. :meth:`dag` flips
@@ -529,20 +524,18 @@ class OperatorMatrix:
         out.setflags(write=False)
         return out
 
-    def _dense_rows(self, r0: int, r1: int, c0: int = 0, c1: int | None = None):
+    def _dense_rows(self, r0: int, r1: int, c0: int = 0, c1: int | None = None) -> np.ndarray:
         """Rows [r0, r1) and columns [c0, c1) (default: all) of a dense
-        operator, to be sliced by rows: a read-only view of its array or, for
-        an array held conjugate-transposed, an :class:`_AdjointRows`, whose
-        row slices are conjugated copies."""
-        c1 = self.dim if c1 is None else c1
+        operator: a read-only view of its array or, for an array held
+        conjugate-transposed, a conjugated copy of its columns, laid out as
+        the held array's columns are, which copies fastest."""
         if self._adjointed:
-            return _AdjointRows(self._dense, r0, r1, c0, c1)
+            return np.conjugate(self._dense[c0:c1, r0:r1].T)
         return self._dense[r0:r1, c0:c1]
 
     def diagonal(self) -> np.ndarray:
-        """The main diagonal as a vector; a band one without materializing."""
-        if self._bands is None:
-            return np.diagonal(self.entries)
+        """The main diagonal of a band operator as a vector."""
+        _require_bands("diagonal()", self)
         return self._bands[0] if 0 in self._bands else np.zeros(self.dim, dtype=complex)
 
     def dag(self) -> "OperatorMatrix":
@@ -571,43 +564,29 @@ class OperatorMatrix:
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         self._require_same_basis(other)
-        a, b, n = self._bands, other._bands, self.dim
-        if a is None and b is None:
-            product = _dense_block(self, other, 0, n, 0, n)
-        elif a is None or b is None:
-            product = _mixed_block(self, other, 0, n, 0, n)
-        else:
-            product = _product_rows(self, other, 0, n)
-        return OperatorMatrix(self.basis, _Fresh(product))
+        _require_bands("a @ b", self, other)
+        return OperatorMatrix(self.basis, _Fresh(_product_rows(self, other, 0, self.dim)))
 
-    def _combine(self, other: "OperatorMatrix", ufunc) -> "OperatorMatrix":
+    def _combine(self, other: "OperatorMatrix", ufunc, what: str) -> "OperatorMatrix":
         self._require_same_basis(other)
-        a, b = self._bands, other._bands
-        if a is None or b is None:
-            return OperatorMatrix(self.basis, _Fresh(ufunc(self.entries, other.entries)))
-        out = {}
+        _require_bands(what, self, other)
+        a, b, out = self._bands, other._bands, {}
         for k in sorted(a.keys() | b.keys()):  # an absent band reads as zeros
             out[k] = a[k] if k not in b else ufunc(a.get(k, 0.0), b[k])
         return OperatorMatrix(self.basis, _Fresh(out))
 
-    def _map(self, fn) -> "OperatorMatrix":
-        if self._bands is None:
-            return OperatorMatrix(self.basis, _Fresh(fn(self.entries)))
-        return OperatorMatrix(self.basis, _Fresh({k: fn(v) for k, v in self._bands.items()}))
-
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return self._combine(other, np.add)
+        return self._combine(other, np.add, "a + b")
 
     def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return self._combine(other, np.subtract)
-
-    def __neg__(self) -> "OperatorMatrix":
-        return self._map(np.negative)
+        return self._combine(other, np.subtract, "a - b")
 
     def __mul__(self, scalar) -> "OperatorMatrix":
         if not isinstance(scalar, numbers.Number):
             return NotImplemented
-        return self._map(lambda values: values * complex(scalar))
+        _require_bands("z * a", self)
+        z = complex(scalar)
+        return OperatorMatrix(self.basis, _Fresh({k: v * z for k, v in self._bands.items()}))
 
     __rmul__ = __mul__
 
@@ -644,9 +623,9 @@ def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
 
 
 def maxabs_norm(a: OperatorMatrix) -> float:
-    """Maximum absolute entry; the residual norm used by every check."""
-    if a._bands is None:
-        return float(np.max(np.abs(a.entries)))
+    """Maximum absolute entry of a band operator; the residual norm used by
+    every band check."""
+    _require_bands("maxabs_norm", a)
     return max((float(np.max(np.abs(v))) for v in a._bands.values()), default=0.0)
 
 
@@ -803,8 +782,7 @@ def tensor(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     for op in (a, b):
         if not (isinstance(op.basis, FockBasis) and op.basis.modes == 1):
             raise ValueError("tensor requires single-mode Fock operators")
-        if op._bands is None:
-            raise ValueError("tensor requires band-stored operators, got a dense one")
+    _require_bands("tensor", a, b)
     out_basis = FockBasis((a.basis.dims[0], b.basis.dims[0]))
     out: dict[int, np.ndarray] = {}
     for ka, va in a._bands.items():

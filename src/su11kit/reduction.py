@@ -85,10 +85,6 @@ class ReductionResult:
     condensate: bool
     tolerance: float
 
-    @property
-    def passed(self) -> bool:
-        return self.max_deviation <= self.tolerance
-
 
 def build_direct_hamiltonian(params: ModelParams, dim: int = 24) -> OperatorMatrix:
     """The two-oscillator Hamiltonian as explicit operator products, with

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from su11kit.linops import CircleBasis
+from su11kit.linops import CircleBasis, _kept_block
+
+
+def dense(a, b=None):
+    """``a @ b``, or ``a`` alone, over every state as a numpy array: the kept
+    block of all states, so the tests densify through the one route that reads
+    a dense operator, and compare against numpy's own products and sums."""
+    return _kept_block(np.arange(a.dim), a, b)
 
 
 def spin_ladder_matrices(spin: float):

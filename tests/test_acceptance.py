@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import exact_range_basis, spin_ladder_matrices
+from conftest import dense, exact_range_basis, spin_ladder_matrices
 from su11kit.algebra import (
     CheckSpec,
     _casimir,
@@ -97,7 +97,7 @@ def test_criterion_2_spin_suite():
             worst_comm = max(worst_comm, *(c.residual for c in report.checks))
             ok &= report.overall_passed
             for built, expected in zip((triple.k0, triple.kplus, triple.kminus), oracle):
-                gap = float(np.max(np.abs(built.entries - expected)))
+                gap = float(np.max(np.abs(dense(built) - expected)))
                 worst_oracle = max(worst_oracle, gap)
                 ok &= gap <= 1e-12
     verdict(2, "spin suite exact vs ladder oracle", ok,
@@ -138,7 +138,7 @@ def test_criterion_4_casimir_closed_forms():
     t = two_mode(24)
     c = _casimir(t, _whole)
     pair_idx = [n * 25 for n in range(22)]
-    pair_gap = float(np.max(np.abs(np.real(np.diag(c.entries))[pair_idx] + 0.25)))
+    pair_gap = float(np.max(np.abs(np.real(np.diag(dense(c)))[pair_idx] + 0.25)))
     ok &= pair_gap <= 1e-10
 
     # Perelomov: the matrices match -1/4 - lam^2; the printed -1/4 - lam^2/4

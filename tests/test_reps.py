@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import exact_range_basis, spin_ladder_matrices
+from conftest import dense, exact_range_basis, spin_ladder_matrices
 from su11kit.linops import (
     CircleBasis,
     FockBasis,
@@ -30,12 +30,12 @@ class TestBoseLadder:
         a, _ = bose_ladder(2)
         expected = np.zeros((2, 2))
         expected[0, 1] = 1.0
-        np.testing.assert_array_equal(a.entries, expected)
+        np.testing.assert_array_equal(dense(a), expected)
 
     def test_number_operator(self):
         a, adag = bose_ladder(7)
         np.testing.assert_allclose(
-            (adag @ a).entries, np.diag(np.arange(7.0)), atol=1e-15
+            dense(adag @ a), np.diag(np.arange(7.0)), atol=1e-15
         )
 
     def test_truncation_fingerprint(self):
@@ -43,7 +43,7 @@ class TestBoseLadder:
         a, adag = bose_ladder(dim)
         expected = np.eye(dim)
         expected[-1, -1] = -(dim - 1)
-        np.testing.assert_allclose(commutator(a, adag).entries, expected, atol=1e-14)
+        np.testing.assert_allclose(dense(commutator(a, adag)), expected, atol=1e-14)
 
     def test_dim_too_small(self):
         with pytest.raises(ValueError):
@@ -54,12 +54,12 @@ class TestMpRealization:
     def test_lowering_amplitude_at_half(self):
         # K-|1> = sqrt(1 * (2k + 0)) |0> = |0> at k = 1/2.
         t = mp_realization(0.5, dim=6)
-        assert t.kminus.entries[0, 1] == pytest.approx(1.0, abs=1e-15)
+        assert dense(t.kminus)[0, 1] == pytest.approx(1.0, abs=1e-15)
 
     def test_k0_diagonal(self):
         t = mp_realization(0.75, dim=5)
         np.testing.assert_allclose(
-            np.diag(t.k0.entries), 0.75 + np.arange(5.0), atol=1e-15
+            np.diag(dense(t.k0)), 0.75 + np.arange(5.0), atol=1e-15
         )
 
     def test_general_matrix_elements(self):
@@ -67,7 +67,7 @@ class TestMpRealization:
         t = mp_realization(k, dim)
         n = np.arange(1, dim, dtype=np.float64)
         np.testing.assert_allclose(
-            np.diag(t.kminus.entries, k=1), np.sqrt(n * (2 * k + n - 1)), atol=1e-14
+            np.diag(dense(t.kminus), k=1), np.sqrt(n * (2 * k + n - 1)), atol=1e-14
         )
 
     def test_nonpositive_k_rejected(self):
@@ -80,9 +80,9 @@ class TestMpRealization:
 class TestHolsteinPrimakoff:
     def test_spin_half_corrected_matrices(self):
         t = hp_spin(0.5, "corrected")
-        np.testing.assert_array_equal(t.kplus.entries, [[0, 0], [1, 0]])
-        np.testing.assert_array_equal(t.kminus.entries, [[0, 1], [0, 0]])
-        np.testing.assert_array_equal(t.k0.entries, np.diag([-0.5, 0.5]))
+        np.testing.assert_array_equal(dense(t.kplus), [[0, 0], [1, 0]])
+        np.testing.assert_array_equal(dense(t.kminus), [[0, 1], [0, 0]])
+        np.testing.assert_array_equal(dense(t.k0), np.diag([-0.5, 0.5]))
 
     @pytest.mark.parametrize("spin", [0.5, 1.0, 1.5, 2.5])
     def test_corrected_equals_ladder_oracle(self, spin):
@@ -90,9 +90,9 @@ class TestHolsteinPrimakoff:
         # so the matrices must agree entrywise.
         sz, sp, sm = spin_ladder_matrices(spin)
         t = hp_spin(spin, "corrected")
-        np.testing.assert_allclose(t.k0.entries, sz, atol=1e-12)
-        np.testing.assert_allclose(t.kplus.entries, sp, atol=1e-12)
-        np.testing.assert_allclose(t.kminus.entries, sm, atol=1e-12)
+        np.testing.assert_allclose(dense(t.k0), sz, atol=1e-12)
+        np.testing.assert_allclose(dense(t.kplus), sp, atol=1e-12)
+        np.testing.assert_allclose(dense(t.kminus), sm, atol=1e-12)
 
     @pytest.mark.parametrize("spin", [0.5, 1.0, 2.5])
     def test_as_printed_breaks_adjointness(self, spin):
@@ -117,13 +117,13 @@ class TestHolsteinPrimakoff:
 class TestCircleMomentum:
     def test_momentum_diagonal(self):
         p, _, _ = circle_momentum(CircleBasis(-2.0, 5))
-        np.testing.assert_array_equal(np.diag(p.entries), [-2, -1, 0, 1, 2])
+        np.testing.assert_array_equal(np.diag(dense(p)), [-2, -1, 0, 1, 2])
 
     def test_shift_products_truncate_at_ends(self):
         basis = CircleBasis(0.0, 5)
         _, eplus, eminus = circle_momentum(basis)
-        up_down = (eplus @ eminus).entries
-        down_up = (eminus @ eplus).entries
+        up_down = dense(eplus @ eminus)
+        down_up = dense(eminus @ eplus)
         np.testing.assert_array_equal(np.diag(up_down), [0, 1, 1, 1, 1])
         np.testing.assert_array_equal(np.diag(down_up), [1, 1, 1, 1, 0])
 
@@ -133,7 +133,7 @@ class TestCircleMomentum:
         basis = CircleBasis(-3.0, 6)
         p, eplus, _ = circle_momentum(basis)
         np.testing.assert_allclose(
-            commutator(p, eplus).entries, eplus.entries, atol=1e-14
+            dense(commutator(p, eplus)), dense(eplus), atol=1e-14
         )
 
     def test_fock_basis_rejected(self):
@@ -146,9 +146,9 @@ class TestVillain:
     def test_exact_range_equals_ladder_oracle(self, spin):
         sz, sp, sm = spin_ladder_matrices(spin)
         t = villain_spin(spin, exact_range_basis(spin), "corrected")
-        np.testing.assert_allclose(t.k0.entries, sz, atol=1e-12)
-        np.testing.assert_allclose(t.kplus.entries, sp, atol=1e-12)
-        np.testing.assert_allclose(t.kminus.entries, sm, atol=1e-12)
+        np.testing.assert_allclose(dense(t.k0), sz, atol=1e-12)
+        np.testing.assert_allclose(dense(t.kplus), sp, atol=1e-12)
+        np.testing.assert_allclose(dense(t.kminus), sm, atol=1e-12)
 
     def test_corrected_closes_on_unclamped_interior(self):
         spin = 1.5
@@ -196,7 +196,7 @@ class TestSafRealization:
     def test_k0_diagonal_with_half_offset(self):
         basis = CircleBasis(0.0, 5)
         t = saf_realization(0.5, basis)
-        np.testing.assert_allclose(np.diag(t.k0.entries), np.arange(5.0), atol=1e-15)
+        np.testing.assert_allclose(np.diag(dense(t.k0)), np.arange(5.0), atol=1e-15)
 
     def test_brackets_vanish_on_interior(self, circle64):
         t = saf_realization(0.7 + 0.4j, circle64)
@@ -224,7 +224,7 @@ class TestPerelomov:
 
     def test_k0_is_momentum(self, circle64):
         t = perelomov_realization(1.0, circle64)
-        np.testing.assert_array_equal(np.diag(t.k0.entries), circle64.momenta())
+        np.testing.assert_array_equal(np.diag(dense(t.k0)), circle64.momenta())
 
     def test_nonpositive_lambda_rejected(self, circle64):
         with pytest.raises(ValueError):
@@ -245,7 +245,7 @@ class TestQuadratures:
 
     def test_first_matrix_element(self):
         q, _ = quadratures(8)
-        assert q.entries[0, 1] == pytest.approx(1 / np.sqrt(2), abs=1e-15)
+        assert dense(q)[0, 1] == pytest.approx(1 / np.sqrt(2), abs=1e-15)
 
     def test_dim_too_small(self):
         with pytest.raises(ValueError):
@@ -261,14 +261,14 @@ class TestBoseForms:
     @pytest.mark.parametrize("form", ["form1", "form2"])
     def test_adjoint_pair(self, form):
         t = saf_bose_form(0.3 - 0.8j, 32, form)
-        assert maxabs_norm(t.kplus - t.kminus.dag()) <= 1e-10
+        assert np.max(np.abs(dense(t.kplus) - dense(t.kminus).conj().T)) <= 1e-10
 
     @pytest.mark.parametrize("form", ["form1", "form2"])
     def test_raising_operator_is_built_as_the_adjoint(self, form):
         # Two separately rounded dense products would differ by about 1e-9 at
         # this |p0|, past the 1e-10 adjointness gate of AlgebraTriple.
         t = saf_bose_form(1e7 - 1e7j, 64, form)
-        assert maxabs_norm(t.kplus - t.kminus.dag()) == 0.0
+        assert np.array_equal(dense(t.kplus), dense(t.kminus).conj().T)
 
     def test_residuals_decrease_with_dim(self):
         # Truncation-limited construction: doubling the dimension must shrink
@@ -276,12 +276,12 @@ class TestBoseForms:
         worst = []
         for dim in (16, 32, 64):
             t = saf_bose_form(0.5 + 1.0j, dim, "form1")
-            proj = interior_projector(t.basis, dim // 4)
+            keep = np.flatnonzero(interior_projector(t.basis, dim // 4).diagonal())
             residuals = [
-                maxabs_norm(proj @ (commutator(t.k0, t.kplus) - t.kplus) @ proj),
-                maxabs_norm(proj @ (commutator(t.kplus, t.kminus) + 2.0 * t.k0) @ proj),
+                (dense(t.k0, t.kplus) - dense(t.kplus, t.k0)) - dense(t.kplus),
+                (dense(t.kplus, t.kminus) - dense(t.kminus, t.kplus)) + dense(2.0 * t.k0),
             ]
-            worst.append(max(residuals))
+            worst.append(max(np.max(np.abs(r[np.ix_(keep, keep)])) for r in residuals))
         assert worst[0] > worst[1] > worst[2]
 
     def test_small_dim_rejected(self):
@@ -295,13 +295,13 @@ class TestTwoMode:
     def test_pair_annihilation(self):
         t = two_mode(4)
         # K-|1,1> = |0,0>
-        assert t.kminus.entries[0, 1 * 4 + 1] == pytest.approx(1.0, abs=1e-15)
+        assert dense(t.kminus)[0, 1 * 4 + 1] == pytest.approx(1.0, abs=1e-15)
 
     def test_k0_counts_pairs(self):
         t = two_mode(5)
         occ = t.basis.occupations()
         np.testing.assert_allclose(
-            np.diag(t.k0.entries), (occ[:, 0] + occ[:, 1] + 1) / 2.0, atol=1e-14
+            np.diag(dense(t.k0)), (occ[:, 0] + occ[:, 1] + 1) / 2.0, atol=1e-14
         )
 
     def test_small_dims_rejected(self):
