@@ -14,7 +14,10 @@ in bands that function forms them whole, and the residual goes behind the
 0/1 interior projector. For a triple with a dense generator, such as the
 bose forms, the residual is formed one row tile of the kept block at a time
 and reduced tile by tile, with the same floating-point operations as the
-whole product has there. On the kept block each identity
+whole product has there. Where K+ is the adjoint view of K- and K0 is
+exactly Hermitian, as in the bose forms, [K+,K-]+2K0 and the Casimir less
+its closed form are Hermitian by construction, and only the upper triangle
+of their kept block is formed, in tiles. On the kept block each identity
 either holds to machine precision or fails by a finite, reportable amount;
 the reports never auto-resolve a discrepancy, they record it.
 """
@@ -36,6 +39,7 @@ from .linops import (
     OperatorMatrix,
     _adjoint_gap,
     _figure,
+    _is_adjoint_view,
     _kept_block,
     banded,
     diagonal,
@@ -93,9 +97,11 @@ def _projected_residual(
 
 
 def _kept_form(triple: AlgebraTriple, margin: int):
-    """The kept states of ``triple`` at ``margin``, the functions that form
-    its products and terms, one per tile, and the norm of a residual so
-    formed; a residual's norm is the largest over its tiles.
+    """The kept states of ``triple`` at ``margin``; the functions that form
+    its products and terms, one per tile; the functions, one per tile, for
+    a residual that is Hermitian when K+ is the adjoint of K- and K0 is
+    Hermitian ([K+,K-]+2K0, and the Casimir less a real closed form); and
+    the norm of a residual so formed, the largest over its tiles.
 
     A triple held in bands has one tile: its function forms them whole, and
     the norm is taken behind the interior projector. A triple with a dense
@@ -104,14 +110,27 @@ def _kept_form(triple: AlgebraTriple, margin: int):
     tile's largest absolute entry, as the projector, whose 0/1 entries keep
     the kept entries and zero all others, would leave it. A last tile of one
     row is formed beside a neighbouring row (see :func:`su11kit.linops._span`).
+
+    When K+ is the adjoint view of K- (one array, so exactly its adjoint)
+    and K0's Hermiticity defect is exactly 0, the Hermitian residuals' tile
+    of rows ``keep[r:r + _TILE]`` is formed on the columns ``keep[r:]``
+    only: the diagonal tile whole and the tiles right of it, which make the
+    upper triangle of the kept block. Below it each entry is the conjugate
+    of the one above, in exact arithmetic. Each entry formed is the same as
+    in the whole tile. For any other triple those functions are the whole
+    tiles.
     """
     proj = masked_interior(triple, margin)
     keep = np.flatnonzero(proj.diagonal())
     if all(op._bands is not None for op in (triple.k0, triple.kplus, triple.kminus)):
-        return keep, (_whole,), lambda residual: _projected_residual(proj, residual)
-    forms = [partial(_kept_block, keep, rows=slice(r, r + _TILE))
-             for r in range(0, keep.size, _TILE)]
-    return keep, forms, lambda residual: float(np.max(np.abs(residual)))
+        return keep, (_whole,), (_whole,), lambda residual: _projected_residual(proj, residual)
+    starts = range(0, keep.size, _TILE)
+    forms = [partial(_kept_block, keep, rows=slice(r, r + _TILE)) for r in starts]
+    upper = forms
+    if _is_adjoint_view(triple.kplus, triple.kminus) and triple.k0.hermiticity_defect() == 0.0:
+        upper = [partial(_kept_block, keep, rows=slice(r, r + _TILE), cols=slice(r, None))
+                 for r in starts]
+    return keep, forms, upper, lambda residual: float(np.max(np.abs(residual)))
 
 
 def check_commutators(triple: AlgebraTriple, spec: CheckSpec = CheckSpec()) -> CheckReport:
@@ -123,14 +142,17 @@ def check_commutators(triple: AlgebraTriple, spec: CheckSpec = CheckSpec()) -> C
     dense K+- its kept block is formed one row tile at a time, each reduced
     before the next is formed, so beyond the triple a bracket holds at most
     three row tiles: two products and their difference, or the difference, a
-    term and their sum.
+    term and their sum. When K+ is the adjoint view of K- and K0 is exactly
+    Hermitian, the third bracket is Hermitian, and only the upper triangle of
+    its kept block is formed (see :func:`_kept_form`).
     """
-    _, forms, norm = _kept_form(triple, spec.margin)
+    _, forms, upper, norm = _kept_form(triple, spec.margin)
     z, plus, minus = triple.k0, triple.kplus, triple.kminus
     residuals = (
-        lambda form: (form(z, plus) - form(plus, z)) - form(plus),
-        lambda form: (form(z, minus) - form(minus, z)) + form(minus),
-        lambda form: (form(plus, minus) - form(minus, plus)) + form((2.0 * triple.sign) * z),
+        (forms, lambda form: (form(z, plus) - form(plus, z)) - form(plus)),
+        (forms, lambda form: (form(z, minus) - form(minus, z)) + form(minus)),
+        (upper, lambda form: (form(plus, minus) - form(minus, plus))
+         + form((2.0 * triple.sign) * z)),
     )
     metadata = {"margin": str(spec.margin), "variant": triple.params.variant}
     if triple.params.fidelity is not None:
@@ -138,9 +160,9 @@ def check_commutators(triple: AlgebraTriple, spec: CheckSpec = CheckSpec()) -> C
     if triple.params.clamp_excluded:
         metadata["clamp_excluded"] = str(len(triple.params.clamp_excluded))
     checks = tuple(
-        Check(name, max(norm(residual(form)) for form in forms), spec.tolerance,
+        Check(name, max(norm(residual(form)) for form in tiles), spec.tolerance,
               dict(metadata))
-        for name, residual in zip(_BRACKET_NAMES[triple.kind], residuals)
+        for name, (tiles, residual) in zip(_BRACKET_NAMES[triple.kind], residuals)
     )
     return CheckReport(checks)
 
@@ -161,7 +183,10 @@ def check_casimir(triple: AlgebraTriple, spec: CheckSpec = CheckSpec()) -> Check
     forms the triple records in ``params.casimir``. For a triple held in
     bands the Casimir is formed whole and projected; for one with dense K+-
     its kept block is formed one row tile at a time, and every recorded form
-    is compared on a tile before the next is formed.
+    is compared on a tile before the next is formed. When K+ is the adjoint
+    view of K- and K0 is exactly Hermitian, the Casimir less its real closed
+    form is Hermitian, and only the upper triangle of its kept block is
+    formed (see :func:`_kept_form`).
 
     With one recorded form the report states it, its expected value, and the
     value the matrices actually produced on the first interior state; for
@@ -173,7 +198,7 @@ def check_casimir(triple: AlgebraTriple, spec: CheckSpec = CheckSpec()) -> Check
     params = triple.params
     if not params.casimir:
         raise ValueError(f"no closed-form Casimir recorded for variant {params.variant!r}")
-    keep, forms, norm = _kept_form(triple, spec.margin)
+    keep, _, forms, norm = _kept_form(triple, spec.margin)
     basis = triple.basis
     targets = [(formula, diagonal(basis, np.full(basis.dim, expected)))
                for formula, expected in params.casimir]

@@ -15,12 +15,14 @@ Dense storage holds the arrays handed to the constructor and the results of
 :func:`unitary_exp`. Arithmetic takes bands only; a dense operand raises
 ValueError naming the operation. A dense operator is read in two places
 only: the kept block of a residual, formed a row tile at a time with the
-same floating-point operations for each kept entry as the whole product, and
+same floating-point operations for each kept entry as the whole product (of
+a residual Hermitian by construction, only its upper triangle of tiles), and
 the gap between it and the adjoint of another, measured a row tile at a time.
 It may hold its array conjugate-transposed, as BLAS's ``op(A) = A^H`` does,
 so its adjoint shares the array and rows of it are read as one conjugated
-copy of columns of the array. ``.entries`` materializes the dense array on
-request. The spectral routines take one kind of input, a Hermitian
+copy of columns of the array; the gap between an operator and such a view of
+its own adjoint is 0, and neither is read. ``.entries`` materializes the
+dense array on request. The spectral routines take one kind of input, a Hermitian
 tridiagonal band with a zero real diagonal, such as a quadrature: it is
 diagonalized through the SVD of a real bidiagonal block of half its size, and
 exponentiated from real blocks of half its size. Any other input raises
@@ -69,8 +71,10 @@ _BLOCK_BYTES = 2 ** 18
 
 #: Rows of the tiles in which dense arrays are walked: a dense adjointness gap
 #: is reduced in row blocks of this height, and a dense residual in tiles of
-#: this many kept rows. Each tile of a product is one BLAS call, which repacks
-#: its right operand, so much smaller tiles cost time.
+#: this many kept rows, over every kept column or, for a residual Hermitian by
+#: construction, over the kept columns from the tile's first row on. Each
+#: tile of a product is one BLAS call, which repacks its right operand, so
+#: much smaller tiles cost time.
 _TILE = 64
 
 
@@ -394,9 +398,9 @@ def _span(index: np.ndarray, n: int) -> tuple[int, int]:
 
 
 def _kept_block(keep: np.ndarray, a: "OperatorMatrix", b: "OperatorMatrix | None" = None,
-                rows: slice = slice(None)) -> np.ndarray:
+                rows: slice = slice(None), cols: slice = slice(None)) -> np.ndarray:
     """The block of ``a @ b``, or of ``a`` alone, at rows ``keep[rows]`` and
-    columns ``keep``.
+    columns ``keep[cols]``.
 
     ``keep`` holds ascending state indices. The product is formed on the
     rows and the columns from the first to the last of those states, from
@@ -409,8 +413,8 @@ def _kept_block(keep: np.ndarray, a: "OperatorMatrix", b: "OperatorMatrix | None
     band x band product only the rows [first, last + 1) of ``keep[rows]``
     are formed, at O(bands * r).
     """
-    n, kept = a.dim, keep[rows]
-    p, q = _span(keep, n)
+    n, kept, kept_cols = a.dim, keep[rows], keep[cols]
+    p, q = _span(kept_cols, n)
     rp, rq = _span(kept, n)
     if b is None:
         block = (a._dense_rows(rp, rq, p, q) if a._bands is None
@@ -423,21 +427,31 @@ def _kept_block(keep: np.ndarray, a: "OperatorMatrix", b: "OperatorMatrix | None
             block = _dense_block(a, b, rp, rq, p, q)
         else:
             block = _mixed_block(a, b, rp, rq, p, q)
-    if rq - rp == kept.size and q - p == keep.size:
+    if rq - rp == kept.size and q - p == kept_cols.size:
         return block
-    return block[np.ix_(kept - rp, keep - p)]
+    return block[np.ix_(kept - rp, kept_cols - p)]
+
+
+def _is_adjoint_view(a: "OperatorMatrix", b: "OperatorMatrix") -> bool:
+    """Whether dense ``a`` and ``b`` hold one array, one of them
+    conjugate-transposed: each is then exactly the other's adjoint."""
+    return a._dense is not None and a._dense is b._dense and a._adjointed != b._adjointed
 
 
 def _adjoint_gap(a: "OperatorMatrix", b: "OperatorMatrix") -> float:
     """max|A - B^dag|, zero when A is exactly the adjoint of B.
 
-    Two band operands are compared as ``a - b.dag()``. Two dense operands
+    An operator and the adjoint view of it that :meth:`OperatorMatrix.dag`
+    returns share one array, so their gap is 0 and nothing is read. Two band
+    operands are compared as ``a - b.dag()``. Any other two dense operands
     are compared :data:`_TILE` rows at a time, each block reduced to its
     largest entry before the next is formed. As that of ``B - A^dag`` is the
     same, an A held conjugate-transposed is compared the other way round, so
     that A's side is a view. A band and a dense operand raise ValueError.
     """
     a._require_same_basis(b)
+    if _is_adjoint_view(a, b):
+        return 0.0
     if a._bands is not None or b._bands is not None:
         return maxabs_norm(a - b.dag())
     if a._adjointed and not b._adjointed:
@@ -753,8 +767,11 @@ def _exponential(h: OperatorMatrix, sign: int) -> np.ndarray:
     out.real[1::2, 1::2] = lower
     out.imag[0::2, 1::2] = cross
     out.imag[1::2, 0::2] = cross.T
-    out *= d[:, None]
-    out *= d.conj()
+    # A band of positive entries, such as Q's, has every phase 1, and
+    # multiplying by 1 could only change the sign of a zero.
+    if (d != 1).any():
+        out *= d[:, None]
+        out *= d.conj()
     return out
 
 
@@ -776,7 +793,8 @@ def tensor(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
 
     The result lives on the two-mode basis with the row-major index
     convention of :class:`FockBasis` (first factor is the major index). Bands
-    ``k_a`` and ``k_b`` give band ``k_a * dim_b + k_b``, ``kron(a_k, b_k)``.
+    ``k_a`` and ``k_b`` give band ``k_a * dim_b + k_b``, ``kron(a_k, b_k)``,
+    formed as the flattened outer product of the two vectors.
     A dense operand raises ValueError.
     """
     for op in (a, b):
@@ -788,7 +806,7 @@ def tensor(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     for ka, va in a._bands.items():
         for kb, vb in b._bands.items():
             k = ka * b.dim + kb
-            out[k] = out.get(k, 0.0) + np.kron(va, vb)
+            out[k] = out.get(k, 0.0) + np.multiply.outer(va, vb).reshape(-1)
     return OperatorMatrix(out_basis, _Fresh(out))
 
 
@@ -811,7 +829,7 @@ def interior_projector(
     else:
         labels, sizes = np.arange(basis.dim)[:, None], np.array([basis.dim])
     keep = np.all((labels >= margin) & (sizes - 1 - labels >= margin), axis=1)
-    keep[list(excluded)] = False
+    keep[np.array(excluded, dtype=np.intp)] = False
     if not keep.any():
         raise ValueError(
             f"no interior states left on {basis} with margin {margin} and "

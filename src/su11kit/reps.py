@@ -276,9 +276,10 @@ def villain_spin(
     pmat, eplus, eminus = circle_momentum(basis)
     sminus = amplitude @ eminus
     splus = eplus @ amplitude
-    excluded = sorted(
-        {int(j) for c in clamped for j in (c, c + 1) if j < basis.count}
-    )
+    # A clamped state and the one above it, when there is one.
+    touching = np.zeros(basis.count + 1, dtype=bool)
+    touching[clamped] = touching[clamped + 1] = True
+    excluded = np.flatnonzero(touching[:basis.count]).tolist()
     return AlgebraTriple(
         SPIN, pmat, splus, sminus,
         RepParams(

@@ -355,6 +355,26 @@ class TestDenseAdjointGap:
         with pytest.raises(ValueError, match=r"max\|K\+ - \(K-\)\^dag\| = 2\.000e-10"):
             dense_triple(kplus, kminus)
 
+    def test_an_adjoint_view_is_not_read(self, monkeypatch):
+        bose = saf_bose_form(0.7 + 0.4j, 64)
+        perturbed = dense(bose.kplus).copy()
+        perturbed[40, 3] += 3e-11
+        expected = np.max(np.abs(perturbed - dense(bose.kminus).conj().T))
+        reads = []
+        dense_rows = OperatorMatrix._dense_rows
+
+        def spy_rows(op, *args):
+            reads.append(args)
+            return dense_rows(op, *args)
+
+        monkeypatch.setattr(OperatorMatrix, "_dense_rows", spy_rows)
+        assert linops._adjoint_gap(bose.kplus, bose.kminus) == 0.0
+        assert linops._adjoint_gap(bose.kminus, bose.kplus) == 0.0
+        assert reads == []
+        copy = OperatorMatrix(bose.basis, perturbed)
+        assert linops._adjoint_gap(copy, bose.kminus) == expected > 0
+        assert reads
+
     @pytest.mark.parametrize("order", "CF")
     @pytest.mark.parametrize("n", [7, 64, 65, 200])
     def test_gaps_equal_the_whole_difference(self, n, order):
@@ -475,6 +495,27 @@ class TestDenseWorkingSet:
         assert traced_peak(lambda: bose.kminus.dag()) < 2 ** 10
 
 
+def test_a_separate_raising_array_keeps_whole_tiles():
+    # K+ a copy of (K-)^dag, off by 5e-11 at (100, 10): [K+,K-] then moves at
+    # (99, 10) and (100, 11) only, in a tile left of the kept diagonal's. K+
+    # is not the adjoint view of K-, so the bracket is formed on whole tiles
+    # and fails.
+    mp = mp_realization(1.0, 160)
+    kplus = dense(mp.kplus).copy()
+    kplus[100, 10] += 5e-11
+    triple = AlgebraTriple(HYPERBOLIC, mp.k0, OperatorMatrix(mp.basis, kplus),
+                           OperatorMatrix(mp.basis, dense(mp.kminus)), RepParams("dense"))
+    spec = CheckSpec(margin=2, tolerance=1e-10)
+    keep = np.arange(2, 158)
+    bracket = ((dense(triple.kplus, triple.kminus) - dense(triple.kminus, triple.kplus))
+               + dense(2.0 * triple.k0))[np.ix_(keep, keep)]
+    upper = np.concatenate([bracket[r:r + _TILE, r:].ravel() for r in range(0, keep.size, _TILE)])
+    assert np.max(np.abs(upper)) < spec.tolerance
+    reported = check_commutators(triple, spec).checks[2]
+    assert not reported.passed
+    assert reported.residual == pytest.approx(np.max(np.abs(bracket)), rel=1e-6)
+
+
 def test_bose_checks_form_no_full_dense_product(monkeypatch):
     # K+- are dense, so each of their products is formed on the kept block.
     bose = saf_bose_form(0.7 + 0.4j, 64)
@@ -506,7 +547,7 @@ def test_bose_casimir_forms_no_band_product(monkeypatch):
         return matmul(a, b)
 
     monkeypatch.setattr(OperatorMatrix, "__matmul__", spy_matmul)
-    _, forms, _ = _kept_form(bose, 64)
+    _, forms, _, _ = _kept_form(bose, 64)
     assert len(forms) == 2
     assert check_casimir(bose, CheckSpec(margin=64, tolerance=1e-3)).overall_passed
     assert band_products == []
@@ -542,6 +583,10 @@ def test_bose_kept_blocks_equal_the_projected_residuals(dim, margin, form):
 ROW_TILE_CASES = [(129, 0), (67, 1), (16, 7), (200, 1)]
 
 
+# The residuals that are Hermitian for a triple whose K+ is K-'s adjoint view.
+HERMITIAN = ("[K+,K-]+2K0", "casimir closed form")
+
+
 def bose_residuals(bose):
     """Each bracket and the Casimir less its closed form, by the function that
     forms their products and terms."""
@@ -565,33 +610,70 @@ def row_tile_mismatches():
         for form_name in ("form1", "form2"):
             bose = saf_bose_form(0.3 - 0.8j, dim, form_name)
             spec = CheckSpec(margin=margin, tolerance=1e-3)
-            keep, forms, _ = _kept_form(bose, margin)
+            keep, forms, upper, _ = _kept_form(bose, margin)
             reported = {c.name: c.residual for report in (check_commutators(bose, spec),
                                                           check_casimir(bose, spec))
                         for c in report.checks}
             for name, residual in bose_residuals(bose).items():
                 whole = residual(dense)[np.ix_(keep, keep)]
-                tiles = [np.array_equal(residual(form), whole[form.keywords["rows"]])
-                         for form in forms]
+                tiles = [np.array_equal(residual(form), whole[form.keywords["rows"],
+                                                              form.keywords.get("cols", slice(None))])
+                         for form in (upper if name in HERMITIAN else forms)]
                 if not all(tiles) or reported[name] != np.max(np.abs(whole)):
                     bad.append((dim, margin, form_name, name))
     return bad
 
 
-@pytest.mark.parametrize("dim,margin,sizes", [(129, 0, [64, 64, 1]), (67, 1, [64, 1]), (16, 7, [2]),
-                                              (200, 1, [64, 64, 64, 6])])
-def test_row_tiles_cover_the_kept_rows(dim, margin, sizes):
-    keep, forms, _ = _kept_form(saf_bose_form(0.3 - 0.8j, dim), margin)
+@pytest.mark.parametrize("dim,margin,sizes,columns", [
+    (129, 0, [64, 64, 1], [129, 65, 1]), (67, 1, [64, 1], [65, 1]), (16, 7, [2], [2]),
+    (200, 1, [64, 64, 64, 6], [198, 134, 70, 6]), (130, 0, [64, 64, 2], [130, 66, 2])])
+def test_row_tiles_cover_the_kept_rows(dim, margin, sizes, columns):
+    # The tiles of a Hermitian residual start their columns at their first
+    # kept row: the upper triangle of the kept block, and the diagonal tiles.
+    keep, forms, upper, _ = _kept_form(saf_bose_form(0.3 - 0.8j, dim), margin)
     assert [keep[form.keywords["rows"]].size for form in forms] == sizes
+    assert [keep[form.keywords["rows"]].size for form in upper] == sizes
+    assert [keep[form.keywords["cols"]].size for form in upper] == columns
 
 
-def test_row_tiles_equal_the_whole_residual():
-    # Each tile is one BLAS product, whose rounding can change with the
-    # thread count; the comparison runs on one thread.
-    script = "import test_algebra; print(test_algebra.row_tile_mismatches())"
+def upper_triangle_mismatches():
+    """The (dim, margin, form, residual) cases in which a Hermitian residual,
+    formed on the upper triangle of the kept block, is reported other than
+    as the largest kept entry of the residual formed over every state."""
+    bad = []
+    for dim in (16, 17, 64, 65, 130):
+        for margin in (0, 1, 3, dim // 4):
+            for form_name in ("form1", "form2"):
+                bose = saf_bose_form(0.3 - 0.8j, dim, form_name)
+                spec = CheckSpec(margin=margin, tolerance=1e-3)
+                keep = np.flatnonzero(masked_interior(bose, margin).diagonal())
+                reported = {c.name: c.residual for report in (check_commutators(bose, spec),
+                                                              check_casimir(bose, spec))
+                            for c in report.checks}
+                residuals = bose_residuals(bose)
+                for name in HERMITIAN:
+                    whole = residuals[name](dense)[np.ix_(keep, keep)]
+                    if reported[name] != np.max(np.abs(whole)):
+                        bad.append((dim, margin, form_name, name))
+    return bad
+
+
+def on_one_thread(mismatches: str) -> str:
+    """What ``mismatches()`` of this module prints, in a process with one
+    BLAS thread: each tile is one BLAS product, whose rounding can change
+    with the thread count."""
+    script = f"import test_algebra; print(test_algebra.{mismatches}())"
     env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
            "MKL_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join([str(Path(__file__).parent), str(SRC)])}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=300, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_row_tiles_equal_the_whole_residual():
+    assert on_one_thread("row_tile_mismatches") == "[]"
+
+
+def test_upper_triangles_give_the_whole_residual():
+    assert on_one_thread("upper_triangle_mismatches") == "[]"

@@ -732,6 +732,29 @@ class TestTensor:
         with pytest.raises(ValueError):
             tensor(identity(CircleBasis(0.0, 3)), identity(FockBasis((3,))))
 
+    def test_bands_are_the_kron_of_band_vectors_bit_for_bit(self):
+        # Against np.kron of each band pair, summed per offset in the same
+        # order; with two states in b, offsets 2 k_a + k_b coincide. Signed
+        # zeros are kept by the products, and a sum turns -0.0 into 0.0.
+        rng = np.random.default_rng(3)
+        ops = []
+        for basis in (FockBasis((4,)), FockBasis((2,))):
+            vectors = {}
+            for k in (-1, 0, 1):
+                v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+                v[::2] = complex(-0.0, -0.0)
+                vectors[k] = v
+            ops.append(banded(basis, vectors))
+        a, b = ops
+        expected = {}
+        for ka, va in a._bands.items():
+            for kb, vb in b._bands.items():
+                k = ka * b.dim + kb
+                expected[k] = expected.get(k, 0.0) + np.kron(va, vb)
+        got = tensor(a, b)._bands
+        assert got.keys() == expected.keys()
+        assert all(got[k].tobytes() == expected[k].tobytes() for k in got)
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1))
     def test_mixed_product_rule(self, seed):

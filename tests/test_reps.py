@@ -183,6 +183,20 @@ class TestVillain:
         outside = {j for j, pj in enumerate(p) if abs(pj) > spin + 1e-9}
         assert outside <= excluded
 
+    @pytest.mark.parametrize("fidelity", ["corrected", "as_printed"])
+    @pytest.mark.parametrize("spin,p_min,count", [(1.0, -4.0, 9), (2.5, -7.5, 12), (0.5, -0.5, 2),
+                                                  (1.5, -1.5, 40)])
+    def test_clamp_excluded_is_each_clamped_state_and_the_next(self, spin, p_min, count,
+                                                               fidelity):
+        basis = CircleBasis(p_min, count)
+        t = villain_spin(spin, basis, fidelity)
+        p = basis.momenta()
+        offset = 0.5 if fidelity == "corrected" else -0.5
+        clamped = np.flatnonzero((spin + 0.5) ** 2 - (p + offset) ** 2 < 0)
+        reference = sorted({int(j) for c in clamped for j in (c, c + 1) if j < basis.count})
+        assert t.params.clamp_excluded == tuple(reference)
+        assert all(type(j) is int for j in t.params.clamp_excluded)
+
     def test_range_not_covered_rejected(self):
         with pytest.raises(ValueError, match="cover"):
             villain_spin(2.5, CircleBasis(-1.5, 4))
@@ -253,10 +267,15 @@ class TestQuadratures:
 
 
 class TestBoseForms:
+    @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("form", ["form1", "form2"])
-    def test_k0_hermitian(self, form):
-        t = saf_bose_form(0.5 + 1.0j, 32, form)
-        assert t.k0.hermiticity_defect() <= 1e-10
+    def test_k0_hermitian(self, form, seed):
+        # Exactly: the checks form only the upper triangle of the Hermitian
+        # residuals of a triple whose K0 has no Hermiticity defect at all.
+        rng = np.random.default_rng(seed)
+        p0 = complex(*rng.uniform(-3.0, 3.0, size=2))
+        t = saf_bose_form(p0, 32, form)
+        assert t.k0.hermiticity_defect() == 0.0
 
     @pytest.mark.parametrize("form", ["form1", "form2"])
     def test_adjoint_pair(self, form):

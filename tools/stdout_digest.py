@@ -21,7 +21,8 @@ that invocation's bytes or exit code differ. The list covers
 * ``casimir`` of every ``--rep`` at non-default parameters, in json;
 * ``check`` and ``casimir`` of the bose forms at the edges of the kept block
   and of its row tiles: margin 0, odd dims, two kept states, a p0 with a
-  negative imaginary part, a last tile of one row, and margin 1, in json;
+  negative imaginary part, a last tile of one row, a last tile of the upper
+  triangle two rows by two columns, and margin 1, in json;
 * the shift powers and pair count past float range, which once hung or
   exited with an unnamed message;
 * the inputs refused with exit 2 because they could not be honoured: a
@@ -78,14 +79,16 @@ CASIMIR_PARAMS = [
 # The edges of the kept block on which the dense bose residuals are formed:
 # every state kept, odd dims (kept and not), two kept states, a p0 below the
 # real axis, and the edges of its row tiles: a last tile of one row (129 and
-# 65 kept states) and margin 1, whose columns do not start on a BLAS column
-# tile.
+# 65 kept states), a last tile of the upper triangle of two rows by two
+# columns (130 kept states), and margin 1, whose columns do not start on a
+# BLAS column tile.
 BOSE_EDGES = [[command, "--rep", rep, *flags]
               for command in ("check", "casimir") for rep in ("bose1", "bose2")
               for flags in (["--margin", "0"], ["--dim", "17"], ["--dim", "33"],
                             ["--dim", "33", "--margin", "0"], ["--dim", "16", "--margin", "7"],
                             ["--p0=0.3-0.8i", "--margin", "16"],
-                            ["--dim", "129", "--margin", "0"], ["--dim", "67", "--margin", "1"],
+                            ["--dim", "129", "--margin", "0"], ["--dim", "130", "--margin", "0"],
+                            ["--dim", "67", "--margin", "1"],
                             ["--margin", "1"])]
 BEYOND_FLOAT = [
     ["transfo", "--beta", "1" + "0" * 400],
