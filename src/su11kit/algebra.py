@@ -157,8 +157,8 @@ def check_commutators(triple: AlgebraTriple, spec: CheckSpec = CheckSpec()) -> C
     metadata = {"margin": str(spec.margin), "variant": triple.params.variant}
     if triple.params.fidelity is not None:
         metadata["fidelity"] = triple.params.fidelity
-    if triple.params.clamp_excluded:
-        metadata["clamp_excluded"] = str(len(triple.params.clamp_excluded))
+    if triple.params.clamp_excluded.size:
+        metadata["clamp_excluded"] = str(triple.params.clamp_excluded.size)
     checks = tuple(
         Check(name, max(norm(residual(form)) for form in tiles), spec.tolerance,
               dict(metadata))

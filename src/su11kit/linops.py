@@ -13,16 +13,16 @@ number or momentum operator times a unit shift), stored as bands
 adjoints and Kronecker products of bands are bands, at O(bands * dim) cost.
 Dense storage holds the arrays handed to the constructor and the results of
 :func:`unitary_exp`. Arithmetic takes bands only; a dense operand raises
-ValueError naming the operation. A dense operator is read in two places
-only: the kept block of a residual, formed a row tile at a time with the
-same floating-point operations for each kept entry as the whole product (of
-a residual Hermitian by construction, only its upper triangle of tiles), and
-the gap between it and the adjoint of another, measured a row tile at a time.
-It may hold its array conjugate-transposed, as BLAS's ``op(A) = A^H`` does,
-so its adjoint shares the array and rows of it are read as one conjugated
-copy of columns of the array; the gap between an operator and such a view of
-its own adjoint is 0, and neither is read. ``.entries`` materializes the
-dense array on request. The spectral routines take one kind of input, a Hermitian
+ValueError naming the operation. A dense operator is read in one place,
+:func:`_kept_block`, which forms a block of it or of a product with it with
+the same floating-point operations for each entry as the whole product: a
+residual a row tile at a time (of one Hermitian by construction, only its
+upper triangle of tiles), the gap to the adjoint of another by row tiles of
+all states, and ``.entries`` as the block of all states. It may hold its
+array conjugate-transposed, as BLAS's ``op(A) = A^H`` does, so its adjoint
+shares the array and rows of it are read as one conjugated copy of columns
+of the array; the gap between an operator and such a view of its own
+adjoint is 0, and neither is read. The spectral routines take one kind of input, a Hermitian
 tridiagonal band with a zero real diagonal, such as a quadrature: it is
 diagonalized through the SVD of a real bidiagonal block of half its size, and
 exponentiated from real blocks of half its size. Any other input raises
@@ -269,13 +269,6 @@ def _scaled_rows(out: np.ndarray, terms: list[tuple], carry: int | None = None) 
                 out[r0:r1] = block
 
 
-def _to_dense(bands: dict[int, np.ndarray], n: int) -> np.ndarray:
-    """Materialize band storage as a read-only dense n x n array."""
-    out = _band_block(bands, n, 0, n, 0, n)
-    out.setflags(write=False)
-    return out
-
-
 def _band_block(bands: dict[int, np.ndarray], n: int, rp: int, rq: int,
                 p: int, q: int) -> np.ndarray:
     """Rows [rp, rq) and columns [p, q) of band storage on n states, as a
@@ -444,21 +437,20 @@ def _adjoint_gap(a: "OperatorMatrix", b: "OperatorMatrix") -> float:
     An operator and the adjoint view of it that :meth:`OperatorMatrix.dag`
     returns share one array, so their gap is 0 and nothing is read. Two band
     operands are compared as ``a - b.dag()``. Any other two dense operands
-    are compared :data:`_TILE` rows at a time, each block reduced to its
-    largest entry before the next is formed. As that of ``B - A^dag`` is the
-    same, an A held conjugate-transposed is compared the other way round, so
-    that A's side is a view. A band and a dense operand raise ValueError.
+    are compared :data:`_TILE` rows at a time: each tile of A and of B^dag
+    is their :func:`_kept_block` over every column, and their difference is
+    reduced to its largest entry before the next tile is formed. A band and
+    a dense operand raise ValueError.
     """
     a._require_same_basis(b)
     if _is_adjoint_view(a, b):
         return 0.0
     if a._bands is not None or b._bands is not None:
         return maxabs_norm(a - b.dag())
-    if a._adjointed and not b._adjointed:
-        a, b = b, a
-    b = b.dag()
-    return max(float(np.max(np.abs(a._dense_rows(r, r + _TILE) - b._dense_rows(r, r + _TILE))))
-               for r in range(0, a.dim, _TILE))
+    keep, b = np.arange(a.dim), b.dag()
+    tiles = (slice(r, r + _TILE) for r in range(0, a.dim, _TILE))
+    return max(float(np.max(np.abs(_kept_block(keep, a, rows=t) - _kept_block(keep, b, rows=t))))
+               for t in tiles)
 
 
 def _require_bands(what: str, a: "OperatorMatrix", b: "OperatorMatrix | None" = None) -> None:
@@ -473,18 +465,19 @@ class OperatorMatrix:
     Storage is bands or dense (see the module docstring). Dense storage holds
     the constructor's arrays and the results of :func:`unitary_exp`;
     arithmetic takes bands only, and a dense operator is read only through
-    the kept block of a residual and the adjoint gap. Every array held is
-    read-only and all arithmetic returns new values, so instances can be
-    shared freely between threads. The constructor copies the caller's dense
-    array once; the results of arithmetic, :func:`banded` and :func:`tensor`
-    are adopted without a copy. No CLI path hands the constructor an array
-    of its own: every operator it checks comes from arithmetic,
-    :func:`banded` or :func:`unitary_exp`. The shape, basis and finiteness
-    checks run on every construction.
+    :func:`_kept_block`. Every array held is read-only and all arithmetic
+    returns new values, so instances can be shared freely between threads.
+    The constructor copies the caller's dense array once; the results of
+    arithmetic, :func:`banded` and :func:`tensor` are adopted without a
+    copy. No CLI path hands the constructor an array of its own: every
+    operator it checks comes from arithmetic, :func:`banded` or
+    :func:`unitary_exp`. The shape, basis and finiteness checks run on every
+    construction.
 
     Dense storage has one bit more, as in BLAS's ``op(A) = A^H``: the
     operator is its array or the conjugate transpose of it. :meth:`dag` flips
-    the bit and shares the array; every reader goes through :meth:`_dense_rows`.
+    the bit and shares the array, which :func:`_kept_block` and the kernels
+    it calls read through :meth:`_dense_rows`.
     """
 
     __slots__ = ("basis", "_dense", "_bands", "_adjointed", "__weakref__")
@@ -528,13 +521,10 @@ class OperatorMatrix:
 
     @property
     def entries(self) -> np.ndarray:
-        """The dense matrix, read-only; bands, and an array held
-        conjugate-transposed, are materialized on each call."""
-        if self._bands is not None:
-            return _to_dense(self._bands, self.dim)
-        out = self._dense_rows(0, self.dim)[:]
-        if self._adjointed:
-            out = np.ascontiguousarray(out)
+        """The dense matrix, read-only and C-contiguous: the kept block of
+        every state, a view of a dense array held as is in C order, and
+        materialized on each call otherwise."""
+        out = np.ascontiguousarray(_kept_block(np.arange(self.dim), self))
         out.setflags(write=False)
         return out
 
@@ -542,7 +532,8 @@ class OperatorMatrix:
         """Rows [r0, r1) and columns [c0, c1) (default: all) of a dense
         operator: a read-only view of its array or, for an array held
         conjugate-transposed, a conjugated copy of its columns, laid out as
-        the held array's columns are, which copies fastest."""
+        the held array's columns are, which copies fastest. Only
+        :func:`_kept_block` and its kernels call it."""
         if self._adjointed:
             return np.conjugate(self._dense[c0:c1, r0:r1].T)
         return self._dense[r0:r1, c0:c1]
@@ -811,13 +802,14 @@ def tensor(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
 
 
 def interior_projector(
-    basis: BasisSpec, margin: int, excluded: tuple[int, ...] = ()
+    basis: BasisSpec, margin: int, excluded: np.ndarray | tuple[int, ...] = ()
 ) -> OperatorMatrix:
     """Diagonal 0/1 projector onto states away from the truncation boundary.
 
     Keeps the states whose labels all lie in ``[margin, size - 1 - margin]``:
     the occupation of each mode of a Fock basis, the lattice index of a
-    circle basis. The states listed in ``excluded`` are dropped as well.
+    circle basis. The states indexed by ``excluded`` are dropped as well;
+    an ``np.intp`` array indexes the mask as it is, without a copy.
     Shift-built operators are only faithful on this interior, so residual
     checks evaluate there; an empty interior raises ValueError.
     """
@@ -829,7 +821,7 @@ def interior_projector(
     else:
         labels, sizes = np.arange(basis.dim)[:, None], np.array([basis.dim])
     keep = np.all((labels >= margin) & (sizes - 1 - labels >= margin), axis=1)
-    keep[np.array(excluded, dtype=np.intp)] = False
+    keep[np.asarray(excluded, dtype=np.intp)] = False
     if not keep.any():
         raise ValueError(
             f"no interior states left on {basis} with margin {margin} and "

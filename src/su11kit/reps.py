@@ -73,15 +73,18 @@ class RepParams:
     ``casimir`` holds the Casimir's closed forms as (formula text, expected
     value) pairs, the value a float or, for a Casimir that is not constant,
     a read-only diagonal; they take no part in equality or hashing.
-    ``clamp_excluded`` lists basis states that touch a clamped square-root
-    amplitude (Villain outside the spin range); verification projects those
-    states out along with the truncation boundary.
+    ``clamp_excluded`` is a read-only ascending ``np.intp`` array of the
+    basis states that touch a clamped square-root amplitude (Villain outside
+    the spin range), empty by default; like ``casimir``, it takes no part in
+    equality or hashing. Verification projects those states out along with
+    the truncation boundary.
     """
 
     variant: str
     casimir: tuple[tuple[str, float | np.ndarray], ...] = field(default=(), compare=False)
     fidelity: str | None = None
-    clamp_excluded: tuple[int, ...] = ()
+    clamp_excluded: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp),
+                                       compare=False)
 
 
 @dataclass(frozen=True)
@@ -279,14 +282,15 @@ def villain_spin(
     # A clamped state and the one above it, when there is one.
     touching = np.zeros(basis.count + 1, dtype=bool)
     touching[clamped] = touching[clamped + 1] = True
-    excluded = np.flatnonzero(touching[:basis.count]).tolist()
+    excluded = np.flatnonzero(touching[:basis.count])
+    excluded.setflags(write=False)
     return AlgebraTriple(
         SPIN, pmat, splus, sminus,
         RepParams(
             variant="villain",
             casimir=(("S*(S+1)", spin * (spin + 1.0)),),
             fidelity=fidelity,
-            clamp_excluded=tuple(excluded),
+            clamp_excluded=excluded,
         ),
     )
 

@@ -386,6 +386,12 @@ class TestDenseAdjointGap:
         kplus = np.asarray(a.conj().T + 1e-11 * rng.normal(size=(n, n)), order=order)
         gap = check_adjointness(dense_triple(kplus, a)).checks[0].residual
         assert 0 < gap == np.max(np.abs(kplus - a.conj().T))
+        # Two arrays, either or both held conjugate-transposed.
+        b = np.asarray(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), order=order)
+        x, y = OperatorMatrix(FockBasis((n,)), a), OperatorMatrix(FockBasis((n,)), b)
+        assert linops._adjoint_gap(x.dag(), y) == np.max(np.abs(a.conj().T - b.conj().T))
+        assert linops._adjoint_gap(x, y.dag()) == np.max(np.abs(a - b))
+        assert linops._adjoint_gap(x.dag(), y.dag()) == np.max(np.abs(a.conj().T - b))
 
 
 class TestAlgebraProperties:

@@ -1,9 +1,12 @@
 """Band-stored operators must never fall back to dense arithmetic.
 
 At 65 536 states a dense operand would take 64 GiB, so these checks can only
-complete if every step of them stays on the bands. The dense materializer is
-patched to raise, so a fallback fails at once instead of asking for the
-memory, and the documented misprints must still be detected at that size.
+complete if every step of them stays on the bands. The allocator of every
+dense array, ``linops._new_dense``, is patched to raise for an array above
+256 x 256 entries, so a materialization fails at once through whichever
+route asks for it, instead of asking for the memory; the bose forms below
+stay at 256 states. The documented misprints must still be detected at the
+large size.
 The bose exponential forms are dense by nature; their band generator, Q or
 P with its zero diagonal, is diagonalized once per form through the SVD of
 its half-size bidiagonal block, without being materialized.
@@ -36,10 +39,14 @@ def villain(fidelity):
 
 @pytest.fixture(autouse=True)
 def no_dense_materialization(monkeypatch):
-    def refuse(bands, n):
-        raise AssertionError(f"a {n}x{n} band operator was materialized")
+    new_dense = linops._new_dense
 
-    monkeypatch.setattr(linops, "_to_dense", refuse)
+    def refuse(rows, cols, *args):
+        if rows * cols > 256 * 256:
+            raise AssertionError(f"a dense {rows}x{cols} array was allocated")
+        return new_dense(rows, cols, *args)
+
+    monkeypatch.setattr(linops, "_new_dense", refuse)
 
 
 @pytest.mark.parametrize("build", [

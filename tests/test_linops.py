@@ -188,6 +188,22 @@ def band_cases(draw):
     return basis, ops, OperatorMatrix(basis, dense), dense
 
 
+def held(basis, order):
+    """A random dense operator whose array is held in ``order`` ("C" or "F")."""
+    return OperatorMatrix(basis, np.asarray(dense(random_operator(basis, 5)), order=order))
+
+
+# Operators of each storage whose .entries is checked: bands, a dense array
+# held as is, and one held conjugate-transposed, each array in either order.
+ENTRIES_KINDS = {
+    "band": lambda basis: random_bands(basis, 4),
+    "dense-C": lambda basis: held(basis, "C"),
+    "dense-F": lambda basis: held(basis, "F"),
+    "adjoint-C": lambda basis: held(basis, "C").dag(),
+    "adjoint-F": lambda basis: held(basis, "F").dag(),
+}
+
+
 def band_dense_pair(n, offsets, sparse, order, seed):
     """A band operator with the given offsets on n states, whose vector at
     offset k is mostly zeros when ``sparse[k]``, and a random dense operand
@@ -314,6 +330,16 @@ class TestBandStorage:
         adjoint = OperatorMatrix(FockBasis((n,)), held).dag().entries
         assert adjoint.flags.c_contiguous and not adjoint.flags.writeable
         assert adjoint.tobytes() == np.ascontiguousarray(held.conj().T).tobytes()
+
+    @pytest.mark.parametrize("kind", ENTRIES_KINDS.values(), ids=ENTRIES_KINDS.keys())
+    @pytest.mark.parametrize("n", [7, 64, 65, 200])
+    def test_entries_are_the_block_of_every_state(self, n, kind):
+        # .entries reads an operator as every other reader does, through
+        # linops._kept_block; 7, 65 and 200 states leave a partial tile.
+        op = kind(FockBasis((n,)))
+        entries = op.entries
+        assert entries.flags.c_contiguous and not entries.flags.writeable
+        assert entries.tobytes() == dense(op).tobytes()
 
     def test_mixed_products_scale_rows_and_columns(self, monkeypatch):
         # band x dense and dense x band blocks must not materialize the band operand.

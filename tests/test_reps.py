@@ -194,8 +194,9 @@ class TestVillain:
         offset = 0.5 if fidelity == "corrected" else -0.5
         clamped = np.flatnonzero((spin + 0.5) ** 2 - (p + offset) ** 2 < 0)
         reference = sorted({int(j) for c in clamped for j in (c, c + 1) if j < basis.count})
-        assert t.params.clamp_excluded == tuple(reference)
-        assert all(type(j) is int for j in t.params.clamp_excluded)
+        excluded = t.params.clamp_excluded
+        np.testing.assert_array_equal(excluded, np.array(reference, dtype=np.intp))
+        assert excluded.dtype == np.intp and not excluded.flags.writeable
 
     def test_range_not_covered_rejected(self):
         with pytest.raises(ValueError, match="cover"):

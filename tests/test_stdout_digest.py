@@ -24,6 +24,7 @@ def test_covers_the_readme_in_every_format_and_the_float_edges():
     assert all(argv in argvs for argv in stdout_digest.BEYOND_FLOAT)
     assert all(argv in argvs for argv in stdout_digest.REFUSED)
     assert all(argv + ["--format", "json"] in argvs for argv in stdout_digest.BOSE_EDGES)
+    assert stdout_digest.WIDE_VILLAIN + ["--format", "json"] in argvs
     # Each budget refusal exits before it allocates, so it is cheap to run.
     assert all(argv in argvs for argv in OVER_BUDGET.values())
     assert ["casimir", "--rep", "villain", "--spin", "2.5", "--format", "csv"] in argvs

@@ -19,6 +19,8 @@ that invocation's bytes or exit code differ. The list covers
 * ``transfo`` at beta in {1, 2, 3, 5} and n in {1, 2, 3}, with and without
   ``--p-min 0.3 --margin beta``, in json;
 * ``casimir`` of every ``--rep`` at non-default parameters, in json;
+* a villain ``check`` on 65 536 momenta, of which 65 533 are clamp-excluded,
+  in json;
 * ``check`` and ``casimir`` of the bose forms at the edges of the kept block
   and of its row tiles: margin 0, odd dims, two kept states, a p0 with a
   negative imaginary part, a last tile of one row, a last tile of the upper
@@ -76,6 +78,8 @@ CASIMIR_PARAMS = [
     ["casimir", "--rep", "two_mode", "--dim", "9", "--margin", "1"],
     ["casimir", "--rep", "all", "--tol", "1e-9"],
 ]
+# A wide villain lattice: every state but the spin-1 block's is clamp-excluded.
+WIDE_VILLAIN = ["check", "--rep", "villain", "--dim", "65536"]
 # The edges of the kept block on which the dense bose residuals are formed:
 # every state kept, odd dims (kept and not), two kept states, a p0 below the
 # real axis, and the edges of its row tiles: a last tile of one row (129 and
@@ -135,7 +139,8 @@ def invocations() -> list[list[str]]:
                for extra in ([], ["--p-min", "0.3", "--margin", str(beta)])]
     return [*_workload_argvs(),
             *(argv + ["--format", fmt] for argv in README + reps for fmt in FORMATS),
-            *transfo, *(argv + ["--format", "json"] for argv in CASIMIR_PARAMS + BOSE_EDGES),
+            *transfo, *(argv + ["--format", "json"]
+                        for argv in CASIMIR_PARAMS + [WIDE_VILLAIN] + BOSE_EDGES),
             *BEYOND_FLOAT, *REFUSED, *CONFIGS]
 
 
