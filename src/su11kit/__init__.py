@@ -14,7 +14,6 @@ from .algebra import (
     check_commutators,
     check_transfo,
     compare_triples,
-    masked_interior,
 )
 from .linops import (
     BasisMismatchError,
@@ -89,7 +88,6 @@ __all__ = [
     "hp_spin",
     "identity",
     "interior_projector",
-    "masked_interior",
     "maxabs_norm",
     "mp_realization",
     "p0_of",

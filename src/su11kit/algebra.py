@@ -9,17 +9,19 @@ checks it against the closed forms each realization records in
 Residuals are evaluated on the kept block: the interior states away from the
 truncation boundary, less, for clamped spin realizations, the states that
 touch a clamped square-root amplitude. Each residual is written once, with
-its products and terms formed by a function it is given. For a triple held
-in bands that function forms them whole, and the residual goes behind the
-0/1 interior projector. For a triple with a dense generator, such as the
-bose forms, the residual is formed one row tile of the kept block at a time
-and reduced tile by tile, with the same floating-point operations as the
-whole product has there. Where K+ is the adjoint view of K- and K0 is
-exactly Hermitian, as in the bose forms, [K+,K-]+2K0 and the Casimir less
-its closed form are Hermitian by construction, and only the upper triangle
-of their kept block is formed, in tiles. On the kept block each identity
-either holds to machine precision or fails by a finite, reportable amount;
-the reports never auto-resolve a discrepancy, they record it.
+its products and terms formed by a function it is given. The kept states come
+from :func:`_kept_states`, the one place that builds the 0/1 interior
+projector and multiplies by it. For a triple held in bands the residual is
+formed whole and its norm taken behind that projector. For a triple with a
+dense generator, such as the bose forms, the residual is formed one row tile
+of the kept block at a time and reduced tile by tile, with the same
+floating-point operations as the whole product has there. Where K+ is the
+adjoint view of K- and K0 is exactly Hermitian, as in the bose forms,
+[K+,K-]+2K0 and the Casimir less its closed form are Hermitian by
+construction, and only the upper triangle of their kept block is formed, in
+tiles. On the kept block each identity either holds to machine precision or
+fails by a finite, reportable amount; the reports never auto-resolve a
+discrepancy, they record it.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import numpy as np
 from .linops import (
     _TILE,
     BasisMismatchError,
+    BasisSpec,
     Check,
     CheckReport,
     CircleBasis,
@@ -85,15 +88,13 @@ def _casimir(triple: AlgebraTriple, form) -> OperatorMatrix | np.ndarray:
     return form(k0, k0) - ladder
 
 
-def masked_interior(triple: AlgebraTriple, margin: int) -> OperatorMatrix:
-    """Interior projector with the triple's clamp-touching states removed."""
-    return interior_projector(triple.basis, margin, triple.params.clamp_excluded)
-
-
-def _projected_residual(
-    proj: OperatorMatrix, residual_op: OperatorMatrix
-) -> float:
-    return maxabs_norm(proj @ residual_op @ proj)
+def _kept_states(basis: BasisSpec, margin: int, excluded=()):
+    """The kept states of ``basis`` at ``margin``, less ``excluded``, as
+    ascending indices, and the function giving ``maxabs_norm(P @ R @ P)`` for
+    a band residual R: the one place that builds and applies the 0/1 interior
+    projector P."""
+    proj = interior_projector(basis, margin, excluded)
+    return np.flatnonzero(proj.diagonal()), lambda residual: maxabs_norm(proj @ residual @ proj)
 
 
 def _kept_form(triple: AlgebraTriple, margin: int):
@@ -103,13 +104,14 @@ def _kept_form(triple: AlgebraTriple, margin: int):
     Hermitian ([K+,K-]+2K0, and the Casimir less a real closed form); and
     the norm of a residual so formed, the largest over its tiles.
 
-    A triple held in bands has one tile: its function forms them whole, and
-    the norm is taken behind the interior projector. A triple with a dense
-    generator has a tile for each :data:`su11kit.linops._TILE` kept rows,
-    whose function forms those rows of their kept block, and the norm is the
-    tile's largest absolute entry, as the projector, whose 0/1 entries keep
-    the kept entries and zero all others, would leave it. A last tile of one
-    row is formed beside a neighbouring row (see :func:`su11kit.linops._span`).
+    The kept states, and the band norm, are those of :func:`_kept_states`,
+    less the triple's clamp-touching states. A triple held in bands has one
+    tile: its function forms them whole. A triple with a dense generator has
+    a tile for each :data:`su11kit.linops._TILE` kept rows, whose function
+    forms those rows of their kept block, and the norm is the tile's largest
+    absolute entry, as the projector, whose 0/1 entries keep the kept entries
+    and zero all others, would leave it. A last tile of one row is formed
+    beside a neighbouring row (see :func:`su11kit.linops._span`).
 
     When K+ is the adjoint view of K- (one array, so exactly its adjoint)
     and K0's Hermiticity defect is exactly 0, the Hermitian residuals' tile
@@ -120,10 +122,9 @@ def _kept_form(triple: AlgebraTriple, margin: int):
     in the whole tile. For any other triple those functions are the whole
     tiles.
     """
-    proj = masked_interior(triple, margin)
-    keep = np.flatnonzero(proj.diagonal())
+    keep, projected = _kept_states(triple.basis, margin, triple.params.clamp_excluded)
     if all(op._bands is not None for op in (triple.k0, triple.kplus, triple.kminus)):
-        return keep, (_whole,), (_whole,), lambda residual: _projected_residual(proj, residual)
+        return keep, (_whole,), (_whole,), projected
     starts = range(0, keep.size, _TILE)
     forms = [partial(_kept_block, keep, rows=slice(r, r + _TILE)) for r in starts]
     upper = forms
@@ -268,8 +269,8 @@ def check_transfo(
     # p * p * p from the left, the order in which band products would form it.
     lhs = up @ diagonal(basis, np.prod([p] * n, axis=0)) @ up.dag()
     rhs = diagonal(basis, (p - beta) ** n)
-    proj = interior_projector(basis, spec.margin)
-    residual = _projected_residual(proj, lhs - rhs)
+    _, projected = _kept_states(basis, spec.margin)
+    residual = projected(lhs - rhs)
     metadata = {"margin": str(spec.margin), "beta": str(beta), "n": str(n)}
     return CheckReport(
         (Check(f"E+^{beta} P^{n} E-^{beta} - (P-{beta})^{n}", residual,

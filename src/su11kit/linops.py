@@ -11,9 +11,10 @@ Every ladder operator here is a sum of a few diagonals (a function of a
 number or momentum operator times a unit shift), stored as bands
 ``{offset k: vector v}`` with ``A[i, i + k] = v[i]``. Sums, products,
 adjoints and Kronecker products of bands are bands, at O(bands * dim) cost.
-Dense storage holds the arrays handed to the constructor and the results of
-:func:`unitary_exp`. Arithmetic takes bands only; a dense operand raises
-ValueError naming the operation. A dense operator is read in one place,
+Dense storage holds the arrays handed to the constructor, the results of
+:func:`unitary_exp`, and K-, which :func:`_times_exp` writes over the
+exponential. Arithmetic takes bands only; a dense operand raises ValueError
+naming the operation. A dense operator is read in one place,
 :func:`_kept_block`, which forms a block of it or of a product with it with
 the same floating-point operations for each entry as the whole product: a
 residual a row tile at a time (of one Hermitian by construction, only its
@@ -463,16 +464,16 @@ class OperatorMatrix:
     """Square complex matrix tagged with the basis it acts on.
 
     Storage is bands or dense (see the module docstring). Dense storage holds
-    the constructor's arrays and the results of :func:`unitary_exp`;
-    arithmetic takes bands only, and a dense operator is read only through
-    :func:`_kept_block`. Every array held is read-only and all arithmetic
-    returns new values, so instances can be shared freely between threads.
-    The constructor copies the caller's dense array once; the results of
-    arithmetic, :func:`banded` and :func:`tensor` are adopted without a
-    copy. No CLI path hands the constructor an array of its own: every
-    operator it checks comes from arithmetic, :func:`banded` or
-    :func:`unitary_exp`. The shape, basis and finiteness checks run on every
-    construction.
+    the constructor's arrays, the results of :func:`unitary_exp`, and K-, which
+    :func:`_times_exp` writes over the exponential; arithmetic takes bands
+    only, and a dense operator is read only through :func:`_kept_block`. Every
+    array held is read-only and all arithmetic returns new values, so instances
+    can be shared freely between threads. The constructor copies the caller's
+    dense array once; the results of arithmetic, :func:`banded` and
+    :func:`tensor` are adopted without a copy. No CLI path hands the
+    constructor an array of its own: every operator it checks comes from
+    arithmetic, :func:`banded` or :func:`_times_exp`. The shape, basis and
+    finiteness checks run on every construction.
 
     Dense storage has one bit more, as in BLAS's ``op(A) = A^H``: the
     operator is its array or the conjugate transpose of it. :meth:`dag` flips

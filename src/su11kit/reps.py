@@ -394,7 +394,7 @@ def saf_bose_form(p0: complex, dim: int = 64, form: str = "form1") -> AlgebraTri
         K- = (Q + P0) exp(iP),    K+ = exp(-iP) (Q + P0*),
         K0 = Q + Re(P0) - 1/2.
 
-    The exponentials go through :func:`su11kit.linops.unitary_exp`, so they
+    The exponentials go through :func:`su11kit.linops._times_exp`, so they
     are exactly unitary on the truncated space; the ladder relations are then
     truncation-limited rather than exact, converging as dim grows. K+ is
     the adjoint of K-, which it is by definition, since

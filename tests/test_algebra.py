@@ -16,13 +16,13 @@ from su11kit.algebra import (
     CheckSpec,
     _casimir,
     _kept_form,
+    _kept_states,
     _whole,
     check_adjointness,
     check_casimir,
     check_commutators,
     check_transfo,
     compare_triples,
-    masked_interior,
 )
 from su11kit.linops import (
     _BLOCK_BYTES,
@@ -121,7 +121,7 @@ class TestCasimirSpin:
         basis = CircleBasis(-6.0, 13)
         t = villain_spin(1.0, basis, "as_printed")
         c = _casimir(t, _whole)
-        proj = masked_interior(t, 2)
+        proj = interior_projector(t.basis, 2, t.params.clamp_excluded)
         kept = np.flatnonzero(np.real(np.diag(dense(proj))))
         values = np.real(np.diag(dense(c)))[kept]
         assert np.all(np.abs(values - 2.0) > 0.1)
@@ -133,11 +133,64 @@ class TestMaskedInterior:
         # a clamped amplitude, so no state is left to measure on.
         t = villain_spin(0.5, CircleBasis(-0.5, 20))
         with pytest.raises(ValueError, match="no interior states left"):
-            masked_interior(t, 2)
+            interior_projector(t.basis, 2, t.params.clamp_excluded)
         with pytest.raises(ValueError, match="no interior states left"):
             check_commutators(t, CheckSpec(margin=2))
         with pytest.raises(ValueError, match="no interior states left"):
             check_casimir(t, CheckSpec(margin=2))
+
+
+# (basis, margin, excluded, the label of each state): one-mode Fock, two-mode
+# Fock and circle bases, without and with excluded states.
+KEPT_CASES = [
+    (basis, margin, excluded, labels)
+    for basis, margin, labels in (
+        (FockBasis((10,)), 2, np.arange(10)[:, None]),
+        (FockBasis((4, 5)), 1, np.indices((4, 5)).reshape(2, -1).T),
+        (CircleBasis(-3.5, 12), 3, np.arange(12)[:, None]),
+    )
+    for excluded in ((), np.array([3, 5], dtype=np.intp))
+]
+
+
+class TestKeptStates:
+    @pytest.mark.parametrize("basis,margin,excluded,labels", KEPT_CASES)
+    def test_indices_are_the_interior_mask(self, basis, margin, excluded, labels):
+        sizes = labels.max(axis=0) + 1
+        mask = np.all((labels >= margin) & (labels <= sizes - 1 - margin), axis=1)
+        mask[list(excluded)] = False
+        keep, _ = _kept_states(basis, margin, excluded)
+        assert keep.dtype == np.intp
+        assert np.array_equal(keep, np.flatnonzero(mask))
+
+    @pytest.mark.parametrize("basis,margin,excluded,labels", KEPT_CASES)
+    def test_norm_is_the_projected_max_abs(self, basis, margin, excluded, labels):
+        rng = np.random.default_rng(7)
+        n = basis.dim
+        residual = linops.banded(basis, {k: rng.normal(size=n) + 1j * rng.normal(size=n)
+                                         for k in (-3, -1, 0, 2)})
+        proj = interior_projector(basis, margin, excluded)
+        _, norm = _kept_states(basis, margin, excluded)
+        assert norm(residual) == maxabs_norm(proj @ residual @ proj)
+
+    def test_every_projector_of_the_cli_is_built_there(self, monkeypatch, capsys):
+        from su11kit.cli import main
+
+        original, callers = linops.interior_projector, []
+
+        def spy(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "su11kit":
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, spy)
+        assert main(["check", "--rep", "all"]) == 0
+        assert main(["transfo", "--beta", "2", "--n", "3"]) == 0
+        capsys.readouterr()
+        assert callers and set(callers) == {_kept_states.__code__}
 
 
 class TestCheckCommutators:
@@ -566,7 +619,7 @@ def test_bose_kept_blocks_equal_the_projected_residuals(dim, margin, form):
     # the kept states; up to 64 states BLAS forms every product on one thread.
     bose = saf_bose_form(0.3 - 0.8j, dim, form)
     spec = CheckSpec(margin=margin, tolerance=1e-3)
-    keep = np.flatnonzero(masked_interior(bose, margin).diagonal())
+    keep = _kept_states(bose.basis, margin, bose.params.clamp_excluded)[0]
     kept = np.ix_(keep, keep)
     z, plus, minus = bose.k0, bose.kplus, bose.kminus
     brackets = ((dense(z, plus) - dense(plus, z)) - dense(plus),
@@ -652,7 +705,7 @@ def upper_triangle_mismatches():
             for form_name in ("form1", "form2"):
                 bose = saf_bose_form(0.3 - 0.8j, dim, form_name)
                 spec = CheckSpec(margin=margin, tolerance=1e-3)
-                keep = np.flatnonzero(masked_interior(bose, margin).diagonal())
+                keep = _kept_states(bose.basis, margin, bose.params.clamp_excluded)[0]
                 reported = {c.name: c.residual for report in (check_commutators(bose, spec),
                                                               check_casimir(bose, spec))
                             for c in report.checks}

@@ -25,9 +25,26 @@ def test_covers_the_readme_in_every_format_and_the_float_edges():
     assert all(argv in argvs for argv in stdout_digest.REFUSED)
     assert all(argv + ["--format", "json"] in argvs for argv in stdout_digest.BOSE_EDGES)
     assert stdout_digest.WIDE_VILLAIN + ["--format", "json"] in argvs
+    assert all(argv + ["--format", "json"] in argvs for argv in stdout_digest.MARGIN_ZERO)
     # Each budget refusal exits before it allocates, so it is cheap to run.
     assert all(argv in argvs for argv in OVER_BUDGET.values())
     assert ["casimir", "--rep", "villain", "--spin", "2.5", "--format", "csv"] in argvs
+
+
+def test_readme_lists_the_command_lines_of_the_digest():
+    # The first block under "## Command line", with the program name and any
+    # --format dropped: the digest runs each line in every format.
+    readme = (ROOT / "README.md").read_text().split("## Command line", 1)[1]
+    block = readme.split("```", 2)[1]
+    argvs = []
+    for line in block.strip().splitlines():
+        program, *argv = line.split()
+        assert program == "su11kit"
+        if "--format" in argv:
+            at = argv.index("--format")
+            del argv[at:at + 2]
+        argvs.append(argv)
+    assert argvs == stdout_digest.README
 
 
 def test_digest_hashes_stdout_then_stderr_of_one_run():
@@ -91,6 +108,22 @@ def test_cli_lines_lists_a_line_only_the_argvs_given_skip(monkeypatch, capsys):
         assert cli_lines.main([str(ROOT)]) == 0
         rows = capsys.readouterr().out.splitlines()
         assert any(row.startswith(entry) for row in rows) == listed
+
+
+def test_cli_lines_credits_a_line_to_its_outermost_function(tmp_path):
+    # Line 3 carries bytecode only in the generator expression; line 7 runs
+    # at import, in a comprehension of the module body.
+    module = tmp_path / "generator.py"
+    module.write_text("def outer(xs):\n"
+                      "    return max(abs(x)\n"
+                      "               - abs(x + 1)\n"
+                      "               for x in xs)\n"
+                      "\n"
+                      "\n"
+                      "TABLE = [n * 2 for n in range(3)]\n")
+    lines = cli_lines.statement_lines(module)
+    assert 3 in lines and 7 not in lines
+    assert set(lines.values()) == {"outer"}
 
 
 UNREACHED_REASONS = ("refusal", "public-API edge", "read by perfbench/tracing.py until item 1",

@@ -37,21 +37,21 @@ import stdout_digest  # noqa: E402
 def statement_lines(path: Path) -> dict[int, str]:
     """Lines of ``path`` that carry bytecode in a function body, outside
     the code that runs at import, each with the qualified name of the
-    outermost function that holds it."""
-    lines, todo = {}, [(compile(path.read_text(), str(path), "exec"), True)]
-    while todo:  # a function is taken before the code nested in it
-        code, outer_at_import = todo.pop()
+    outermost function that holds it, whichever code nested in that
+    function carries the line."""
+    lines, todo = {}, [(compile(path.read_text(), str(path), "exec"), None)]
+    while todo:
+        code, outermost = todo.pop()
         # Module and class bodies have no fast locals; functions, lambdas and
         # comprehensions do, and a comprehension runs where it is written.
-        at_import = outer_at_import and (not code.co_flags & inspect.CO_OPTIMIZED
-                                         or code.co_name in ("<listcomp>", "<setcomp>",
-                                                             "<dictcomp>", "<genexpr>"))
-        if not at_import:
-            name = getattr(code, "co_qualname", code.co_name)
+        if outermost is None and (code.co_flags & inspect.CO_OPTIMIZED and code.co_name
+                                  not in ("<listcomp>", "<setcomp>", "<dictcomp>", "<genexpr>")):
+            outermost = getattr(code, "co_qualname", code.co_name)
+        if outermost is not None:
             for _, _, line in code.co_lines():
                 if line is not None:
-                    lines.setdefault(line, name)
-        todo.extend((c, at_import) for c in code.co_consts if isinstance(c, types.CodeType))
+                    lines.setdefault(line, outermost)
+        todo.extend((c, outermost) for c in code.co_consts if isinstance(c, types.CodeType))
     return lines
 
 

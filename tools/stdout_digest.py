@@ -21,6 +21,9 @@ that invocation's bytes or exit code differ. The list covers
 * ``casimir`` of every ``--rep`` at non-default parameters, in json;
 * a villain ``check`` on 65 536 momenta, of which 65 533 are clamp-excluded,
   in json;
+* the band residuals at margin 0: a ``transfo`` that keeps every state and
+  reports its boundary residual, and a villain ``check`` whose only dropped
+  states are its clamp exclusions, in json;
 * ``check`` and ``casimir`` of the bose forms at the edges of the kept block
   and of its row tiles: margin 0, odd dims, two kept states, a p0 with a
   negative imaginary part, a last tile of one row, a last tile of the upper
@@ -80,6 +83,9 @@ CASIMIR_PARAMS = [
 ]
 # A wide villain lattice: every state but the spin-1 block's is clamp-excluded.
 WIDE_VILLAIN = ["check", "--rep", "villain", "--dim", "65536"]
+# Margin 0 on bands: every state kept, and only the clamp exclusions dropped.
+MARGIN_ZERO = [["transfo", "--beta", "2", "--n", "3", "--margin", "0"],
+               ["check", "--rep", "villain", "--spin", "2.5", "--margin", "0"]]
 # The edges of the kept block on which the dense bose residuals are formed:
 # every state kept, odd dims (kept and not), two kept states, a p0 below the
 # real axis, and the edges of its row tiles: a last tile of one row (129 and
@@ -140,7 +146,8 @@ def invocations() -> list[list[str]]:
     return [*_workload_argvs(),
             *(argv + ["--format", fmt] for argv in README + reps for fmt in FORMATS),
             *transfo, *(argv + ["--format", "json"]
-                        for argv in CASIMIR_PARAMS + [WIDE_VILLAIN] + BOSE_EDGES),
+                        for argv in CASIMIR_PARAMS + [WIDE_VILLAIN] + MARGIN_ZERO
+                        + BOSE_EDGES),
             *BEYOND_FLOAT, *REFUSED, *CONFIGS]
 
 
