@@ -8,20 +8,20 @@ checks it against the closed forms each realization records in
 
 Residuals are evaluated on the kept block: the interior states away from the
 truncation boundary, less, for clamped spin realizations, the states that
-touch a clamped square-root amplitude. Each residual is written once, with
-its products and terms formed by a function it is given. The kept states come
-from :func:`_kept_states`, the one place that builds the 0/1 interior
-projector and multiplies by it. For a triple held in bands the residual is
-formed whole and its norm taken behind that projector. For a triple with a
-dense generator, such as the bose forms, the residual is formed one row tile
-of the kept block at a time and reduced tile by tile, with the same
-floating-point operations as the whole product has there. Where K+ is the
-adjoint view of K- and K0 is exactly Hermitian, as in the bose forms,
-[K+,K-]+2K0 and the Casimir less its closed form are Hermitian by
-construction, and only the upper triangle of their kept block is formed, in
-tiles. On the kept block each identity either holds to machine precision or
-fails by a finite, reportable amount; the reports never auto-resolve a
-discrepancy, they record it.
+touch a clamped square-root amplitude. Each residual is written once, as a
+function of ``form``, which forms its products ``form(a, b)`` and terms
+``form(a)``, and handed to ``measure``, which :func:`_kept_form` returns with
+the kept states: the one place that decides how a residual is formed and
+reduced to its largest absolute entry on the kept block. A triple held in
+bands has its residual formed whole, and reduced behind the 0/1 interior
+projector of :func:`_kept_states`, the one place that builds and applies it.
+A triple with a dense generator, such as the bose forms, has it formed one
+row tile of the kept block at a time, with the same floating-point
+operations as the whole product has there, and only the tiles of the upper
+triangle when the residual is Hermitian by construction. On the kept block
+each identity either holds to machine precision or fails by a finite,
+reportable amount; the reports never auto-resolve a discrepancy, they record
+it.
 """
 
 from __future__ import annotations
@@ -66,11 +66,14 @@ class CheckSpec:
     tolerance: float = 1e-10
 
     def __post_init__(self) -> None:
-        if int(self.margin) != self.margin or self.margin < 0:
+        # abs(x) < inf is False for inf and nan, which int() would refuse with
+        # messages of its own, and True for an int of any size.
+        if not (abs(self.margin) < math.inf and int(self.margin) == self.margin
+                and self.margin >= 0):
             raise ValueError(f"margin must be a nonnegative integer, got {self.margin}")
         object.__setattr__(self, "margin", int(self.margin))
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be > 0, got {self.tolerance}")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
 
 
 def _whole(a: OperatorMatrix, b: OperatorMatrix | None = None) -> OperatorMatrix:
@@ -98,62 +101,58 @@ def _kept_states(basis: BasisSpec, margin: int, excluded=()):
 
 
 def _kept_form(triple: AlgebraTriple, margin: int):
-    """The kept states of ``triple`` at ``margin``; the functions that form
-    its products and terms, one per tile; the functions, one per tile, for
-    a residual that is Hermitian when K+ is the adjoint of K- and K0 is
-    Hermitian ([K+,K-]+2K0, and the Casimir less a real closed form); and
-    the norm of a residual so formed, the largest over its tiles.
+    """The kept states of ``triple`` at ``margin``, as ascending indices, and
+    ``measure(residual, hermitian=False)``: the largest absolute entry on the
+    kept block of ``residual(form)``, where ``form(a, b)`` forms the product
+    ``a @ b`` and ``form(a)`` the term ``a``.
 
-    The kept states, and the band norm, are those of :func:`_kept_states`,
-    less the triple's clamp-touching states. A triple held in bands has one
-    tile: its function forms them whole. A triple with a dense generator has
-    a tile for each :data:`su11kit.linops._TILE` kept rows, whose function
-    forms those rows of their kept block, and the norm is the tile's largest
-    absolute entry, as the projector, whose 0/1 entries keep the kept entries
-    and zero all others, would leave it. A last tile of one row is formed
-    beside a neighbouring row (see :func:`su11kit.linops._span`).
+    The kept states are those of :func:`_kept_states`, less the triple's
+    clamp-touching states. For a triple held in bands the residual is formed
+    whole and reduced behind :func:`_kept_states`' projector. For a triple
+    with a dense generator it is formed one tile of :data:`su11kit.linops._TILE`
+    kept rows at a time, each tile :func:`su11kit.linops._kept_block` of those
+    rows, reduced before the next is formed; a last tile of one row is formed
+    beside a neighbouring row (see :func:`su11kit.linops._span`). Its largest
+    entry is the one the projector, whose 0/1 entries keep the kept entries
+    and zero all others, would leave.
 
-    When K+ is the adjoint view of K- (one array, so exactly its adjoint)
-    and K0's Hermiticity defect is exactly 0, the Hermitian residuals' tile
-    of rows ``keep[r:r + _TILE]`` is formed on the columns ``keep[r:]``
+    ``hermitian`` marks a residual that is Hermitian when K+ is the adjoint
+    of K- and K0 is Hermitian: [K+,K-]+2K0, and the Casimir less a real
+    closed form. When K+ is the adjoint view of K- (one array, so exactly
+    its adjoint) and K0's Hermiticity defect is exactly 0, such a residual's
+    tile of rows ``keep[r:r + _TILE]`` is formed on the columns ``keep[r:]``
     only: the diagonal tile whole and the tiles right of it, which make the
     upper triangle of the kept block. Below it each entry is the conjugate
-    of the one above, in exact arithmetic. Each entry formed is the same as
-    in the whole tile. For any other triple those functions are the whole
-    tiles.
+    of the one above, in exact arithmetic, and each entry formed is the same
+    as in the whole tile. For any other triple ``hermitian`` changes nothing.
     """
     keep, projected = _kept_states(triple.basis, margin, triple.params.clamp_excluded)
     if all(op._bands is not None for op in (triple.k0, triple.kplus, triple.kminus)):
-        return keep, (_whole,), (_whole,), projected
-    starts = range(0, keep.size, _TILE)
-    forms = [partial(_kept_block, keep, rows=slice(r, r + _TILE)) for r in starts]
-    upper = forms
-    if _is_adjoint_view(triple.kplus, triple.kminus) and triple.k0.hermiticity_defect() == 0.0:
-        upper = [partial(_kept_block, keep, rows=slice(r, r + _TILE), cols=slice(r, None))
-                 for r in starts]
-    return keep, forms, upper, lambda residual: float(np.max(np.abs(residual)))
+        return keep, lambda residual, hermitian=False: projected(residual(_whole))
+    upper = _is_adjoint_view(triple.kplus, triple.kminus) and triple.k0.hermiticity_defect() == 0.0
+
+    def measure(residual, hermitian=False):
+        tiles = (partial(_kept_block, keep, rows=slice(r, r + _TILE),
+                         cols=slice(r if hermitian and upper else 0, None))
+                 for r in range(0, keep.size, _TILE))
+        return max(float(np.max(np.abs(residual(form)))) for form in tiles)
+
+    return keep, measure
 
 
 def check_commutators(triple: AlgebraTriple, spec: CheckSpec = CheckSpec()) -> CheckReport:
     """Residuals of the three defining brackets on the kept block:
-    [K0,K+]-K+, [K0,K-]+K- and [K+,K-]+2 sign K0.
-
-    Each bracket is formed and reduced to its norm before the next is formed.
-    For a triple held in bands a bracket is formed whole and projected. For
-    dense K+- its kept block is formed one row tile at a time, each reduced
-    before the next is formed, so beyond the triple a bracket holds at most
-    three row tiles: two products and their difference, or the difference, a
-    term and their sum. When K+ is the adjoint view of K- and K0 is exactly
-    Hermitian, the third bracket is Hermitian, and only the upper triangle of
-    its kept block is formed (see :func:`_kept_form`).
+    [K0,K+]-K+, [K0,K-]+K- and [K+,K-]+2 sign K0, each measured by
+    :func:`_kept_form` before the next is formed; the third is Hermitian
+    when K+ is the adjoint of K- and K0 is Hermitian.
     """
-    _, forms, upper, norm = _kept_form(triple, spec.margin)
+    _, measure = _kept_form(triple, spec.margin)
     z, plus, minus = triple.k0, triple.kplus, triple.kminus
     residuals = (
-        (forms, lambda form: (form(z, plus) - form(plus, z)) - form(plus)),
-        (forms, lambda form: (form(z, minus) - form(minus, z)) + form(minus)),
-        (upper, lambda form: (form(plus, minus) - form(minus, plus))
-         + form((2.0 * triple.sign) * z)),
+        measure(lambda form: (form(z, plus) - form(plus, z)) - form(plus)),
+        measure(lambda form: (form(z, minus) - form(minus, z)) + form(minus)),
+        measure(lambda form: (form(plus, minus) - form(minus, plus))
+                + form((2.0 * triple.sign) * z), hermitian=True),
     )
     metadata = {"margin": str(spec.margin), "variant": triple.params.variant}
     if triple.params.fidelity is not None:
@@ -161,9 +160,8 @@ def check_commutators(triple: AlgebraTriple, spec: CheckSpec = CheckSpec()) -> C
     if triple.params.clamp_excluded.size:
         metadata["clamp_excluded"] = str(triple.params.clamp_excluded.size)
     checks = tuple(
-        Check(name, max(norm(residual(form)) for form in tiles), spec.tolerance,
-              dict(metadata))
-        for name, (tiles, residual) in zip(_BRACKET_NAMES[triple.kind], residuals)
+        Check(name, residual, spec.tolerance, dict(metadata))
+        for name, residual in zip(_BRACKET_NAMES[triple.kind], residuals)
     )
     return CheckReport(checks)
 
@@ -181,17 +179,13 @@ def check_adjointness(triple: AlgebraTriple, spec: CheckSpec = CheckSpec()) -> C
 
 def check_casimir(triple: AlgebraTriple, spec: CheckSpec = CheckSpec()) -> CheckReport:
     """Residual of the computed Casimir on the kept block against the closed
-    forms the triple records in ``params.casimir``. For a triple held in
-    bands the Casimir is formed whole and projected; for one with dense K+-
-    its kept block is formed one row tile at a time, and every recorded form
-    is compared on a tile before the next is formed. When K+ is the adjoint
-    view of K- and K0 is exactly Hermitian, the Casimir less its real closed
-    form is Hermitian, and only the upper triangle of its kept block is
-    formed (see :func:`_kept_form`).
+    forms the triple records in ``params.casimir``. The Casimir is formed
+    once per closed form, and the residual, Hermitian when K+ is the adjoint
+    of K- and K0 is Hermitian, is measured by :func:`_kept_form`.
 
     With one recorded form the report states it, its expected value, and the
-    value the matrices actually produced on the first interior state; for
-    the as-printed variants that is the documented discrepancy. With several
+    value the matrices actually produced on the first kept state; for the
+    as-printed variants that is the documented discrepancy. With several
     (Perelomov's -1/4 - lam^2 and -1/4 - lam^2/4) the report evaluates each,
     states which one the matrices match, and uses it as the primary residual;
     the others stay in the metadata as data.
@@ -199,20 +193,13 @@ def check_casimir(triple: AlgebraTriple, spec: CheckSpec = CheckSpec()) -> Check
     params = triple.params
     if not params.casimir:
         raise ValueError(f"no closed-form Casimir recorded for variant {params.variant!r}")
-    keep, _, forms, norm = _kept_form(triple, spec.margin)
+    keep, measure = _kept_form(triple, spec.margin)
     basis = triple.basis
-    targets = [(formula, diagonal(basis, np.full(basis.dim, expected)))
-               for formula, expected in params.casimir]
-    residuals = dict.fromkeys((formula for formula, _ in targets), 0.0)
-    for tile, form in enumerate(forms):
-        computed = _casimir(triple, form)
-        if tile == 0:
-            # The first kept state is the first entry of the first tile.
-            first = (computed[0, 0] if isinstance(computed, np.ndarray)
-                     else computed.diagonal()[keep[0]])
-        for formula, target in targets:
-            residuals[formula] = max(residuals[formula], norm(computed - form(target)))
-        del computed  # before the next tile's Casimir is formed
+    residuals = {}
+    for formula, expected in params.casimir:
+        target = diagonal(basis, np.full(basis.dim, expected))
+        residuals[formula] = measure(lambda form: _casimir(triple, form) - form(target),
+                                     hermitian=True)
     best = min(residuals, key=residuals.get)
     metadata = {"margin": str(spec.margin), "variant": params.variant}
     if len(residuals) > 1:
@@ -229,6 +216,7 @@ def check_casimir(triple: AlgebraTriple, spec: CheckSpec = CheckSpec()) -> Check
             metadata["expected_kind"] = "diagonal"
         else:
             metadata["expected_value"] = repr(expected)
+        first = _casimir(triple, partial(_kept_block, keep[:1]))[0, 0]
         metadata["observed_first"] = repr(float(first.real))
     return CheckReport(
         (Check("casimir closed form", residuals[best], spec.tolerance, metadata),),

@@ -1,15 +1,18 @@
+import contextlib
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import su11kit.algebra as algebra
 import su11kit.linops as linops
 from conftest import dense, exact_range_basis, spin_ladder_matrices
 from su11kit.algebra import (
@@ -62,6 +65,23 @@ P0_GRID = [complex(re, im) for re in (-1.0, -0.3, 0.0, 0.7, 2.0)
 def interior_diag(op, margin):
     d = op.dim
     return np.real(np.diag(dense(op)))[margin:d - margin]
+
+
+class TestCheckSpec:
+    @pytest.mark.parametrize("margin", [-1, 2.5, math.inf, -math.inf, math.nan])
+    def test_refuses_a_margin_that_is_no_nonnegative_integer(self, margin):
+        with pytest.raises(ValueError, match="margin must be a nonnegative integer"):
+            CheckSpec(margin=margin)
+
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-10, math.inf, math.nan])
+    def test_refuses_a_tolerance_a_check_would_refuse(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance must be finite and > 0"):
+            CheckSpec(tolerance=tolerance)
+
+    def test_keeps_an_integral_margin_as_an_int(self):
+        spec = CheckSpec(margin=3.0, tolerance=1e300)
+        assert spec.margin == 3 and isinstance(spec.margin, int)
+        assert CheckSpec(margin=10 ** 400).margin == 10 ** 400
 
 
 class TestCasimirSu11:
@@ -590,8 +610,10 @@ def test_bose_checks_form_no_full_dense_product(monkeypatch):
     assert check_commutators(bose, spec).overall_passed
     assert check_casimir(bose, spec).overall_passed
     # [K+,K-] and the Casimir's K+K- + K-K+, each on the 32 kept states,
-    # which make one row tile.
-    assert blocks == [(64, 32, 32)] * 4
+    # which make one row tile; then the Casimir's K+K- + K-K+ on the first
+    # kept state alone, for observed_first, widened by a neighbouring row
+    # and column.
+    assert blocks == [(64, 32, 32)] * 4 + [(64, 2, 2)] * 2
 
 
 def test_bose_casimir_forms_no_band_product(monkeypatch):
@@ -606,10 +628,11 @@ def test_bose_casimir_forms_no_band_product(monkeypatch):
         return matmul(a, b)
 
     monkeypatch.setattr(OperatorMatrix, "__matmul__", spy_matmul)
-    _, forms, _, _ = _kept_form(bose, 64)
-    assert len(forms) == 2
-    assert check_casimir(bose, CheckSpec(margin=64, tolerance=1e-3)).overall_passed
+    with kept_blocks() as blocks:
+        assert check_casimir(bose, CheckSpec(margin=64, tolerance=1e-3)).overall_passed
     assert band_products == []
+    # Two row tiles of the 128 kept states, and the first kept state alone.
+    assert {(int(rows[0]), rows.size) for rows, _ in blocks} == {(64, 64), (128, 64), (64, 1)}
 
 
 @pytest.mark.parametrize("form", ["form1", "form2"])
@@ -646,6 +669,21 @@ ROW_TILE_CASES = [(129, 0), (67, 1), (16, 7), (200, 1)]
 HERMITIAN = ("[K+,K-]+2K0", "casimir closed form")
 
 
+@contextlib.contextmanager
+def kept_blocks():
+    """The list of the ``(keep[rows], keep[cols])`` states of each
+    algebra._kept_block call made while it is open."""
+    blocks = []
+    kept_block = algebra._kept_block
+
+    def spy(keep, a, b=None, rows=slice(None), cols=slice(None)):
+        blocks.append((keep[rows], keep[cols]))
+        return kept_block(keep, a, b, rows=rows, cols=cols)
+
+    with mock.patch.object(algebra, "_kept_block", spy):
+        yield blocks
+
+
 def bose_residuals(bose):
     """Each bracket and the Casimir less its closed form, by the function that
     forms their products and terms."""
@@ -669,16 +707,28 @@ def row_tile_mismatches():
         for form_name in ("form1", "form2"):
             bose = saf_bose_form(0.3 - 0.8j, dim, form_name)
             spec = CheckSpec(margin=margin, tolerance=1e-3)
-            keep, forms, upper, _ = _kept_form(bose, margin)
+            keep, measure = _kept_form(bose, margin)
             reported = {c.name: c.residual for report in (check_commutators(bose, spec),
                                                           check_casimir(bose, spec))
                         for c in report.checks}
             for name, residual in bose_residuals(bose).items():
-                whole = residual(dense)[np.ix_(keep, keep)]
-                tiles = [np.array_equal(residual(form), whole[form.keywords["rows"],
-                                                              form.keywords.get("cols", slice(None))])
-                         for form in (upper if name in HERMITIAN else forms)]
-                if not all(tiles) or reported[name] != np.max(np.abs(whole)):
+                full = residual(dense)
+                whole = full[np.ix_(keep, keep)]
+                tiles = []
+
+                def tile(form):
+                    # The tile equals the whole residual on the block that each
+                    # of its products and terms read.
+                    start = len(blocks)
+                    formed = residual(form)
+                    tiles.extend(np.array_equal(formed, full[np.ix_(rows, cols)])
+                                 for rows, cols in blocks[start:])
+                    return formed
+
+                with kept_blocks() as blocks:
+                    measured = measure(tile, hermitian=name in HERMITIAN)
+                if (not tiles or not all(tiles) or measured != reported[name]
+                        or reported[name] != np.max(np.abs(whole))):
                     bad.append((dim, margin, form_name, name))
     return bad
 
@@ -689,10 +739,13 @@ def row_tile_mismatches():
 def test_row_tiles_cover_the_kept_rows(dim, margin, sizes, columns):
     # The tiles of a Hermitian residual start their columns at their first
     # kept row: the upper triangle of the kept block, and the diagonal tiles.
-    keep, forms, upper, _ = _kept_form(saf_bose_form(0.3 - 0.8j, dim), margin)
-    assert [keep[form.keywords["rows"]].size for form in forms] == sizes
-    assert [keep[form.keywords["rows"]].size for form in upper] == sizes
-    assert [keep[form.keywords["cols"]].size for form in upper] == columns
+    bose = saf_bose_form(0.3 - 0.8j, dim)
+    keep, measure = _kept_form(bose, margin)
+    for hermitian, expected in ((False, [keep.size] * len(sizes)), (True, columns)):
+        with kept_blocks() as blocks:
+            measure(lambda form: form(bose.kminus), hermitian=hermitian)
+        assert [rows.size for rows, _ in blocks] == sizes
+        assert [cols.size for _, cols in blocks] == expected
 
 
 def upper_triangle_mismatches():

@@ -407,6 +407,8 @@ EXIT_2_CASES = [
     pytest.param(["check", "--rep", "saf", "--margin", "99999999999999999999"], None,
                  id="margin-beyond-int64"),
     pytest.param(["check", "--rep", "saf", "--tol", "0"], None, id="tol"),
+    pytest.param(["check", "--rep", "saf", "--tol", "inf"], None, id="tol-inf"),
+    pytest.param(["reduce", "--tol", "inf"], None, id="reduce-tol-inf"),
     pytest.param(["reduce", "--phi1", "0.5", "--phi2", "-1"], None, id="singular-coupling"),
     pytest.param(["reduce", "--pairs", "1"], None, id="pairs"),
     pytest.param(["transfo", "--beta", "0"], None, id="beta"),
@@ -480,6 +482,8 @@ EXIT_2_CASES = [
 # Cases whose message must name the offending parameter or size, by case id.
 NAMED_PARAMETER = {
     "config-margin-fraction": "margin",
+    "tol-inf": "tolerance must be finite and > 0, got inf",
+    "reduce-tol-inf": "tolerance must be finite and > 0, got inf",
     "config-dim-fraction": "dim",
     "config-pairs-fraction": "pairs",
     "config-beta-fraction": "beta",
@@ -579,7 +583,9 @@ class TestExitTwo:
         ["check", "--config", str(Path(__file__).resolve().parents[1] / "tools"
                                   / "digest_config_refused.json")],
         ["reduce", "--phi1", "0.5", "--phi2", "-1"],
-    ], ids=["check-config", "reduce-coupling"])
+        # Refused before the 2048-state bose triple is built.
+        ["check", "--rep", "bose1", "--dim", "2048", "--margin", "512", "--tol", "1e309"],
+    ], ids=["check-config", "reduce-coupling", "check-tol-beyond-float"])
     def test_resolve_refusal_shows_the_usage_of_the_command(self, argv, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err

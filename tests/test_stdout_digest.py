@@ -26,6 +26,7 @@ def test_covers_the_readme_in_every_format_and_the_float_edges():
     assert all(argv + ["--format", "json"] in argvs for argv in stdout_digest.BOSE_EDGES)
     assert stdout_digest.WIDE_VILLAIN + ["--format", "json"] in argvs
     assert all(argv + ["--format", "json"] in argvs for argv in stdout_digest.MARGIN_ZERO)
+    assert all(argv + ["--format", "json"] in argvs for argv in stdout_digest.FIRST_KEPT)
     # Each budget refusal exits before it allocates, so it is cheap to run.
     assert all(argv in argvs for argv in OVER_BUDGET.values())
     assert ["casimir", "--rep", "villain", "--spin", "2.5", "--format", "csv"] in argvs
@@ -45,6 +46,17 @@ def test_readme_lists_the_command_lines_of_the_digest():
             del argv[at:at + 2]
         argvs.append(argv)
     assert argvs == stdout_digest.README
+
+
+def test_readme_library_use_runs(capsys):
+    # The first python block under "## Library use", run as it is printed,
+    # so that it fails when the API it shows drifts.
+    readme = (ROOT / "README.md").read_text().split("## Library use", 1)[1]
+    opening, block, _ = readme.split("```", 2)
+    assert opening.strip() == "" and block.startswith("python\n")
+    exec(compile(block.removeprefix("python\n"), "README.md", "exec"), {})
+    p0, h0, mass, deviation = capsys.readouterr().out.split()
+    assert float(deviation) <= 1e-9
 
 
 def test_digest_hashes_stdout_then_stderr_of_one_run():

@@ -28,11 +28,14 @@ that invocation's bytes or exit code differ. The list covers
   and of its row tiles: margin 0, odd dims, two kept states, a p0 with a
   negative imaginary part, a last tile of one row, a last tile of the upper
   triangle two rows by two columns, and margin 1, in json;
+* ``casimir`` at the first state of the kept block, whose value it reports:
+  just past villain's clamp exclusions, at index 0 of a band lattice, and on
+  a diagonal closed form, in json;
 * the shift powers and pair count past float range, which once hung or
   exited with an unnamed message;
 * the inputs refused with exit 2 because they could not be honoured: a
-  lattice whose momenta are past 2^52, a margin given with ``--rep all``, and
-  requests past the memory budget, which are refused before they allocate.
+  lattice whose momenta are past 2^52, a margin given with ``--rep all``, an
+  infinite tolerance, and requests past the memory budget, which are refused before they allocate.
 * a ``check --config`` file of this directory that holds a null, an
   integer-valued float and a key that a flag overrides, and one refused for
   a fractional margin.
@@ -100,6 +103,13 @@ BOSE_EDGES = [[command, "--rep", rep, *flags]
                             ["--dim", "129", "--margin", "0"], ["--dim", "130", "--margin", "0"],
                             ["--dim", "67", "--margin", "1"],
                             ["--margin", "1"])]
+# The first kept state, whose computed Casimir the report states: the first
+# past villain's clamp exclusions, index 0 of mp's bands, whose lone row is
+# formed beside its neighbour, and a two_mode state, whose closed form is a
+# diagonal.
+FIRST_KEPT = [["casimir", "--rep", "villain", "--spin", "2.5", "--margin", "0"],
+              ["casimir", "--rep", "mp", "--dim", "2", "--margin", "0"],
+              ["casimir", "--rep", "two_mode", "--dim", "4", "--margin", "0"]]
 BEYOND_FLOAT = [
     ["transfo", "--beta", "1" + "0" * 400],
     ["transfo", "--beta", "1" + "0" * 104, "--n", "3"],
@@ -109,6 +119,7 @@ REFUSED = [
     ["transfo", "--p-min", "1e300"],
     ["check", "--rep", "saf", "--p-min", "1e17"],
     ["check", "--rep", "all", "--margin", "40"],
+    ["check", "--rep", "saf", "--tol", "inf"],
     ["casimir", "--rep", "all", "--margin", "40"],
     ["check", "--rep", "bose1", "--dim", "200000"],
     ["check", "--rep", "bose1", "--dim", "9000"],
@@ -147,7 +158,7 @@ def invocations() -> list[list[str]]:
             *(argv + ["--format", fmt] for argv in README + reps for fmt in FORMATS),
             *transfo, *(argv + ["--format", "json"]
                         for argv in CASIMIR_PARAMS + [WIDE_VILLAIN] + MARGIN_ZERO
-                        + BOSE_EDGES),
+                        + BOSE_EDGES + FIRST_KEPT),
             *BEYOND_FLOAT, *REFUSED, *CONFIGS]
 
 
