@@ -42,6 +42,7 @@ from .linops import (
     OperatorMatrix,
     _adjoint_gap,
     _figure,
+    _integer,
     _is_adjoint_view,
     _kept_block,
     banded,
@@ -66,12 +67,7 @@ class CheckSpec:
     tolerance: float = 1e-10
 
     def __post_init__(self) -> None:
-        # abs(x) < inf is False for inf and nan, which int() would refuse with
-        # messages of its own, and True for an int of any size.
-        if not (abs(self.margin) < math.inf and int(self.margin) == self.margin
-                and self.margin >= 0):
-            raise ValueError(f"margin must be a nonnegative integer, got {self.margin}")
-        object.__setattr__(self, "margin", int(self.margin))
+        object.__setattr__(self, "margin", _integer(self.margin, "margin", least=0))
         if not 0 < self.tolerance < math.inf:
             raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
 
@@ -235,11 +231,10 @@ def check_transfo(
     at offset -b, Eminus^b its adjoint and P^n one diagonal, so the cost does
     not depend on beta. With margin >= beta the identity is exact; smaller
     margins leave the lattice edge in view and the check reports the
-    resulting boundary residual as a failure.
+    resulting boundary residual as a failure. :func:`su11kit.linops._integer`
+    reads beta and n, so 2.0 reads as 2 and 2.5, inf and nan raise ValueError.
     """
-    beta = int(beta)
-    if beta < 1:
-        raise ValueError(f"beta must be a positive integer, got {beta}")
+    beta, n = _integer(beta, "beta", least=1), _integer(n, "n")
     if n not in (1, 2, 3):
         raise ValueError(f"n must be in {{1, 2, 3}}, got {n}")
     if not isinstance(basis, CircleBasis):

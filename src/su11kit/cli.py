@@ -38,6 +38,7 @@ from .linops import (
     CheckReport,
     CircleBasis,
     _figure,
+    _integer,
     commutator,
     identity,
 )
@@ -162,15 +163,6 @@ def format_complex(z: complex) -> str:
         return repr(z.real)
     sign = "+" if z.imag >= 0 else "-"
     return f"{z.real!r}{sign}{abs(z.imag)!r}i"
-
-
-def _integer(value) -> int:
-    """int() that refuses rather than truncates: 64, 64.0 and "64" read as 64,
-    while 2.5, "2.5" and inf raise."""
-    number = int(value)
-    if isinstance(value, float) and number != value:
-        raise TypeError(value)
-    return number
 
 
 def _complex(value) -> complex:

@@ -35,6 +35,7 @@ does a bose realization whose :data:`DENSE_ARRAYS` arrays would not fit it.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 import operator
@@ -86,6 +87,17 @@ def _figure(x: int | float, places: int = 1) -> str:
     return text if sum(c.isdigit() for c in text) <= 15 else format(Decimal(text), ".3g")
 
 
+def _integer(value, name: str = "value", least: int | None = None) -> int:
+    """The one integer rule of every size, count, margin and power: 64, 64.0, "64" and
+    numpy integers read as 64; 2.5, "2.5", inf, nan or a value < ``least`` raise ValueError."""
+    with contextlib.suppress(TypeError, ValueError, OverflowError):
+        number = int(value)
+        if (isinstance(value, str) or number == value) and (least is None or number >= least):
+            return number
+    kind = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}[least]
+    raise ValueError(f"{name} must be {kind}, got {value}")
+
+
 def _require_budget(nbytes: int, what: str, *sizes: int) -> None:
     """Refuse ``nbytes`` above :data:`BYTE_BUDGET`; ``what`` names the
     allocation, with a ``{}`` field for each of ``sizes``."""
@@ -112,13 +124,14 @@ class FockBasis:
 
     Two-mode states are enumerated row-major, ``index = n_a * dim_b + n_b``.
     The :func:`tensor` convention and every golden value rely on that
-    ordering, so it is fixed here and nowhere else.
+    ordering, so it is fixed here and nowhere else. :func:`_integer` reads
+    each of ``dims``, so 24.5, inf and nan raise ValueError.
     """
 
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(_integer(d, "per-mode dimension") for d in self.dims)
         object.__setattr__(self, "dims", dims)
         if len(dims) not in (1, 2):
             raise ValueError(f"FockBasis supports 1 or 2 modes, got {len(dims)}")
@@ -152,7 +165,8 @@ class CircleBasis:
     spacing), on which ``exp(+-iX)`` act as pure shifts. A lattice that
     reaches past ``|p_min| + count = 2^52`` is refused: up to there floats
     lie at most 1/2 apart, so integer and half-integer momenta are exact,
-    while from 2^53 on neighbouring momenta round to one float.
+    while from 2^53 on neighbouring momenta round to one float. ``count`` is
+    read by :func:`_integer`, so 24.5, inf and nan raise ValueError.
     """
 
     p_min: float
@@ -160,7 +174,7 @@ class CircleBasis:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p_min", float(self.p_min))
-        object.__setattr__(self, "count", int(self.count))
+        object.__setattr__(self, "count", _integer(self.count, "count"))
         if not np.isfinite(self.p_min):
             raise ValueError(f"p_min must be finite, got {self.p_min}")
         if self.count < MIN_BASIS_DIM:
@@ -502,7 +516,7 @@ class OperatorMatrix:
                 raise BasisMismatchError(
                     f"entries of shape {arr.shape} do not fit a basis of dimension {n}"
                 )
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError("entries contain non-finite values")
             arr.setflags(write=False)
         self._adopt(basis, dense, bands, False)
@@ -812,22 +826,22 @@ def interior_projector(
     circle basis. The states indexed by ``excluded`` are dropped as well;
     an ``np.intp`` array indexes the mask as it is, without a copy.
     Shift-built operators are only faithful on this interior, so residual
-    checks evaluate there; an empty interior raises ValueError.
+    checks evaluate there. A margin that :func:`_integer` refuses, an ``excluded``
+    of non-integer dtype or index outside [0, dim), or no state kept raise ValueError.
     """
-    margin = int(margin)
-    if margin < 0:
-        raise ValueError(f"margin must be nonnegative, got {margin}")
+    margin = _integer(margin, "margin", least=0)
+    drop = np.asarray(excluded)
+    if drop.size and (drop.dtype.kind not in "iu" or drop.min() < 0 or drop.max() >= basis.dim):
+        raise ValueError(f"excluded must be integer indices in [0, {basis.dim}), got {drop}")
     if isinstance(basis, FockBasis):
         labels, sizes = basis.occupations(), np.array(basis.dims)
     else:
         labels, sizes = np.arange(basis.dim)[:, None], np.array([basis.dim])
     keep = np.all((labels >= margin) & (sizes - 1 - labels >= margin), axis=1)
-    keep[np.asarray(excluded, dtype=np.intp)] = False
+    keep[drop.astype(np.intp, copy=False)] = False
     if not keep.any():
-        raise ValueError(
-            f"no interior states left on {basis} with margin {margin} and "
-            f"{len(excluded)} excluded states"
-        )
+        raise ValueError(f"no interior states left on {basis} with margin {margin} and "
+                         f"{drop.size} excluded states")
     return diagonal(basis, keep.astype(np.float64))
 
 

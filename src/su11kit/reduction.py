@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import OperatorMatrix, identity, tensor
+from .algebra import CheckSpec
+from .linops import OperatorMatrix, _integer, identity, tensor
 from .reps import HYPERBOLIC, AlgebraTriple, bose_ladder
 
 #: |2 Phi1 + Phi2| below this is treated as singular rather than computed
@@ -173,13 +174,13 @@ def verify_reduction(
     H0 + p_n^2/(2m) at the momenta p_n = n + 1 - P0, the values singled out
     by matching the diagonal generator between the pair-boson form
     (eigenvalue n + 1/2) and the shift-affine form (p + P0 - 1/2). Both lists
-    are sorted ascending before comparison.
+    are sorted ascending before comparison. A ``n_pairs`` of 2.5, inf or nan
+    and a ``tol`` that :class:`su11kit.algebra.CheckSpec` refuses raise ValueError.
     """
-    n_pairs = int(n_pairs)
+    n_pairs = _integer(n_pairs, "n_pairs")
     if n_pairs < 2:
         raise ValueError(f"n_pairs must be >= 2, got {n_pairs}")
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    CheckSpec(tolerance=tol)
     # Two spare levels per mode beyond the last pair state.
     dim = n_pairs + 2
     hamiltonian = build_direct_hamiltonian(params, dim)

@@ -30,7 +30,6 @@ import numpy as np
 from .linops import (
     DENSE_ARRAYS,
     HERMITICITY_TOL,
-    MIN_BASIS_DIM,
     BasisMismatchError,
     BasisSpec,
     CircleBasis,
@@ -41,6 +40,7 @@ from .linops import (
     identity,
     tensor,
     _adjoint_gap,
+    _integer,
     _require_budget,
     _times_exp,
 )
@@ -141,12 +141,11 @@ def bose_ladder(dim: int) -> tuple[OperatorMatrix, OperatorMatrix]:
 
     ``a[n-1, n] = sqrt(n)`` and ``adag = a^dag``, so ``[a, adag]`` equals the
     identity except for the entry ``-(dim-1)`` in the bottom-right corner,
-    the unavoidable fingerprint of the cutoff.
+    the unavoidable fingerprint of the cutoff. :class:`su11kit.linops.FockBasis`
+    reads ``dim``, so a dim below 2, 2.5, inf and nan raise ValueError.
     """
-    dim = int(dim)
-    if dim < MIN_BASIS_DIM:
-        raise ValueError(f"dim must be >= {MIN_BASIS_DIM}, got {dim}")
-    a = banded(FockBasis((dim,)), {1: np.sqrt(np.arange(1, dim + 1, dtype=np.float64))})
+    basis = FockBasis((dim,))
+    a = banded(basis, {1: np.sqrt(np.arange(1, basis.dim + 1, dtype=np.float64))})
     return a, a.dag()
 
 
@@ -372,7 +371,6 @@ def perelomov_realization(lam: float, basis: CircleBasis) -> AlgebraTriple:
 
 def quadratures(dim: int) -> tuple[OperatorMatrix, OperatorMatrix]:
     """Canonical pair Q = (a + adag)/sqrt(2), P = (a - adag)/(i sqrt(2))."""
-    dim = int(dim)
     if dim < 4:
         raise ValueError(f"dim must be >= 4 for the quadrature pair, got {dim}")
     a, adag = bose_ladder(dim)
@@ -408,7 +406,7 @@ def saf_bose_form(p0: complex, dim: int = 64, form: str = "form1") -> AlgebraTri
     dim x dim arrays at their peak, so a dim for which they would pass the
     memory budget (from 8 193) raises ValueError before any is built.
     """
-    dim = int(dim)
+    dim = _integer(dim, "dim")
     if dim < 16:
         raise ValueError(f"dim must be >= 16 for the exponential forms, got {dim}")
     if form not in ("form1", "form2"):
@@ -440,7 +438,6 @@ def two_mode(dim: int = 24) -> AlgebraTriple:
     The Casimir is diagonal with value -1/4 + (n_a - n_b)^2 / 4, so the
     equal-occupation (pair) sector sits at exactly -1/4.
     """
-    dim = int(dim)
     if dim < 4:
         raise ValueError(f"per-mode dim must be >= 4, got {dim}")
     a, adag = bose_ladder(dim)
