@@ -45,6 +45,7 @@ from .linops import (
     _integer,
     _is_adjoint_view,
     _kept_block,
+    _require_tolerance,
     banded,
     diagonal,
     interior_projector,
@@ -68,8 +69,7 @@ class CheckSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "margin", _integer(self.margin, "margin", least=0))
-        if not 0 < self.tolerance < math.inf:
-            raise ValueError(f"tolerance must be finite and > 0, got {self.tolerance}")
+        _require_tolerance(self.tolerance)
 
 
 def _whole(a: OperatorMatrix, b: OperatorMatrix | None = None) -> OperatorMatrix:

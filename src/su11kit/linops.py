@@ -98,6 +98,14 @@ def _integer(value, name: str = "value", least: int | None = None) -> int:
     raise ValueError(f"{name} must be {kind}, got {value}")
 
 
+def _require_tolerance(value) -> None:
+    """The one tolerance rule of :class:`Check` and
+    :class:`su11kit.algebra.CheckSpec`: 0, a negative, inf or nan raise
+    ValueError."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"tolerance must be finite and > 0, got {value}")
+
+
 def _require_budget(nbytes: int, what: str, *sizes: int) -> None:
     """Refuse ``nbytes`` above :data:`BYTE_BUDGET`; ``what`` names the
     allocation, with a ``{}`` field for each of ``sizes``."""
@@ -847,7 +855,8 @@ def interior_projector(
 
 @dataclass(frozen=True)
 class Check:
-    """One named residual compared against its tolerance."""
+    """One named residual compared against its tolerance, which
+    :func:`_require_tolerance` refuses as for :class:`su11kit.algebra.CheckSpec`."""
 
     name: str
     residual: float
@@ -857,8 +866,7 @@ class Check:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.residual) and self.residual >= 0):
             raise ValueError(f"residual must be finite and >= 0, got {self.residual}")
-        if not (np.isfinite(self.tolerance) and self.tolerance >= 0):
-            raise ValueError(f"tolerance must be finite and >= 0, got {self.tolerance}")
+        _require_tolerance(self.tolerance)
 
     @property
     def passed(self) -> bool:

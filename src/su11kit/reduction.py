@@ -12,6 +12,10 @@ the spectrum is that of a free particle, H0 + P^2/(2m). :func:`verify_reduction`
 measures the agreement level by level between two routes: the pair-state
 eigenvalues of the two-oscillator matrix, which is diagonal in the occupation
 basis so they are read off its diagonal, and the free-particle formula.
+:func:`build_direct_hamiltonian` assembles that diagonal from the per-mode
+diagonals of the band products a+ a and a+ a+ a a by outer sums and products,
+without Kronecker products; its real parts are bit for bit those of the
+Kronecker-product sum.
 :func:`pair_energy_closed_form` gives the pair diagonal without matrices; the
 tests use it as an oracle, but verify_reduction does not run it.
 """
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import CheckSpec
-from .linops import OperatorMatrix, _integer, identity, tensor
+from .linops import FockBasis, OperatorMatrix, _integer, diagonal, identity
 from .reps import HYPERBOLIC, AlgebraTriple, bose_ladder
 
 #: |2 Phi1 + Phi2| below this is treated as singular rather than computed
@@ -88,29 +92,47 @@ class ReductionResult:
 
 
 def build_direct_hamiltonian(params: ModelParams, dim: int = 24) -> OperatorMatrix:
-    """The two-oscillator Hamiltonian as explicit operator products, with
-    ``dim`` states in each mode.
+    """The two-oscillator Hamiltonian, with ``dim`` states in each mode, as its
+    occupation diagonal.
 
     Annihilators act first in every quartic term, so each diagonal entry is
     exact all the way to the cutoff: the matrix equals
     eps(n_a+n_b) + Phi2 n_a n_b + Phi1 (n_a(n_a-1) + n_b(n_b-1)) on the
     occupation diagonal.
 
-    Every product is taken per mode before the Kronecker product. The cross
-    term uses the mixed-product rule (A (x) B)(C (x) D) = AC (x) BD, so
-    a+ b+ b a is built as (a+ a) (x) (b+ b) instead of a product of two
-    d^2 x d^2 matrices. Every factor is band-stored, so the result is a
-    single band, the diagonal, and the build costs O(dim^2) time and memory.
+    Every term conserves both occupations, and for diagonal per-mode factors
+    <n_a,n_b|A (x) B|n_a,n_b> = A[n_a,n_a] B[n_b,n_b]. So the per-mode
+    diagonals n = diag(a+ a) and pair = diag(a+ a+ a a), taken from the band
+    products, are combined by float64 outer sums and products over the
+    row-major two-mode index, in the operation order
+    (eps (n_a + n_b) + Phi2 n_a n_b) + Phi1 (pair_a + pair_b). The real part
+    of every entry is then bit for bit that of the Kronecker-product
+    assembly, eps (n (x) 1 + 1 (x) n) + Phi2 n (x) n + Phi1 (pair (x) 1 +
+    1 (x) pair), without its complex d^2 bands; the build costs O(dim^2)
+    time and memory. ``dim`` is read by :func:`su11kit.linops._integer`, so
+    2.5, inf and nan raise ValueError, as does a dim below 4. A dim whose
+    bands would pass the memory budget is refused before anything of the
+    two-mode size is allocated.
     """
+    dim = _integer(dim, "dim")
     if dim < 4:
         raise ValueError(f"per-mode dim must be >= 4, got {dim}")
+    # The ladder's basis refuses a dim past the budget for one mode, and the
+    # two-mode basis one whose square is, both before anything of size dim^2.
     a, adag = bose_ladder(dim)
-    one = identity(a.basis)
-    n, pair = adag @ a, adag @ adag @ a @ a
-    number = tensor(n, one) + tensor(one, n)
-    cross = tensor(n, n)
-    quartic = tensor(pair, one) + tensor(one, pair)
-    return params.epsilon * number + params.phi2 * cross + params.phi1 * quartic
+    basis = FockBasis((dim, dim))
+    n = (adag @ a).diagonal().real
+    pair = (adag @ adag @ a @ a).diagonal().real
+    levels = np.add.outer(n, n)
+    levels *= params.epsilon
+    term = np.multiply.outer(n, n)
+    term *= params.phi2
+    levels += term
+    np.add.outer(pair, pair, out=term)
+    term *= params.phi1
+    levels += term
+    del term  # before diagonal() makes its complex copy of levels
+    return diagonal(basis, levels.reshape(-1))
 
 
 def build_k_form(params: ModelParams, triple: AlgebraTriple) -> OperatorMatrix:

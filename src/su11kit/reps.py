@@ -161,6 +161,7 @@ def mp_realization(k: float, dim: int = 64) -> AlgebraTriple:
     giving K-|n> = sqrt(n (2k + n - 1)) |n-1>. The Casimir is the constant
     k(k-1) on truncation-clean states.
     """
+    dim = _integer(dim, "dim")
     k = float(k)
     if not k > 0:
         raise ValueError(f"Bargmann index k must be > 0, got {k}")
@@ -371,6 +372,7 @@ def perelomov_realization(lam: float, basis: CircleBasis) -> AlgebraTriple:
 
 def quadratures(dim: int) -> tuple[OperatorMatrix, OperatorMatrix]:
     """Canonical pair Q = (a + adag)/sqrt(2), P = (a - adag)/(i sqrt(2))."""
+    dim = _integer(dim, "dim")
     if dim < 4:
         raise ValueError(f"dim must be >= 4 for the quadrature pair, got {dim}")
     a, adag = bose_ladder(dim)
@@ -438,6 +440,7 @@ def two_mode(dim: int = 24) -> AlgebraTriple:
     The Casimir is diagonal with value -1/4 + (n_a - n_b)^2 / 4, so the
     equal-occupation (pair) sector sits at exactly -1/4.
     """
+    dim = _integer(dim, "dim")
     if dim < 4:
         raise ValueError(f"per-mode dim must be >= 4, got {dim}")
     a, adag = bose_ladder(dim)

@@ -27,6 +27,10 @@ from su11kit.reps import (
 PARAMS = ModelParams(1.0, 0.1, 0.3)
 LATTICE = CircleBasis(-100.0, 200)
 
+# The integer rule's own message, which an entry point that reads ``dim``
+# first gives before any rule of its own (a least dim, a norm bound).
+DIM_RULE = "^dim must be an integer, got "
+
 # Entry point -> (the regex its refusal matches, the call with the value in
 # place of its integer parameter). Each call is made with 64 in that place.
 ENTRY_POINTS = {
@@ -37,11 +41,11 @@ ENTRY_POINTS = {
     "check_transfo beta": ("beta", lambda v: check_transfo(LATTICE, v, 2, CheckSpec(64))),
     "verify_reduction": ("n_pairs", lambda v: verify_reduction(PARAMS, v)),
     "bose_ladder": ("dim", bose_ladder),
-    "quadratures": ("dim", quadratures),
-    "mp_realization": ("dim", lambda v: mp_realization(1.25, v)),
+    "quadratures": (DIM_RULE, quadratures),
+    "mp_realization": (DIM_RULE, lambda v: mp_realization(1.25, v)),
     "saf_bose_form": ("dim", lambda v: saf_bose_form(0.5 + 1j, v)),
-    "two_mode": ("dim", two_mode),
-    "build_direct_hamiltonian": ("dim", lambda v: build_direct_hamiltonian(PARAMS, v)),
+    "two_mode": (DIM_RULE, two_mode),
+    "build_direct_hamiltonian": (DIM_RULE, lambda v: build_direct_hamiltonian(PARAMS, v)),
 }
 
 

@@ -28,6 +28,7 @@ from su11kit.linops import (
     tensor,
     unitary_exp,
 )
+from su11kit.algebra import CheckSpec
 from su11kit.reps import bose_ladder, quadratures
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -851,6 +852,14 @@ class TestCheckReport:
     def test_negative_residual_rejected(self):
         with pytest.raises(ValueError):
             Check("x", -1.0, 1e-10)
+
+    def test_zero_tolerance_refused_as_checkspec_refuses_it(self):
+        # One rule for both: a tolerance of 0 would pass only an exact zero.
+        message = "tolerance must be finite and > 0, got 0.0"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Check("x", 0.0, 0.0)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CheckSpec(tolerance=0.0)
 
     def test_overall_passed(self):
         good = Check("a", 0.0, 1e-10)

@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -97,8 +100,8 @@ class TestDirectHamiltonian:
 
 def two_mode_product_hamiltonian(params, dim):
     """The Hamiltonian with the cross term as the product of two two-mode
-    operators, tensor(a+, b+) @ tensor(a, b): the O(d^6) assembly that the
-    mixed-product rule replaces, kept as the small-d oracle."""
+    operators, tensor(a+, b+) @ tensor(a, b): the O(d^6) assembly, kept as
+    the small-d oracle."""
     a, adag = bose_ladder(dim)
     one = identity(a.basis)
     number = tensor(adag @ a, one) + tensor(one, adag @ a)
@@ -132,6 +135,43 @@ class TestMixedProductRoute:
         build_direct_hamiltonian(EXAMPLE, 8)
         assert calls["one_mode"] > 0
         assert calls["two_mode"] == 0
+
+
+def tensor_hamiltonian(params, dim):
+    """The Hamiltonian as the sum of Kronecker products of per-mode band
+    operators, eps (n (x) 1 + 1 (x) n) + Phi2 n (x) n + Phi1 (pair (x) 1 +
+    1 (x) pair): the complex d^2-band assembly that the outer-sum build
+    replaces, kept as its oracle."""
+    a, adag = bose_ladder(dim)
+    one = identity(a.basis)
+    n, pair = adag @ a, adag @ adag @ a @ a
+    number = tensor(n, one) + tensor(one, n)
+    cross = tensor(n, n)
+    quartic = tensor(pair, one) + tensor(one, pair)
+    return params.epsilon * number + params.phi2 * cross + params.phi1 * quartic
+
+
+class TestOuterSumBuild:
+    @pytest.mark.parametrize("dim", [4, 5, 17, 50])
+    def test_real_parts_are_the_tensor_assembly_bit_for_bit(self, dim):
+        # Seeded couplings of both signs; tobytes compares sign bits as well,
+        # so a -0.0 where the oracle has 0.0 fails.
+        for params in [EXAMPLE, ModelParams(-0.3, 0.2, -0.1)] + random_params(12, seed=dim):
+            h = build_direct_hamiltonian(params, dim)
+            oracle = tensor_hamiltonian(params, dim)
+            assert h.basis == oracle.basis and set(h._bands) == set(oracle._bands) == {0}
+            assert h.diagonal().real.tobytes() == oracle.diagonal().real.tobytes()
+
+    def test_past_the_budget_is_refused_before_any_two_mode_allocation(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape(
+                    "bands of 9012004 states would take 2.1 GiB")):
+                verify_reduction(EXAMPLE, 3000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestKForm:

@@ -31,6 +31,8 @@ that invocation's bytes or exit code differ. The list covers
 * ``casimir`` at the first state of the kept block, whose value it reports:
   just past villain's clamp exclusions, at index 0 of a band lattice, and on
   a diagonal closed form, in json;
+* a ``reduce`` of 1 000 pairs at couplings of both signs, whose two-mode
+  diagonal of 1 004 004 states is past the caches, in json;
 * the shift powers and pair count past float range, which once hung or
   exited with an unnamed message;
 * the inputs refused with exit 2 because they could not be honoured: a
@@ -110,6 +112,8 @@ BOSE_EDGES = [[command, "--rep", rep, *flags]
 FIRST_KEPT = [["casimir", "--rep", "villain", "--spin", "2.5", "--margin", "0"],
               ["casimir", "--rep", "mp", "--dim", "2", "--margin", "0"],
               ["casimir", "--rep", "two_mode", "--dim", "4", "--margin", "0"]]
+# A two-mode diagonal past the caches, with negative couplings.
+WIDE_REDUCE = ["reduce", "--epsilon=-0.3", "--phi1", "0.2", "--phi2=-0.1", "--pairs", "1000"]
 BEYOND_FLOAT = [
     ["transfo", "--beta", "1" + "0" * 400],
     ["transfo", "--beta", "1" + "0" * 104, "--n", "3"],
@@ -158,7 +162,7 @@ def invocations() -> list[list[str]]:
             *(argv + ["--format", fmt] for argv in README + reps for fmt in FORMATS),
             *transfo, *(argv + ["--format", "json"]
                         for argv in CASIMIR_PARAMS + [WIDE_VILLAIN] + MARGIN_ZERO
-                        + BOSE_EDGES + FIRST_KEPT),
+                        + BOSE_EDGES + FIRST_KEPT + [WIDE_REDUCE]),
             *BEYOND_FLOAT, *REFUSED, *CONFIGS]
 
 
