@@ -9,7 +9,8 @@ rule catches most wiring mistakes in the layers above.
 
 Every ladder operator here is a sum of a few diagonals (a function of a
 number or momentum operator times a unit shift), stored as bands
-``{offset k: vector v}`` with ``A[i, i + k] = v[i]``. Sums, products,
+``{offset k: vector v}`` with ``A[i, i + k] = v[i]``, zero where column
+``i + k`` leaves [0, dim); :func:`_rows` alone works out those rows. Sums, products,
 adjoints and Kronecker products of bands are bands, at O(bands * dim) cost.
 Dense storage holds the arrays handed to the constructor, the results of
 :func:`unitary_exp`, and K-, which :func:`_times_exp` writes over the
@@ -213,21 +214,11 @@ class _Fresh:
         self.storage = storage
 
 
-def _rows(k: int, n: int) -> tuple[int, int]:
-    """Range [lo, hi) of the rows i whose column i + k lies in [0, n)."""
-    return max(0, -k), min(n, n - k)
-
-
-def _shift(v: np.ndarray, k: int, rp: int = 0, rq: int | None = None) -> np.ndarray:
-    """w[i - rp] = v[i + k] for the rows i in [rp, rq) (default: all), zero
-    where i + k leaves the range."""
-    n = v.shape[0]
-    rq = n if rq is None else rq
-    lo, hi = max(rp, -k), min(rq, n - k)
-    out = np.zeros(rq - rp, dtype=v.dtype)
-    if lo < hi:
-        out[lo - rp:hi - rp] = v[lo + k:hi + k]
-    return out
+def _rows(k: int, rp: int, rq: int, p: int, q: int) -> tuple[int, int]:
+    """Range [lo, hi) of the rows i in [rp, rq) whose column i + k lies in
+    [p, q); lo == hi when there is none, so every slice by it is empty."""
+    lo = max(rp, p - k)
+    return lo, max(lo, min(rq, q - k))
 
 
 def _new_dense(rows: int, cols: int, alloc=np.zeros) -> np.ndarray:
@@ -300,25 +291,26 @@ def _band_block(bands: dict[int, np.ndarray], n: int, rp: int, rq: int,
     out = _new_dense(rq - rp, w)
     flat = out.reshape(-1)
     for k, v in bands.items():
-        # The rows i in [rp, rq) whose column i + k is in [p, q).
-        lo, hi = max(rp, p - k), min(rq, q - k)
-        if lo < hi:
-            # Entry (i, i + k) sits at flat index (i - rp) w + i + k - p.
-            flat[(lo - rp) * w + lo + k - p:(hi - rp) * w + hi + k - p:w + 1] = v[lo - rp:hi - rp]
+        lo, hi = _rows(k, rp, rq, p, q)
+        # Entry (i, i + k) sits at flat index (i - rp) w + i + k - p.
+        flat[(lo - rp) * w + lo + k - p:(hi - rp) * w + hi + k - p:w + 1] = v[lo - rp:hi - rp]
     return out
 
 
 def _product_rows(a: "OperatorMatrix", b: "OperatorMatrix", rp: int, rq: int
                   ) -> dict[int, np.ndarray]:
     """Rows [rp, rq) of the band vectors of ``a @ b`` for two band operands,
-    the only rows formed: band ka + kb gathers ``a_ka[i] * b_kb[i + ka]``,
-    summed over the band pairs in the order of the operands' bands."""
+    the only rows formed: band ka + kb adds ``a_ka[i] * b_kb[i + ka]`` in
+    place into a zeroed vector, over the band pairs in the operands' order."""
     n, out = a.dim, {}
     for ka, va in a._bands.items():
+        lo, hi = _rows(ka, rp, rq, 0, n)
         for kb, vb in b._bands.items():
             k = ka + kb
             if abs(k) < n:
-                out[k] = out.get(k, 0.0) + va[rp:rq] * _shift(vb, ka, rp, rq)
+                if k not in out:
+                    out[k] = np.zeros(rq - rp, dtype=np.complex128)
+                out[k][lo - rp:hi - rp] += va[lo:hi] * vb[lo + ka:hi + ka]
     return out
 
 
@@ -330,7 +322,7 @@ def _row_terms(bands: dict[int, np.ndarray], n: int, rp: int, rq: int, w: int,
     over k of ``b_k[i]`` times row i + k of D."""
     terms = []
     for k, v in bands.items():
-        lo, hi = max(rp, -k), min(rq, n - k)
+        lo, hi = _rows(k, rp, rq, 0, n)
         if lo < hi:
             terms.append((lo - rp, hi - rp, 0, w, v[lo:hi, None], rows(lo + k, hi + k)))
     return terms
@@ -346,19 +338,19 @@ def _mixed_block(a: "OperatorMatrix", b: "OperatorMatrix", rp: int, rq: int,
     every band slices it."""
     n, h, w = a.dim, rq - rp, q - p
     if b._bands is None:
-        ks = [k for k in a._bands if max(rp, -k) < min(rq, n - k)]
+        ks = [k for k in a._bands if operator.lt(*_rows(k, rp, rq, 0, n))]
         s = max(0, rp + min(ks, default=0))
         window = b._dense_rows(s, min(n, rq + max(ks, default=0)), p, q)
         terms = _row_terms(a._bands, n, rp, rq, w, lambda lo, hi: window[lo - s:hi - s])
     else:
         # Column m + k of the product gathers column m times b_k[m], in every
         # row; the row vector is broadcast so that rows can be sliced.
-        ks = [k for k in b._bands if max(0, p - k) < min(n, q - k)]
+        ks = [k for k in b._bands if operator.lt(*_rows(k, 0, n, p, q))]
         s = max(0, p - max(ks, default=0))
         window = a._dense_rows(rp, rq, s, min(n, q - min(ks, default=0)))
         terms = []
         for k in ks:
-            v, lo, hi = b._bands[k], max(0, p - k), min(n, q - k)
+            v, (lo, hi) = b._bands[k], _rows(k, 0, n, p, q)
             terms.append((0, h, lo + k - p, hi + k - p, window[:, lo - s:hi - s],
                           np.broadcast_to(v[lo:hi], (h, hi - lo))))
     out = _new_dense(h, w, np.empty)
@@ -569,14 +561,17 @@ class OperatorMatrix:
     def dag(self) -> "OperatorMatrix":
         """Hermitian conjugate on the same basis. A dense one shares this
         operator's read-only array, with the conjugate-transpose bit flipped,
-        so nothing is copied or checked again; a band one is new bands."""
+        so nothing is copied or checked again; a band one is conjugated into
+        zeroed vectors."""
         if self._bands is None:
             out = object.__new__(OperatorMatrix)
             out._adopt(self.basis, self._dense, None, not self._adjointed)
             return out
-        return OperatorMatrix(self.basis, _Fresh(
-            {-k: np.conj(_shift(v, -k)) for k, v in self._bands.items()}
-        ))
+        bands = {-k: np.zeros(self.dim, dtype=np.complex128) for k in self._bands}
+        for k, v in self._bands.items():
+            lo, hi = _rows(-k, 0, self.dim, 0, self.dim)
+            np.conjugate(v[lo - k:hi - k], out=bands[-k][lo:hi])
+        return OperatorMatrix(self.basis, _Fresh(bands))
 
     def hermiticity_defect(self) -> float:
         """max|A - A^dag|, zero for an exactly Hermitian matrix."""
@@ -622,13 +617,13 @@ class OperatorMatrix:
 def banded(basis: BasisSpec, bands) -> OperatorMatrix:
     """Band-stored operator with ``A[i, i + k] = bands[k][i]`` for each offset k.
 
-    Each vector has length ``dim``. Its entries whose column ``i + k`` leaves
-    the range are ignored, and so is an offset with no column in range.
+    Each vector has length ``dim`` and is copied. Its entries whose column
+    ``i + k`` leaves [0, dim) are zeroed, and an offset with no row in range is dropped.
     """
     out = {}
     for k, values in bands.items():
         k = operator.index(k)
-        lo, hi = _rows(k, basis.dim)
+        lo, hi = _rows(k, 0, basis.dim, 0, basis.dim)
         if lo < hi:
             out[k] = np.array(values, dtype=np.complex128, ndmin=1)
             out[k][:lo] = out[k][hi:] = 0.0

@@ -14,8 +14,8 @@ eigenvalues of the two-oscillator matrix, which is diagonal in the occupation
 basis so they are read off its diagonal, and the free-particle formula.
 :func:`build_direct_hamiltonian` assembles that diagonal from the per-mode
 diagonals of the band products a+ a and a+ a+ a a by outer sums and products,
-without Kronecker products; its real parts are bit for bit those of the
-Kronecker-product sum.
+without Kronecker products, written into the band's own complex vector; its
+real parts are bit for bit those of the Kronecker-product sum.
 :func:`pair_energy_closed_form` gives the pair diagonal without matrices; the
 tests use it as an oracle, but verify_reduction does not run it.
 """
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import CheckSpec
-from .linops import FockBasis, OperatorMatrix, _integer, diagonal, identity
+from .linops import FockBasis, OperatorMatrix, _Fresh, _integer, identity
 from .reps import HYPERBOLIC, AlgebraTriple, bose_ladder
 
 #: |2 Phi1 + Phi2| below this is treated as singular rather than computed
@@ -108,8 +108,10 @@ def build_direct_hamiltonian(params: ModelParams, dim: int = 24) -> OperatorMatr
     (eps (n_a + n_b) + Phi2 n_a n_b) + Phi1 (pair_a + pair_b). The real part
     of every entry is then bit for bit that of the Kronecker-product
     assembly, eps (n (x) 1 + 1 (x) n) + Phi2 n (x) n + Phi1 (pair (x) 1 +
-    1 (x) pair), without its complex d^2 bands; the build costs O(dim^2)
-    time and memory. ``dim`` is read by :func:`su11kit.linops._integer`, so
+    1 (x) pair), without its complex d^2 bands. The levels are written into
+    the real part of the band's own vector and each term into its imaginary
+    part, then set to +0.0, so the build costs O(dim^2) time and one complex
+    d^2 vector. ``dim`` is read by :func:`su11kit.linops._integer`, so
     2.5, inf and nan raise ValueError, as does a dim below 4. A dim whose
     bands would pass the memory budget is refused before anything of the
     two-mode size is allocated.
@@ -123,16 +125,18 @@ def build_direct_hamiltonian(params: ModelParams, dim: int = 24) -> OperatorMatr
     basis = FockBasis((dim, dim))
     n = (adag @ a).diagonal().real
     pair = (adag @ adag @ a @ a).diagonal().real
-    levels = np.add.outer(n, n)
+    band = np.empty(dim * dim, dtype=np.complex128)
+    levels, term = band.real.reshape(dim, dim), band.imag.reshape(dim, dim)
+    np.add.outer(n, n, out=levels)
     levels *= params.epsilon
-    term = np.multiply.outer(n, n)
+    np.multiply.outer(n, n, out=term)
     term *= params.phi2
     levels += term
     np.add.outer(pair, pair, out=term)
     term *= params.phi1
     levels += term
-    del term  # before diagonal() makes its complex copy of levels
-    return diagonal(basis, levels.reshape(-1))
+    term[...] = 0.0
+    return OperatorMatrix(basis, _Fresh({0: band}))
 
 
 def build_k_form(params: ModelParams, triple: AlgebraTriple) -> OperatorMatrix:

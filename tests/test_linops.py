@@ -370,6 +370,83 @@ class TestBandStorage:
             banded(FockBasis((4,)), {0: np.ones(3)})
 
 
+def shifted_copy(v, k, rp=0, rq=None):
+    """Reference: w[i - rp] = v[i + k] for the rows i in [rp, rq), as a
+    zero-padded copy, from which the reference product and adjoint are formed."""
+    n = v.shape[0]
+    rq = n if rq is None else rq
+    lo, hi = max(rp, -k), min(rq, n - k)
+    out = np.zeros(rq - rp, dtype=v.dtype)
+    if lo < hi:
+        out[lo - rp:hi - rp] = v[lo + k:hi + k]
+    return out
+
+
+def reference_product_rows(a, b, rp, rq):
+    n, out = a.dim, {}
+    for ka, va in a._bands.items():
+        for kb, vb in b._bands.items():
+            k = ka + kb
+            if abs(k) < n:
+                out[k] = out.get(k, 0.0) + va[rp:rq] * shifted_copy(vb, ka, rp, rq)
+    return out
+
+
+def reference_dag(a):
+    return {-k: np.conj(shifted_copy(v, -k)) for k, v in a._bands.items()}
+
+
+def assert_same_band_rows(got, expected, n, rp, rq):
+    """The same offsets in the same order; the entries of rows [rp, rq) whose
+    column is in [0, n) equal by bytes, sign bits included, and the others 0
+    by value (the reference leaves -0.0 there, which no output reads)."""
+    assert list(got) == list(expected)
+    rows = np.arange(rp, rq)
+    for k, v in expected.items():
+        assert got[k].dtype == v.dtype and got[k].shape == v.shape == (rq - rp,)
+        inside = (rows + k >= 0) & (rows + k < n)
+        assert got[k][inside].tobytes() == v[inside].tobytes()
+        assert not got[k][~inside].any() and not v[~inside].any()
+
+
+def signed_zero_bands(basis, rng):
+    """A band operator with 0 to 4 offsets within +-(dim + 1), random
+    entries of which about a third of the parts are +0.0 or -0.0, scaled by
+    1, -1 or 1j so that out-of-range entries carry either sign of zero."""
+    n = basis.dim
+    bands = {}
+    for k in rng.choice(np.arange(-n - 1, n + 2), size=rng.integers(0, 5), replace=False):
+        parts = rng.normal(size=(2, n))
+        parts[rng.random((2, n)) < 0.33] = 0.0
+        parts *= rng.choice([1.0, -1.0], size=(2, n))
+        bands[int(k)] = parts[0] + 1j * parts[1]
+    return banded(basis, bands) * complex(rng.choice([1.0, -1.0, 1j]))
+
+
+class TestBandRows:
+    """Band products and adjoints, written into their vectors in place,
+    against the same sums formed from zero-padded shifted copies."""
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 64])
+    @pytest.mark.parametrize("kind", ["fock", "circle"])
+    def test_product_rows_and_adjoints_equal_the_shifted_copies(self, n, kind):
+        basis = FockBasis((n,)) if kind == "fock" else CircleBasis(-0.5, n)
+        rng = np.random.default_rng(n)
+        ends = sorted({0, 1, n - 1, n})
+        windows = [(rp, rq) for rp in ends for rq in ends if rp <= rq]
+        empty = banded(basis, {})
+        for _ in range(12):
+            a, b = signed_zero_bands(basis, rng), signed_zero_bands(basis, rng)
+            for x, y in ((a, b), (b, a), (a, empty), (empty, b), (a, a)):
+                for rp, rq in windows:
+                    assert_same_band_rows(linops._product_rows(x, y, rp, rq),
+                                          reference_product_rows(x, y, rp, rq), n, rp, rq)
+                assert_same_band_rows((x @ y)._bands, reference_product_rows(x, y, 0, n),
+                                      n, 0, n)
+            for x in (a, b, empty):
+                assert_same_band_rows(x.dag()._bands, reference_dag(x), n, 0, n)
+
+
 # Kept state sets on n >= 16 states: every state (margin 0), one state inside
 # and one at the edge, a contiguous interior, and an interior with holes where
 # states are excluded as clamp-touching ones are.

@@ -162,6 +162,21 @@ class TestOuterSumBuild:
             assert h.basis == oracle.basis and set(h._bands) == set(oracle._bands) == {0}
             assert h.diagonal().real.tobytes() == oracle.diagonal().real.tobytes()
 
+    def test_levels_are_written_into_the_band_vector_it_keeps(self):
+        # One complex d^2 vector, 16 d^2 bytes, is all the build holds; the
+        # rest of the bound is the finiteness mask of OperatorMatrix.__init__.
+        # A second d^2 buffer, or a copy of the levels, breaks the bound.
+        dim = 1002
+        build_direct_hamiltonian(EXAMPLE, 4)  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            h = build_direct_hamiltonian(EXAMPLE, dim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.15 * 16 * dim ** 2
+        assert h.diagonal().imag.tobytes() == np.zeros(dim ** 2).tobytes()
+
     def test_past_the_budget_is_refused_before_any_two_mode_allocation(self):
         tracemalloc.start()
         try:

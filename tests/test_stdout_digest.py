@@ -26,6 +26,8 @@ def test_covers_the_readme_in_every_format_and_the_float_edges():
     assert all(argv + ["--format", "json"] in argvs for argv in stdout_digest.BOSE_EDGES)
     assert stdout_digest.WIDE_VILLAIN + ["--format", "json"] in argvs
     assert stdout_digest.WIDE_REDUCE + ["--format", "json"] in argvs
+    for beta in ("63", "64"):
+        assert ["transfo", "--beta", beta, "--format", "json"] in argvs
     assert all(argv + ["--format", "json"] in argvs for argv in stdout_digest.MARGIN_ZERO)
     assert all(argv + ["--format", "json"] in argvs for argv in stdout_digest.FIRST_KEPT)
     # Each budget refusal exits before it allocates, so it is cheap to run.

@@ -33,6 +33,9 @@ that invocation's bytes or exit code differ. The list covers
   a diagonal closed form, in json;
 * a ``reduce`` of 1 000 pairs at couplings of both signs, whose two-mode
   diagonal of 1 004 004 states is past the caches, in json;
+* ``transfo`` at beta 63 and 64 on its 64 states: a shift band with one row
+  in range, and an offset with none, whose empty band dict goes through
+  ``@``, ``.dag()`` and ``-``, in json;
 * the shift powers and pair count past float range, which once hung or
   exited with an unnamed message;
 * the inputs refused with exit 2 because they could not be honoured: a
@@ -114,6 +117,8 @@ FIRST_KEPT = [["casimir", "--rep", "villain", "--spin", "2.5", "--margin", "0"],
               ["casimir", "--rep", "two_mode", "--dim", "4", "--margin", "0"]]
 # A two-mode diagonal past the caches, with negative couplings.
 WIDE_REDUCE = ["reduce", "--epsilon=-0.3", "--phi1", "0.2", "--phi2=-0.1", "--pairs", "1000"]
+# Shift powers at the lattice's edge: one row in range, and none.
+SHIFT_EDGES = [["transfo", "--beta", "63"], ["transfo", "--beta", "64"]]
 BEYOND_FLOAT = [
     ["transfo", "--beta", "1" + "0" * 400],
     ["transfo", "--beta", "1" + "0" * 104, "--n", "3"],
@@ -162,7 +167,7 @@ def invocations() -> list[list[str]]:
             *(argv + ["--format", fmt] for argv in README + reps for fmt in FORMATS),
             *transfo, *(argv + ["--format", "json"]
                         for argv in CASIMIR_PARAMS + [WIDE_VILLAIN] + MARGIN_ZERO
-                        + BOSE_EDGES + FIRST_KEPT + [WIDE_REDUCE]),
+                        + BOSE_EDGES + FIRST_KEPT + [WIDE_REDUCE] + SHIFT_EDGES),
             *BEYOND_FLOAT, *REFUSED, *CONFIGS]
 
 
