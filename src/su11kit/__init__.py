@@ -46,7 +46,6 @@ from .reps import (
     AlgebraTriple,
     RepParams,
     bose_ladder,
-    circle_momentum,
     hp_spin,
     mp_realization,
     perelomov_realization,
@@ -79,7 +78,6 @@ __all__ = [
     "check_casimir",
     "check_commutators",
     "check_transfo",
-    "circle_momentum",
     "commutator",
     "compare_triples",
     "diagonal",

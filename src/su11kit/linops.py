@@ -301,16 +301,21 @@ def _product_rows(a: "OperatorMatrix", b: "OperatorMatrix", rp: int, rq: int
                   ) -> dict[int, np.ndarray]:
     """Rows [rp, rq) of the band vectors of ``a @ b`` for two band operands,
     the only rows formed: band ka + kb adds ``a_ka[i] * b_kb[i + ka]`` in
-    place into a zeroed vector, over the band pairs in the operands' order."""
+    place over the band pairs in the operands' order; a band's first product
+    is written in, plus 0.0 (the bytes of adding it to zeros), and only the
+    rows it does not reach are zeroed."""
     n, out = a.dim, {}
     for ka, va in a._bands.items():
         lo, hi = _rows(ka, rp, rq, 0, n)
         for kb, vb in b._bands.items():
             k = ka + kb
-            if abs(k) < n:
-                if k not in out:
-                    out[k] = np.zeros(rq - rp, dtype=np.complex128)
+            if abs(k) < n and k in out:
                 out[k][lo - rp:hi - rp] += va[lo:hi] * vb[lo + ka:hi + ka]
+            elif abs(k) < n:
+                v = out[k] = np.empty(rq - rp, dtype=np.complex128)
+                v[:lo - rp] = v[hi - rp:] = 0.0
+                np.multiply(va[lo:hi], vb[lo + ka:hi + ka], out=v[lo - rp:hi - rp])
+                v[lo - rp:hi - rp] += 0.0
     return out
 
 

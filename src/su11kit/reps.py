@@ -18,6 +18,11 @@ silently repairing it. The misprint is recorded in the triple's params.
 
 Each constructor also records its Casimir's closed forms in
 ``params.casimir``; the checkers compare the matrices against them.
+
+mp, hp, villain, saf and perelomov are one-step ladders built by ``_ladder``:
+K0 diagonal, ``K-[i, i+1] = lower[i]`` and K+ = K-^dag. hp as printed and
+perelomov pass their own K+; perelomov's p + 1/2 at the state it raises and
+K-^dag's p - 1/2 at the state above can round apart off a half-integer lattice.
 """
 
 from __future__ import annotations
@@ -149,8 +154,13 @@ def bose_ladder(dim: int) -> tuple[OperatorMatrix, OperatorMatrix]:
     return a, a.dag()
 
 
-def _number_values(dim: int) -> np.ndarray:
-    return np.arange(dim, dtype=np.float64)
+def _ladder(kind: str, basis: BasisSpec, k0: np.ndarray, lower: np.ndarray,
+            params: RepParams, upper: np.ndarray | None = None) -> AlgebraTriple:
+    """K0 = diag(k0), ``K-[i, i+1] = lower[i]``, and K+ = K-^dag or
+    ``K+[i, i-1] = upper[i]``; ``lower[-1]`` and ``upper[0]`` are dropped."""
+    kminus = banded(basis, {1: lower})
+    kplus = kminus.dag() if upper is None else banded(basis, {-1: upper})
+    return AlgebraTriple(kind, diagonal(basis, k0), kplus, kminus, params)
 
 
 def mp_realization(k: float, dim: int = 64) -> AlgebraTriple:
@@ -167,15 +177,10 @@ def mp_realization(k: float, dim: int = 64) -> AlgebraTriple:
         raise ValueError(f"Bargmann index k must be > 0, got {k}")
     # |K+-| <= max sqrt((2k + n)(n + 1)) <= k + dim, and K0 = k + n.
     _require_norm_bound(k + dim, f"Bargmann index k = {k:g} at dim {dim}")
-    a, adag = bose_ladder(dim)
-    basis = a.basis
-    n = _number_values(basis.dim)
-    root = diagonal(basis, np.sqrt(2.0 * k + n))
-    kminus = root @ a
-    kplus = adag @ root
-    k0 = diagonal(basis, k + n)
-    return AlgebraTriple(
-        HYPERBOLIC, k0, kplus, kminus,
+    basis = FockBasis((dim,))
+    n = np.arange(dim, dtype=np.float64)
+    return _ladder(
+        HYPERBOLIC, basis, k + n, np.sqrt(2.0 * k + n) * np.sqrt(n + 1),
         RepParams(variant="mp", casimir=(("k*(k-1)", k * (k - 1.0)),)),
     )
 
@@ -204,37 +209,14 @@ def hp_spin(spin: float, fidelity: str = "corrected") -> AlgebraTriple:
     spin = _validate_spin(spin)
     if fidelity not in FIDELITIES:
         raise ValueError(f"fidelity must be one of {FIDELITIES}, got {fidelity!r}")
-    dim = int(round(2 * spin)) + 1
-    a, adag = bose_ladder(dim)
-    basis = a.basis
-    n = _number_values(dim)
-    root_minus = diagonal(basis, np.sqrt(2.0 * spin - n))
-    sminus = root_minus @ a
-    if fidelity == "corrected":
-        splus = adag @ root_minus
-    else:
-        splus = diagonal(basis, np.sqrt(2.0 * spin + n)) @ adag
-    sz = diagonal(basis, n - spin)
-    return AlgebraTriple(
-        SPIN, sz, splus, sminus,
+    basis = FockBasis((int(round(2 * spin)) + 1,))
+    n = np.arange(basis.dim, dtype=np.float64)
+    return _ladder(
+        SPIN, basis, n - spin, np.sqrt(2.0 * spin - n) * np.sqrt(n + 1),
         RepParams(variant="hp", casimir=(("S*(S+1)", spin * (spin + 1.0)),),
                   fidelity=fidelity),
+        None if fidelity == "corrected" else np.sqrt(2.0 * spin + n) * np.sqrt(n),
     )
-
-
-def circle_momentum(
-    basis: CircleBasis,
-) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
-    """Momentum operator and the shift pair realizing exp(+-iX).
-
-    P is diagonal in its own eigenbasis; Eplus|p> = |p+1> (annihilating the
-    top state, where the lattice ends) and Eminus = Eplus^dag.
-    """
-    if not isinstance(basis, CircleBasis):
-        raise ValueError(f"circle_momentum requires a CircleBasis, got {type(basis).__name__}")
-    p = diagonal(basis, basis.momenta())
-    eplus = banded(basis, {-1: np.ones(basis.count)})
-    return p, eplus, eplus.dag()
 
 
 def villain_spin(
@@ -275,17 +257,13 @@ def villain_spin(
     offset = 0.5 if fidelity == "corrected" else -0.5
     f_squared = (spin + 0.5) ** 2 - (p + offset) ** 2
     clamped = np.flatnonzero(f_squared < 0)
-    amplitude = diagonal(basis, np.sqrt(np.clip(f_squared, 0.0, None)))
-    pmat, eplus, eminus = circle_momentum(basis)
-    sminus = amplitude @ eminus
-    splus = eplus @ amplitude
     # A clamped state and the one above it, when there is one.
     touching = np.zeros(basis.count + 1, dtype=bool)
     touching[clamped] = touching[clamped + 1] = True
     excluded = np.flatnonzero(touching[:basis.count])
     excluded.setflags(write=False)
-    return AlgebraTriple(
-        SPIN, pmat, splus, sminus,
+    return _ladder(
+        SPIN, basis, p, np.sqrt(np.clip(f_squared, 0.0, None)),
         RepParams(
             variant="villain",
             casimir=(("S*(S+1)", spin * (spin + 1.0)),),
@@ -327,12 +305,8 @@ def saf_realization(p0: complex, basis: CircleBasis) -> AlgebraTriple:
     p0 = _validate_p0(p0)
     _require_circle_norm_bound(basis, abs(p0) + 0.5, f"p0 = {p0}")
     p = basis.momenta()
-    _, eplus, eminus = circle_momentum(basis)
-    kminus = diagonal(basis, p + p0) @ eminus
-    kplus = eplus @ diagonal(basis, p + np.conj(p0))
-    k0 = diagonal(basis, p + p0.real - 0.5)
-    return AlgebraTriple(
-        HYPERBOLIC, k0, kplus, kminus,
+    return _ladder(
+        HYPERBOLIC, basis, p + p0.real - 0.5, p + p0,
         RepParams(variant="saf", casimir=(("-1/4 + (P0 - conj(P0))^2/4", -0.25 - p0.imag ** 2),)),
     )
 
@@ -359,14 +333,11 @@ def perelomov_realization(lam: float, basis: CircleBasis) -> AlgebraTriple:
         raise ValueError("perelomov_realization requires a CircleBasis")
     _require_circle_norm_bound(basis, lam + 0.5, f"lambda = {lam:g}")
     p = basis.momenta()
-    _, eplus, eminus = circle_momentum(basis)
-    kminus = eminus @ diagonal(basis, p - 0.5 + 1j * lam)
-    kplus = eplus @ diagonal(basis, p + 0.5 - 1j * lam)
-    k0 = diagonal(basis, p)
-    return AlgebraTriple(
-        HYPERBOLIC, k0, kplus, kminus,
+    return _ladder(
+        HYPERBOLIC, basis, p, np.roll(p - 0.5 + 1j * lam, -1),
         RepParams(variant="perelomov", casimir=(("-1/4 - lam^2", -0.25 - lam ** 2),
                                                 ("-1/4 - lam^2/4", -0.25 - lam ** 2 / 4.0))),
+        np.roll(p + 0.5 - 1j * lam, 1),
     )
 
 

@@ -35,6 +35,7 @@ from su11kit.linops import (
     CircleBasis,
     FockBasis,
     OperatorMatrix,
+    banded,
     commutator,
     diagonal,
     interior_projector,
@@ -45,7 +46,6 @@ from su11kit.reps import (
     HYPERBOLIC,
     AlgebraTriple,
     RepParams,
-    circle_momentum,
     hp_spin,
     mp_realization,
     perelomov_realization,
@@ -323,7 +323,9 @@ class TestCheckTransfo:
     def test_equals_repeated_products(self, beta, n):
         # The reference: E+, E- and P multiplied out one factor at a time.
         basis = CircleBasis(-31.7, 64)
-        p, eplus, eminus = circle_momentum(basis)
+        p = diagonal(basis, basis.momenta())
+        eplus = banded(basis, {-1: np.ones(basis.count)})
+        eminus = eplus.dag()
         up, down, pn = eplus, eminus, p
         for _ in range(beta - 1):
             up, down = up @ eplus, down @ eminus

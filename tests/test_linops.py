@@ -392,6 +392,22 @@ def reference_product_rows(a, b, rp, rq):
     return out
 
 
+def zero_fill_product_rows(a, b, rp, rq):
+    """Reference: each output band zeroed whole, then every band pair's
+    product added into its rows, the first one included."""
+    n, out = a.dim, {}
+    for ka, va in a._bands.items():
+        lo = max(rp, -ka)
+        hi = max(lo, min(rq, n - ka))
+        for kb, vb in b._bands.items():
+            k = ka + kb
+            if abs(k) < n:
+                if k not in out:
+                    out[k] = np.zeros(rq - rp, dtype=np.complex128)
+                out[k][lo - rp:hi - rp] += va[lo:hi] * vb[lo + ka:hi + ka]
+    return out
+
+
 def reference_dag(a):
     return {-k: np.conj(shifted_copy(v, -k)) for k, v in a._bands.items()}
 
@@ -445,6 +461,22 @@ class TestBandRows:
                                       n, 0, n)
             for x in (a, b, empty):
                 assert_same_band_rows(x.dag()._bands, reference_dag(x), n, 0, n)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 64])
+    @pytest.mark.parametrize("kind", ["fock", "circle"])
+    def test_product_rows_are_the_bytes_of_a_zero_filled_sum(self, n, kind):
+        # Every entry, out-of-range ones and the signs of zeros included.
+        basis = FockBasis((n,)) if kind == "fock" else CircleBasis(-0.5, n)
+        rng = np.random.default_rng(100 + n)
+        ends = sorted({0, 1, n - 1, n})
+        for _ in range(25):
+            a, b = signed_zero_bands(basis, rng), signed_zero_bands(basis, rng)
+            for x, y in ((a, b), (b, a), (a, a)):
+                for rp, rq in [(rp, rq) for rp in ends for rq in ends if rp <= rq]:
+                    got = linops._product_rows(x, y, rp, rq)
+                    expected = zero_fill_product_rows(x, y, rp, rq)
+                    assert list(got) == list(expected)
+                    assert all(got[k].tobytes() == v.tobytes() for k, v in expected.items())
 
 
 # Kept state sets on n >= 16 states: every state (margin 0), one state inside

@@ -5,15 +5,17 @@ from conftest import dense, exact_range_basis, spin_ladder_matrices
 from su11kit.linops import (
     CircleBasis,
     FockBasis,
+    banded,
     commutator,
+    diagonal,
     identity,
     interior_projector,
     maxabs_norm,
 )
 from su11kit.reps import (
+    FIDELITIES,
     AlgebraTriple,
     bose_ladder,
-    circle_momentum,
     hp_spin,
     mp_realization,
     perelomov_realization,
@@ -114,14 +116,22 @@ class TestHolsteinPrimakoff:
             hp_spin(1.0, "verbatim")
 
 
+def shift_pair(basis):
+    """The unit shifts exp(+-iX) on a momentum lattice: E+|p> = |p+1>, which
+    annihilates the top state where the lattice ends, and E- = E+^dag."""
+    eplus = banded(basis, {-1: np.ones(basis.count)})
+    return eplus, eplus.dag()
+
+
 class TestCircleMomentum:
     def test_momentum_diagonal(self):
-        p, _, _ = circle_momentum(CircleBasis(-2.0, 5))
-        np.testing.assert_array_equal(np.diag(dense(p)), [-2, -1, 0, 1, 2])
+        # K0 of perelomov and Sz of villain are the momentum P itself.
+        basis = CircleBasis(-2.0, 5)
+        for t in (perelomov_realization(1.0, basis), villain_spin(2.0, basis)):
+            np.testing.assert_array_equal(np.diag(dense(t.k0)), [-2, -1, 0, 1, 2])
 
     def test_shift_products_truncate_at_ends(self):
-        basis = CircleBasis(0.0, 5)
-        _, eplus, eminus = circle_momentum(basis)
+        eplus, eminus = shift_pair(CircleBasis(0.0, 5))
         up_down = dense(eplus @ eminus)
         down_up = dense(eminus @ eplus)
         np.testing.assert_array_equal(np.diag(up_down), [0, 1, 1, 1, 1])
@@ -131,14 +141,108 @@ class TestCircleMomentum:
         # [P, E+] = E+ holds entrywise on the whole lattice: the truncated
         # corner vanishes consistently on both sides.
         basis = CircleBasis(-3.0, 6)
-        p, eplus, _ = circle_momentum(basis)
+        p = diagonal(basis, basis.momenta())
+        eplus, _ = shift_pair(basis)
         np.testing.assert_allclose(
             dense(commutator(p, eplus)), dense(eplus), atol=1e-14
         )
 
     def test_fock_basis_rejected(self):
-        with pytest.raises(ValueError):
-            circle_momentum(FockBasis((5,)))
+        basis = FockBasis((5,))
+        for build in (lambda: villain_spin(2.0, basis), lambda: saf_realization(0.5, basis),
+                      lambda: perelomov_realization(1.0, basis)):
+            with pytest.raises(ValueError, match="requires a CircleBasis"):
+                build()
+
+
+# Reference: each realization's (K0, K+, K-) multiplied out from its printed
+# factors with @, a diagonal of labels times a ladder or a shift, as the
+# realizations were built before the one-step ladder builder.
+def mp_products(k, dim):
+    a, adag = bose_ladder(dim)
+    n = np.arange(dim, dtype=np.float64)
+    root = diagonal(a.basis, np.sqrt(2.0 * k + n))
+    return diagonal(a.basis, k + n), adag @ root, root @ a
+
+
+def hp_products(spin, fidelity):
+    a, adag = bose_ladder(int(round(2 * spin)) + 1)
+    n = np.arange(a.dim, dtype=np.float64)
+    root = diagonal(a.basis, np.sqrt(2.0 * spin - n))
+    if fidelity == "corrected":
+        splus = adag @ root
+    else:
+        splus = diagonal(a.basis, np.sqrt(2.0 * spin + n)) @ adag
+    return diagonal(a.basis, n - spin), splus, root @ a
+
+
+def villain_products(spin, basis, fidelity):
+    p = basis.momenta()
+    eplus, eminus = shift_pair(basis)
+    offset = 0.5 if fidelity == "corrected" else -0.5
+    f_squared = (spin + 0.5) ** 2 - (p + offset) ** 2
+    amplitude = diagonal(basis, np.sqrt(np.clip(f_squared, 0.0, None)))
+    return diagonal(basis, p), eplus @ amplitude, amplitude @ eminus
+
+
+def saf_products(p0, basis):
+    p, p0 = basis.momenta(), complex(p0)
+    eplus, eminus = shift_pair(basis)
+    return (diagonal(basis, p + p0.real - 0.5), eplus @ diagonal(basis, p + np.conj(p0)),
+            diagonal(basis, p + p0) @ eminus)
+
+
+def perelomov_products(lam, basis):
+    p = basis.momenta()
+    eplus, eminus = shift_pair(basis)
+    return (diagonal(basis, p), eplus @ diagonal(basis, p + 0.5 - 1j * lam),
+            eminus @ diagonal(basis, p - 0.5 + 1j * lam))
+
+
+FACTOR_PRODUCTS = {
+    "mp": (mp_realization, mp_products),
+    "hp": (hp_spin, hp_products),
+    "villain": (villain_spin, villain_products),
+    "saf": (saf_realization, saf_products),
+    "perelomov": (perelomov_realization, perelomov_products),
+}
+# Lattice starts. From 0.3, and from 1000.37 across 1024, the floats
+# p_min + j + 1/2 and p_min + (j + 1) - 1/2 differ on some j; from the others not.
+P_MINS = (-32.0, 0.3, -7.1, 1000.37, 1e6 + 0.37)
+LADDER_CASES = (
+    [("mp", k, dim) for k in (0.5, 1.0, 1.75, 3.0) for dim in (2, 3, 64, 65, 1000)]
+    + [("hp", spin, fidelity) for spin in (0.5, 1.0, 2.5, 500.0) for fidelity in FIDELITIES]
+    + [("villain", spin, CircleBasis(p_min, count), fidelity)
+       for spin, p_min, count in ((0.5, -6.5, 14), (1.0, -7.0, 15), (2.5, -40.5, 82),
+                                  (1.5, -1.5, 4))
+       for fidelity in FIDELITIES]
+    + [("saf", p0, CircleBasis(p_min, 65)) for p_min in P_MINS
+       for p0 in (0.7 + 0.4j, -1.3 - 0.2j, 0.7, 0.0, complex(0.0, -0.0))]
+    + [("perelomov", lam, CircleBasis(p_min, 65)) for p_min in P_MINS
+       for lam in (0.6, 1.0, 2.0)]
+)
+
+
+@pytest.mark.parametrize("case", LADDER_CASES, ids=lambda case: "-".join(map(str, case)))
+def test_ladder_builds_the_bytes_of_the_factor_products(case):
+    # Every band equal in value, and in its real part by bytes; an adjoint
+    # conjugates +0.0 to -0.0 where the product formed +0.0, so an
+    # imaginary part may differ in the sign of a zero only.
+    rep, *args = case
+    build, products = FACTOR_PRODUCTS[rep]
+    t = build(*args)
+    for got, expected in zip((t.k0, t.kplus, t.kminus), products(*args)):
+        assert list(got._bands) == list(expected._bands)
+        for k, v in expected._bands.items():
+            assert np.array_equal(got._bands[k], v)
+            assert got._bands[k].real.tobytes() == v.real.tobytes()
+
+
+@pytest.mark.parametrize("build", [lambda: hp_spin(1e200), lambda: mp_realization(1.0, 10 ** 12)],
+                         ids=["hp", "mp"])
+def test_basis_budget_refuses_before_any_label_array(build):
+    with pytest.raises(ValueError, match=r"bands of \S+ states"):
+        build()
 
 
 class TestVillain:
