@@ -30,7 +30,6 @@ from .linops import (
     interior_projector,
     maxabs_norm,
     tensor,
-    unitary_exp,
 )
 from .reduction import (
     ModelParams,
@@ -96,7 +95,6 @@ __all__ = [
     "saf_realization",
     "tensor",
     "two_mode",
-    "unitary_exp",
     "verify_reduction",
     "villain_spin",
 ]

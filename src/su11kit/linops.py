@@ -12,10 +12,10 @@ number or momentum operator times a unit shift), stored as bands
 ``{offset k: vector v}`` with ``A[i, i + k] = v[i]``, zero where column
 ``i + k`` leaves [0, dim); :func:`_rows` alone works out those rows. Sums, products,
 adjoints and Kronecker products of bands are bands, at O(bands * dim) cost.
-Dense storage holds the arrays handed to the constructor, the results of
-:func:`unitary_exp`, and K-, which :func:`_times_exp` writes over the
-exponential. Arithmetic takes bands only; a dense operand raises ValueError
-naming the operation. A dense operator is read in one place,
+Dense storage holds the arrays handed to the constructor and K-, which
+:func:`_times_exp` writes over the exponential of :func:`_exponential`.
+Arithmetic takes bands only; a dense operand raises ValueError naming the
+operation. A dense operator is read in one place,
 :func:`_kept_block`, which forms a block of it or of a product with it with
 the same floating-point operations for each entry as the whole product: a
 residual a row tile at a time (of one Hermitian by construction, only its
@@ -24,11 +24,13 @@ all states, and ``.entries`` as the block of all states. It may hold its
 array conjugate-transposed, as BLAS's ``op(A) = A^H`` does, so its adjoint
 shares the array and rows of it are read as one conjugated copy of columns
 of the array; the gap between an operator and such a view of its own
-adjoint is 0, and neither is read. The spectral routines take one kind of input, a Hermitian
-tridiagonal band with a zero real diagonal, such as a quadrature: it is
-diagonalized through the SVD of a real bidiagonal block of half its size, and
-exponentiated from real blocks of half its size. Any other input raises
-ValueError.
+adjoint is 0, and neither is read. The spectral routines take one kind of
+input, a Hermitian tridiagonal band H = D T D^dag with a zero real diagonal,
+such as a quadrature: :func:`hermitian_eigensystem` checks it and returns
+T's real eigensystem, from the SVD of a bidiagonal block of half its size,
+and D's phases, from which :func:`_exponential` forms exp(+-iH) in real
+blocks of half its size. Any other input raises ValueError naming
+:func:`hermitian_eigensystem`.
 Everything is double precision and eager. A dense matrix or a basis too
 large for :data:`BYTE_BUDGET` raises ValueError before any allocation, and so
 does a bose realization whose :data:`DENSE_ARRAYS` arrays would not fit it.
@@ -483,16 +485,16 @@ class OperatorMatrix:
     """Square complex matrix tagged with the basis it acts on.
 
     Storage is bands or dense (see the module docstring). Dense storage holds
-    the constructor's arrays, the results of :func:`unitary_exp`, and K-, which
-    :func:`_times_exp` writes over the exponential; arithmetic takes bands
-    only, and a dense operator is read only through :func:`_kept_block`. Every
-    array held is read-only and all arithmetic returns new values, so instances
-    can be shared freely between threads. The constructor copies the caller's
-    dense array once; the results of arithmetic, :func:`banded` and
-    :func:`tensor` are adopted without a copy. No CLI path hands the
-    constructor an array of its own: every operator it checks comes from
-    arithmetic, :func:`banded` or :func:`_times_exp`. The shape, basis and
-    finiteness checks run on every construction.
+    the constructor's arrays and K-, which :func:`_times_exp` writes over the
+    exponential; arithmetic takes bands only, and a dense operator is read
+    only through :func:`_kept_block`. Every array held is read-only and all
+    arithmetic returns new values, so instances can be shared freely between
+    threads. The constructor copies the caller's dense array once; the
+    results of arithmetic, :func:`banded` and :func:`tensor` are adopted
+    without a copy. No CLI path hands the constructor an array of its own:
+    every operator it checks comes from arithmetic, :func:`banded` or
+    :func:`_times_exp`. The shape, basis and finiteness checks run on every
+    construction.
 
     Dense storage has one bit more, as in BLAS's ``op(A) = A^H``: the
     operator is its array or the conjugate transpose of it. :meth:`dag` flips
@@ -666,23 +668,24 @@ def _unit(z: np.ndarray, size: np.ndarray) -> np.ndarray:
     return out
 
 
-def _zero_diagonal_band(a: OperatorMatrix, caller: str) -> tuple[np.ndarray, np.ndarray]:
+def _zero_diagonal_band(a: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
     """``(d, |h|)`` for a Hermitian band tridiagonal A whose diagonal has a
     zero real part, with ``A = D T D^dag`` for T real and lower band ``|h|``.
     Any other input (dense, a band off offsets -1 to 1, a nonzero real
     diagonal, or a Hermiticity defect past :data:`HERMITICITY_TOL`) raises
-    ValueError naming ``caller``. Like LAPACK, the split reads the diagonal's
-    real part and the lower band ``h[i] = A[i + 1, i]``. ``d[i]`` is the
-    product of the phases of ``h[:i]``, renormalized: exactly +-1 or +-i for
-    a real or imaginary band.
+    ValueError naming :func:`hermitian_eigensystem`. Like LAPACK, the split
+    reads the diagonal's real part and the lower band ``h[i] = A[i + 1, i]``.
+    ``d[i]`` is the product of the phases of ``h[:i]``, renormalized: exactly
+    +-1 or +-i for a real or imaginary band.
     """
     bands, n = a._bands, a.dim
     if bands is None or not bands.keys() <= {-1, 0, 1} or a.diagonal().real.any():
-        raise ValueError(f"{caller} requires a tridiagonal band with a zero real diagonal")
+        raise ValueError(
+            "hermitian_eigensystem requires a tridiagonal band with a zero real diagonal")
     defect = a.hermiticity_defect()
     if defect > HERMITICITY_TOL:
         raise ValueError(
-            f"{caller} requires a Hermitian matrix: max|A - A^dag| = "
+            "hermitian_eigensystem requires a Hermitian matrix: max|A - A^dag| = "
             f"{defect:.3e} exceeds {HERMITICITY_TOL:.0e}"
         )
     h = bands.get(-1, np.zeros(n, dtype=np.complex128))[1:]
@@ -691,22 +694,20 @@ def _zero_diagonal_band(a: OperatorMatrix, caller: str) -> tuple[np.ndarray, np.
     return _unit(d, np.abs(d)), size
 
 
-def hermitian_eigensystem(a: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of a
-    Hermitian band tridiagonal H with a zero real diagonal, such as Q or P;
-    any other input raises ValueError naming this function. H is written as
-    ``D T D^dag`` (see :func:`_zero_diagonal_band`); ``T`` is diagonalized
-    through the SVD of a bidiagonal matrix of half its order (Golub and
-    Kahan, 1965), and the eigenvectors are ``D V``, real when D is.
+def hermitian_eigensystem(a: OperatorMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(eigenvalues, v, d)`` of a Hermitian band tridiagonal H = D T D^dag
+    with a zero real diagonal, such as Q or P (see :func:`_zero_diagonal_band`);
+    any other input raises ValueError naming this function. The eigenvalues
+    ascend; ``v`` holds T's real orthonormal eigenvectors as
+    :func:`_zero_diagonal_eigh` lays them out, through the SVD of a bidiagonal
+    matrix of half its order (Golub and Kahan, 1965), and ``d`` D's unit
+    phases, so H's eigenvectors are ``d[:, None] * v``.
     """
-    d, size = _zero_diagonal_band(a, "hermitian_eigensystem")
-    # Complex eigenvectors D V are the most this route holds.
+    d, size = _zero_diagonal_band(a)
+    # The complex n x n exponential formed from it is the most this route holds.
     _require_budget(16 * a.dim ** 2, "a dense {0}x{0} complex matrix", a.dim)
     eigenvalues, v = _zero_diagonal_eigh(size)
-    if d.imag.any():
-        return eigenvalues, d[:, None] * v
-    v *= d.real[:, None]  # in place: a copy raises the process's peak RSS
-    return eigenvalues, v
+    return eigenvalues, v, d
 
 
 def _zero_diagonal_eigh(size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -720,7 +721,7 @@ def _zero_diagonal_eigh(size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     descending and even states in rows ``0::2``, column ``j < n // 2`` holds
     ``-s[j]`` and ``[u_j; -w_j] / sqrt(2)``, column ``n - 1 - j`` holds
     ``s[j]`` and ``[u_j; w_j] / sqrt(2)``, and column ``n // 2`` of odd order
-    holds ``[z; 0]``; :func:`unitary_exp` relies on this.
+    holds ``[z; 0]``; :func:`_exponential` relies on this.
     """
     n = size.size + 1
     half = n // 2
@@ -739,34 +740,25 @@ def _zero_diagonal_eigh(size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eigenvalues, v
 
 
-def unitary_exp(h: OperatorMatrix, sign: int = 1) -> OperatorMatrix:
-    """exp(sign * i * H) for a Hermitian band tridiagonal H with a zero real
-    diagonal, such as Q or P, from its eigensystem, so unitary up to
-    rounding, as a truncated series would not be; any other H raises
-    ValueError naming this function. It is dense. The two signs share one
-    eigensystem: ``exp(-iH)`` is the adjoint of ``exp(iH)``, so a caller
-    that needs both takes one and its :meth:`OperatorMatrix.dag`.
+def _exponential(h: OperatorMatrix, sign: int) -> np.ndarray:
+    """exp(sign * i * H), sign +-1, for a Hermitian band tridiagonal H with a
+    zero real diagonal, such as Q or P, from its eigensystem, so unitary up
+    to rounding, as a truncated series would not be; any other H raises
+    ValueError naming :func:`hermitian_eigensystem`. The dense array is
+    writable and held by nothing else.
 
     For H = D T D^dag as in :func:`_zero_diagonal_band`, cos T is even in T
     and sin T odd. So with T's eigensystem as :func:`_zero_diagonal_eigh`
     lays it out, and the even states first, exp(i sign T) is
     ``[[U cos S U^T + z z^T, i U sin(sign S) W^T], [transpose, W cos S W^T]]``
     (z for odd order only): three real products of half order, 0.75 n^3
-    flops, against 8 n^3 for one complex product of full order.
+    flops, against 8 n^3 for one complex product of full order, with entries
+    exactly real between states of equal parity and exactly imaginary
+    otherwise; its rows times d and columns times conj(d) give exp(i sign H).
+    T's eigenvectors are dropped before the n x n result is allocated.
     """
-    return OperatorMatrix(h.basis, _Fresh(_exponential(h, sign)))
-
-
-def _exponential(h: OperatorMatrix, sign: int) -> np.ndarray:
-    """The array of :func:`unitary_exp`, writable and held by nothing else.
-    T's eigenvectors are dropped once the three blocks of half order are
-    formed, before the n x n result is allocated."""
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    d, size = _zero_diagonal_band(h, "unitary_exp")
+    eigenvalues, v, d = hermitian_eigensystem(h)
     n, half = h.dim, h.dim // 2
-    t = banded(h.basis, {-1: np.concatenate(([0.0], size)), 1: np.concatenate((size, [0.0]))})
-    eigenvalues, v = hermitian_eigensystem(t)
     # even = U / sqrt(2) and odd = -W / sqrt(2), each pair summed once.
     s, even, odd = -eigenvalues[:half], v[0::2, :half], v[1::2, :half]
     cos2, sin2 = 2.0 * np.cos(s), -2.0 * np.sin(sign * s)
@@ -790,7 +782,7 @@ def _exponential(h: OperatorMatrix, sign: int) -> np.ndarray:
 
 
 def _times_exp(a: OperatorMatrix, h: OperatorMatrix, sign: int) -> OperatorMatrix:
-    """``a @ unitary_exp(h, sign)`` for a band-stored ``a``, written over the
+    """``a @ _exponential(h, sign)`` for a band-stored ``a``, written over the
     exponential's own array one row block at a time (see
     :func:`_scaled_rows`), so that the product holds no second n x n array.
     Each entry is the same products, added in the same order, as in the

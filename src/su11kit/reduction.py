@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import CheckSpec
-from .linops import FockBasis, OperatorMatrix, _Fresh, _integer, identity
+from .linops import _BLOCK_BYTES, FockBasis, OperatorMatrix, _Fresh, _integer, identity
 from .reps import HYPERBOLIC, AlgebraTriple, bose_ladder
 
 #: |2 Phi1 + Phi2| below this is treated as singular rather than computed
@@ -108,13 +108,14 @@ def build_direct_hamiltonian(params: ModelParams, dim: int = 24) -> OperatorMatr
     (eps (n_a + n_b) + Phi2 n_a n_b) + Phi1 (pair_a + pair_b). The real part
     of every entry is then bit for bit that of the Kronecker-product
     assembly, eps (n (x) 1 + 1 (x) n) + Phi2 n (x) n + Phi1 (pair (x) 1 +
-    1 (x) pair), without its complex d^2 bands. The levels are written into
-    the real part of the band's own vector and each term into its imaginary
-    part, then set to +0.0, so the build costs O(dim^2) time and one complex
-    d^2 vector. ``dim`` is read by :func:`su11kit.linops._integer`, so
-    2.5, inf and nan raise ValueError, as does a dim below 4. A dim whose
-    bands would pass the memory budget is refused before anything of the
-    two-mode size is allocated.
+    1 (x) pair), without its complex d^2 bands. The levels are formed one
+    row block of about :data:`su11kit.linops._BLOCK_BYTES` at a time, in two
+    float64 scratch blocks, and each block is written into its rows of the
+    band's own vector, with +0.0 imaginary parts, so the build costs
+    O(dim^2) time and one complex d^2 vector. ``dim`` is read by
+    :func:`su11kit.linops._integer`, so 2.5, inf and nan raise ValueError, as
+    does a dim below 4. A dim whose bands would pass the memory budget is
+    refused before anything of the two-mode size is allocated.
     """
     dim = _integer(dim, "dim")
     if dim < 4:
@@ -125,18 +126,24 @@ def build_direct_hamiltonian(params: ModelParams, dim: int = 24) -> OperatorMatr
     basis = FockBasis((dim, dim))
     n = (adag @ a).diagonal().real
     pair = (adag @ adag @ a @ a).diagonal().real
-    band = np.empty(dim * dim, dtype=np.complex128)
-    levels, term = band.real.reshape(dim, dim), band.imag.reshape(dim, dim)
-    np.add.outer(n, n, out=levels)
-    levels *= params.epsilon
-    np.multiply.outer(n, n, out=term)
-    term *= params.phi2
-    levels += term
-    np.add.outer(pair, pair, out=term)
-    term *= params.phi1
-    levels += term
-    term[...] = 0.0
-    return OperatorMatrix(basis, _Fresh({0: band}))
+    band = np.empty((dim, dim), dtype=np.complex128)
+    step = max(1, _BLOCK_BYTES // (8 * dim))
+    scratch = np.empty((2, min(step, dim), dim))
+    for r0 in range(0, dim, step):
+        r1 = min(r0 + step, dim)
+        levels, term = scratch[:, :r1 - r0]
+        np.add.outer(n[r0:r1], n, out=levels)
+        levels *= params.epsilon
+        np.multiply.outer(n[r0:r1], n, out=term)
+        term *= params.phi2
+        levels += term
+        np.add.outer(pair[r0:r1], pair, out=term)
+        term *= params.phi1
+        levels += term
+        band[r0:r1] = levels  # real parts, with +0.0 imaginary parts
+    # Freed before the constructor's finiteness mask of d^2 bools is made.
+    del scratch, levels, term
+    return OperatorMatrix(basis, _Fresh({0: band.reshape(-1)}))
 
 
 def build_k_form(params: ModelParams, triple: AlgebraTriple) -> OperatorMatrix:

@@ -256,11 +256,10 @@ def villain_spin(
         )
     offset = 0.5 if fidelity == "corrected" else -0.5
     f_squared = (spin + 0.5) ** 2 - (p + offset) ** 2
-    clamped = np.flatnonzero(f_squared < 0)
     # A clamped state and the one above it, when there is one.
-    touching = np.zeros(basis.count + 1, dtype=bool)
-    touching[clamped] = touching[clamped + 1] = True
-    excluded = np.flatnonzero(touching[:basis.count])
+    touching = f_squared < 0
+    touching[1:] |= touching[:-1]
+    excluded = np.flatnonzero(touching)
     excluded.setflags(write=False)
     return _ladder(
         SPIN, basis, p, np.sqrt(np.clip(f_squared, 0.0, None)),

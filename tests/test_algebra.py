@@ -40,7 +40,7 @@ from su11kit.linops import (
     diagonal,
     interior_projector,
     maxabs_norm,
-    unitary_exp,
+    _exponential,
 )
 from su11kit.reps import (
     HYPERBOLIC,
@@ -555,7 +555,7 @@ class TestDenseWorkingSet:
         # T's real eigenvectors (half an array), the result, and two real
         # blocks of half order (an eighth each) while one is formed.
         q, _ = quadratures(self.N)
-        assert self.arrays(lambda: unitary_exp(q, -1), scratch=False) <= 1.75
+        assert self.arrays(lambda: _exponential(q, -1), scratch=False) <= 1.75
 
     def test_budget_counts_the_larger_of_build_and_check(self, bose):
         # The build holds the exponential, with its three real blocks of half

@@ -26,7 +26,7 @@ from su11kit.linops import (
     interior_projector,
     maxabs_norm,
     tensor,
-    unitary_exp,
+    _exponential,
 )
 from su11kit.algebra import CheckSpec
 from su11kit.reps import bose_ladder, quadratures
@@ -623,15 +623,21 @@ def zero_diagonal_cases(draw):
 
 
 def assert_eigensystem(h):
-    """Eigenvalues against dense eigh, ascending order, orthonormal vectors
-    and the reconstruction of h, each within 1e-12 of the entries' scale."""
+    """Eigenvalues against dense eigh, ascending order, real orthonormal
+    vectors V of T, unit phases d, and H (d V) = (d V) diag(w) and the
+    reconstruction of h, each within 1e-12 of the entries' scale."""
     hd = dense(h)
     scale = 1.0 + maxabs_norm(h)
-    w, v = hermitian_eigensystem(h)
+    w, v, d = hermitian_eigensystem(h)
     assert np.max(np.abs(w - np.linalg.eigh(hd)[0])) <= 1e-12 * scale
     assert np.all(np.diff(w) >= 0)
-    assert np.max(np.abs(v.conj().T @ v - np.eye(h.dim))) <= 1e-12
-    assert np.max(np.abs((v * w) @ v.conj().T - hd)) <= 1e-12 * scale
+    assert v.dtype == np.float64
+    assert np.max(np.abs(v.T @ v - np.eye(h.dim))) <= 1e-12
+    assert np.max(np.abs(np.abs(d) - 1)) <= 4 * 2.0 ** -52
+    x = d[:, None] * v
+    assert np.max(np.abs(hd @ x - x * w)) <= 1e-12 * scale
+    assert np.max(np.abs((x * w) @ x.conj().T - hd)) <= 1e-12 * scale
+    return w, v, d
 
 
 def random_zero_diagonal_band(basis, seed):
@@ -662,23 +668,26 @@ class TestEigensystem:
 
     @pytest.mark.parametrize("dim", [17, 64, 65])
     def test_quadratures_match_dense_eigh(self, dim):
+        # Q's phases are all 1 and P's are powers of i, so |d| = 1 exactly.
         for h in quadratures(dim):
-            assert_eigensystem(h)
+            _, _, d = assert_eigensystem(h)
+            assert np.all(np.abs(d) == 1)
 
     @pytest.mark.parametrize("n", [2, 17, 64])
     def test_uniform_chain_spectrum_sorted(self, n):
         # Closed form: the chain with unit off-diagonals has the eigenvalues
         # 2 cos(k pi / (n + 1)), k = 1..n, which the parity blocks interleave.
         h = banded(FockBasis((n,)), {-1: np.ones(n), 1: np.ones(n)})
-        w, _ = hermitian_eigensystem(h)
+        w = hermitian_eigensystem(h)[0]
         expected = np.sort(2 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1)))
         np.testing.assert_allclose(w, expected, rtol=0, atol=1e-13)
 
     def test_reconstruction_residual(self):
         basis = FockBasis((8,))
         h = random_zero_diagonal_band(basis, seed=7)
-        w, v = hermitian_eigensystem(h)
-        recon = (v * w) @ v.conj().T
+        w, v, d = hermitian_eigensystem(h)
+        x = d[:, None] * v
+        recon = (x * w) @ x.conj().T
         scale = 1.0 + maxabs_norm(h)
         assert np.max(np.abs(dense(h) - recon)) <= 1e-9 * scale
 
@@ -688,7 +697,7 @@ class TestEigensystem:
         # exactly the Jacobi matrix of that weight, so the interior
         # eigenvalues must agree.
         q, _ = quadratures(64)
-        w, _ = hermitian_eigensystem(q)
+        w = hermitian_eigensystem(q)[0]
         nodes, _ = np.polynomial.hermite.hermgauss(64)
         np.testing.assert_allclose(w[16:48], nodes[16:48], atol=1e-6)
 
@@ -709,63 +718,62 @@ class TestEigensystem:
         reversed_h = banded(basis, {-1: np.concatenate(([0.0], np.diag(m, -1))),
                                     1: np.concatenate((np.diag(m, 1), [0.0]))})
         np.testing.assert_array_equal(dense(reversed_h), m)
-        w1, _ = hermitian_eigensystem(h)
-        w2, _ = hermitian_eigensystem(reversed_h)
+        w1 = hermitian_eigensystem(h)[0]
+        w2 = hermitian_eigensystem(reversed_h)[0]
         np.testing.assert_allclose(w1, w2, atol=1e-9)
 
-    @pytest.mark.parametrize("routine", [hermitian_eigensystem, unitary_exp])
+    @pytest.mark.parametrize("routine", [hermitian_eigensystem,
+                                         lambda h: _exponential(h, 1)],
+                             ids=["eigensystem", "exponential"])
     @settings(max_examples=50, deadline=None)
     @given(other_inputs())
     def test_other_inputs_rejected_naming_the_routine(self, routine, h):
+        # The exponential validates its generator through the eigensystem.
         assert h.hermiticity_defect() <= linops.HERMITICITY_TOL
-        with pytest.raises(ValueError, match=f"^{routine.__name__} requires a tridiagonal"):
+        with pytest.raises(ValueError, match="^hermitian_eigensystem requires a tridiagonal"):
             routine(h)
 
 
-class TestUnitaryExp:
+
+class TestExponential:
     def test_zero_gives_identity(self):
         basis = FockBasis((4,))
-        u = unitary_exp(0 * identity(basis), +1)
-        np.testing.assert_allclose(dense(u), np.eye(4), atol=1e-15)
+        np.testing.assert_allclose(_exponential(0 * identity(basis), +1), np.eye(4), atol=1e-15)
 
     def test_scalar_phases(self):
         # exp(i theta sigma_x) = cos(theta) + i sin(theta) sigma_x.
         basis = FockBasis((2,))
         for theta, expected in ((np.pi, -np.eye(2)), (np.pi / 2, 1j * np.eye(2)[::-1])):
-            u = unitary_exp(banded(basis, {-1: [0.0, theta], 1: [theta, 0.0]}), +1)
-            np.testing.assert_allclose(dense(u), expected, atol=1e-12)
+            u = _exponential(banded(basis, {-1: [0.0, theta], 1: [theta, 0.0]}), +1)
+            np.testing.assert_allclose(u, expected, atol=1e-12)
 
     def test_forward_backward_is_identity(self):
         q, _ = quadratures(32)
-        u = dense(unitary_exp(q, +1), unitary_exp(q, -1))
+        u = _exponential(q, +1) @ _exponential(q, -1)
         assert np.max(np.abs(u - np.eye(32))) <= 1e-12
 
     def test_opposite_sign_is_the_adjoint(self):
         q, _ = quadratures(48)
-        gap = dense(unitary_exp(q, -1)) - dense(unitary_exp(q, +1)).conj().T
+        gap = _exponential(q, -1) - _exponential(q, +1).conj().T
         assert np.max(np.abs(gap)) <= 1e-12
 
     def test_unitarity(self):
         q, _ = quadratures(48)
-        u = unitary_exp(q, +1)
-        assert np.max(np.abs(dense(u, u.dag()) - np.eye(48))) <= 1e-9
+        u = _exponential(q, +1)
+        assert np.max(np.abs(u @ u.conj().T - np.eye(48))) <= 1e-9
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1))
     def test_forward_backward_random_hermitian(self, seed):
         basis = FockBasis((8,))
         h = random_zero_diagonal_band(basis, seed)
-        u = dense(unitary_exp(h, +1), unitary_exp(h, -1))
+        u = _exponential(h, +1) @ _exponential(h, -1)
         assert np.max(np.abs(u - np.eye(8))) <= 1e-9
-
-    def test_bad_sign_rejected(self):
-        with pytest.raises(ValueError):
-            unitary_exp(identity(FockBasis((4,))), 2)
 
     def test_non_hermitian_rejected(self):
         a, _ = bose_ladder(4)
-        with pytest.raises(ValueError):
-            unitary_exp(a, +1)
+        with pytest.raises(ValueError, match="^hermitian_eigensystem requires a Hermitian"):
+            _exponential(a, +1)
 
 
 def dense_exp(h, sign):
@@ -775,34 +783,34 @@ def dense_exp(h, sign):
 
 
 class TestZeroDiagonalExp:
-    """The bose route of unitary_exp: exp(i sign T) of the real parity-split
-    band T from three real half-order products, phased by d."""
+    """The bose route of the exponential: exp(i sign T) of the real
+    parity-split band T from three real half-order products, phased by d."""
 
     @pytest.mark.parametrize("n", [16, 17, 64, 65, 512])
     @pytest.mark.parametrize("sign", [1, -1])
     def test_quadratures_match_the_dense_exponential(self, n, sign):
         for h in quadratures(n):
-            u = unitary_exp(h, sign)
-            assert u._bands is None
-            assert np.max(np.abs(dense(u) - dense_exp(h, sign))) <= 1e-13
+            u = _exponential(h, sign)
+            assert u.dtype == np.complex128 and u.flags.writeable
+            assert np.max(np.abs(u - dense_exp(h, sign))) <= 1e-13
 
     @settings(max_examples=100, deadline=None)
     @given(zero_diagonal_cases(), st.sampled_from([1, -1]))
     def test_arbitrary_phases_match_the_dense_exponential(self, h, sign):
-        assert np.max(np.abs(dense(unitary_exp(h, sign)) - dense_exp(h, sign))) <= 1e-13
+        assert np.max(np.abs(_exponential(h, sign) - dense_exp(h, sign))) <= 1e-13
 
     @pytest.mark.parametrize("n", [512, 2048])
     def test_quadratures_give_unitaries_to_rounding(self, n):
         for h in quadratures(n):
-            u = dense(unitary_exp(h, -1))
+            u = _exponential(h, -1)
             assert np.max(np.abs(u @ u.conj().T - np.eye(n))) <= 1e-14
 
     @pytest.mark.parametrize("n", [64, 65])
     def test_parity_blocks_are_exactly_real_or_imaginary(self, n):
         same = np.add.outer(np.arange(n), np.arange(n)) % 2 == 0
         for h in quadratures(n):
-            d, _ = linops._zero_diagonal_band(h, "unitary_exp")
-            e = d.conj()[:, None] * dense(unitary_exp(h, 1)) * d
+            d = hermitian_eigensystem(h)[2]
+            e = d.conj()[:, None] * _exponential(h, 1) * d
             assert np.all(e.imag[same] == 0) and np.all(e.real[~same] == 0)
 
     @pytest.mark.parametrize("offsets", [[-1, 0, 1], [2, -3, 0], [0], [1]],
@@ -816,7 +824,7 @@ class TestZeroDiagonalExp:
         basis = FockBasis((n,))
         a = banded(basis, {k: rng.normal(size=n) + 1j * rng.normal(size=n) for k in offsets})
         for h, sign in zip(quadratures(n), (-1, 1)):
-            expected = dense(a, unitary_exp(h, sign))
+            expected = dense(a, OperatorMatrix(basis, _exponential(h, sign)))
             assert dense(linops._times_exp(a, h, sign)).tobytes() == expected.tobytes()
 
     def test_mismatched_upper_band_rejected(self):
@@ -825,20 +833,20 @@ class TestZeroDiagonalExp:
         sub = np.arange(1.0, 6.0)
         h = banded(FockBasis((6,)), {-1: np.concatenate(([0.0], sub)),
                                      1: np.concatenate((2 * sub, [0.0]))})
-        with pytest.raises(ValueError, match="requires a Hermitian matrix"):
-            unitary_exp(h, 1)
+        with pytest.raises(ValueError, match="^hermitian_eigensystem requires a Hermitian"):
+            _exponential(h, 1)
 
 
 class TestPhases:
     def test_quadrature_phases_are_exact_units(self):
         for h in quadratures(2048):
-            d, _ = linops._zero_diagonal_band(h, "hermitian_eigensystem")
+            d, _ = linops._zero_diagonal_band(h)
             assert np.all(np.isin(d, [1, -1, 1j, -1j]))
 
     @settings(max_examples=200, deadline=None)
     @given(zero_diagonal_cases())
     def test_phases_keep_unit_modulus(self, h):
-        d, size = linops._zero_diagonal_band(h, "hermitian_eigensystem")
+        d, size = linops._zero_diagonal_band(h)
         assert np.max(np.abs(np.abs(d) - 1)) <= 4 * 2.0 ** -52
         # D^dag H D has the real lower band |h|.
         lower = d[1:].conj() * dense(h).diagonal(-1) * d[:-1]

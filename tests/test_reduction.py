@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import dense
-from su11kit.linops import interior_projector, maxabs_norm
+from su11kit.linops import _BLOCK_BYTES, interior_projector, maxabs_norm
 from su11kit.linops import CircleBasis, OperatorMatrix, diagonal, identity, tensor
 from su11kit.reduction import (
     ModelParams,
@@ -151,7 +151,38 @@ def tensor_hamiltonian(params, dim):
     return params.epsilon * number + params.phi2 * cross + params.phi1 * quartic
 
 
+def whole_array_band(params, dim):
+    """The band vector of the build without row blocks: each pass over the
+    whole real part of the complex vector, each term formed in its imaginary
+    part, which is then set to +0.0."""
+    a, adag = bose_ladder(dim)
+    n = (adag @ a).diagonal().real
+    pair = (adag @ adag @ a @ a).diagonal().real
+    band = np.empty(dim * dim, dtype=np.complex128)
+    levels, term = band.real.reshape(dim, dim), band.imag.reshape(dim, dim)
+    np.add.outer(n, n, out=levels)
+    levels *= params.epsilon
+    np.multiply.outer(n, n, out=term)
+    term *= params.phi2
+    levels += term
+    np.add.outer(pair, pair, out=term)
+    term *= params.phi1
+    levels += term
+    term[...] = 0.0
+    return band
+
+
 class TestOuterSumBuild:
+    @pytest.mark.parametrize("dim,blocks", [(50, 1), (300, 3)])
+    def test_row_blocks_are_the_bytes_of_the_whole_array_build(self, dim, blocks):
+        # At 50 states per mode the levels are one block; at 300 they are
+        # three, of 109, 109 and 82 rows, so the last block is partial.
+        step = _BLOCK_BYTES // (8 * dim)
+        assert -(-dim // step) == blocks and (blocks == 1 or dim % step)
+        for params in [EXAMPLE, ModelParams(-0.3, 0.2, -0.1)] + random_params(6, seed=dim):
+            band = build_direct_hamiltonian(params, dim)._bands[0]
+            assert band.tobytes() == whole_array_band(params, dim).tobytes()
+
     @pytest.mark.parametrize("dim", [4, 5, 17, 50])
     def test_real_parts_are_the_tensor_assembly_bit_for_bit(self, dim):
         # Seeded couplings of both signs; tobytes compares sign bits as well,

@@ -285,18 +285,25 @@ class TestVillain:
 
     @pytest.mark.parametrize("fidelity", ["corrected", "as_printed"])
     @pytest.mark.parametrize("spin,p_min,count", [(1.0, -4.0, 9), (2.5, -7.5, 12), (0.5, -0.5, 2),
-                                                  (1.5, -1.5, 40)])
+                                                  (1.5, -1.5, 40), (1.0, -4.0, 6), (2.5, -2.5, 6)])
     def test_clamp_excluded_is_each_clamped_state_and_the_next(self, spin, p_min, count,
                                                                fidelity):
+        # Clamped runs at both ends (-4..4), at the last index only (-1.5..37.5)
+        # and at index 0 only (-4..1, corrected); the exact-range lattices
+        # (0.5 and 2.5) exclude nothing. The reference marks the clamped
+        # index array and that array plus one in a mask one state longer.
         basis = CircleBasis(p_min, count)
         t = villain_spin(spin, basis, fidelity)
         p = basis.momenta()
         offset = 0.5 if fidelity == "corrected" else -0.5
         clamped = np.flatnonzero((spin + 0.5) ** 2 - (p + offset) ** 2 < 0)
-        reference = sorted({int(j) for c in clamped for j in (c, c + 1) if j < basis.count})
+        touching = np.zeros(count + 1, dtype=bool)
+        touching[clamped] = touching[clamped + 1] = True
         excluded = t.params.clamp_excluded
-        np.testing.assert_array_equal(excluded, np.array(reference, dtype=np.intp))
+        np.testing.assert_array_equal(excluded, np.flatnonzero(touching[:count]))
         assert excluded.dtype == np.intp and not excluded.flags.writeable
+        if count == 2 * spin + 1:
+            assert excluded.size == 0
 
     def test_range_not_covered_rejected(self):
         with pytest.raises(ValueError, match="cover"):

@@ -30,6 +30,8 @@ def test_covers_the_readme_in_every_format_and_the_float_edges():
         assert ["transfo", "--beta", beta, "--format", "json"] in argvs
     assert all(argv + ["--format", "json"] in argvs for argv in stdout_digest.MARGIN_ZERO)
     assert all(argv + ["--format", "json"] in argvs for argv in stdout_digest.FIRST_KEPT)
+    assert all(argv + ["--format", "json"] in argvs
+               for argv in stdout_digest.PERELOMOV_LATTICES)
     # Each budget refusal exits before it allocates, so it is cheap to run.
     assert all(argv in argvs for argv in OVER_BUDGET.values())
     assert ["casimir", "--rep", "villain", "--spin", "2.5", "--format", "csv"] in argvs

@@ -36,6 +36,10 @@ that invocation's bytes or exit code differ. The list covers
 * ``transfo`` at beta 63 and 64 on its 64 states: a shift band with one row
   in range, and an offset with none, whose empty band dict goes through
   ``@``, ``.dag()`` and ``-``, in json;
+* a perelomov ``check`` on two lattices off the half-integers, where its own
+  K+ (``p + 1/2`` at the state it raises) and the adjoint of its K-
+  (``p - 1/2`` at the state above) round apart; the second exits 1 on
+  rounding, in json;
 * the shift powers and pair count past float range, which once hung or
   exited with an unnamed message;
 * the inputs refused with exit 2 because they could not be honoured: a
@@ -119,6 +123,9 @@ FIRST_KEPT = [["casimir", "--rep", "villain", "--spin", "2.5", "--margin", "0"],
 WIDE_REDUCE = ["reduce", "--epsilon=-0.3", "--phi1", "0.2", "--phi2=-0.1", "--pairs", "1000"]
 # Shift powers at the lattice's edge: one row in range, and none.
 SHIFT_EDGES = [["transfo", "--beta", "63"], ["transfo", "--beta", "64"]]
+# Perelomov lattices on which p + 1/2 and (p + 1) - 1/2 round apart.
+PERELOMOV_LATTICES = [["check", "--rep", "perelomov", "--p-min=0.3"],
+                      ["check", "--rep", "perelomov", "--p-min=1000.37"]]
 BEYOND_FLOAT = [
     ["transfo", "--beta", "1" + "0" * 400],
     ["transfo", "--beta", "1" + "0" * 104, "--n", "3"],
@@ -167,7 +174,8 @@ def invocations() -> list[list[str]]:
             *(argv + ["--format", fmt] for argv in README + reps for fmt in FORMATS),
             *transfo, *(argv + ["--format", "json"]
                         for argv in CASIMIR_PARAMS + [WIDE_VILLAIN] + MARGIN_ZERO
-                        + BOSE_EDGES + FIRST_KEPT + [WIDE_REDUCE] + SHIFT_EDGES),
+                        + BOSE_EDGES + FIRST_KEPT + [WIDE_REDUCE] + SHIFT_EDGES
+                        + PERELOMOV_LATTICES),
             *BEYOND_FLOAT, *REFUSED, *CONFIGS]
 
 
