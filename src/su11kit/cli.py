@@ -33,7 +33,6 @@ from .algebra import (
     compare_triples,
 )
 from .linops import (
-    MIN_BASIS_DIM,
     Check,
     CheckReport,
     CircleBasis,
@@ -265,8 +264,8 @@ def _resolve(ns: argparse.Namespace) -> RunConfig:
     option reads it, and fill the rep defaults of ``check`` and ``casimir``.
 
     The domain rules (spin, margin, tolerance, the singular coupling) are the
-    library's own checks; k, lam, pairs, beta and n are checked by the
-    constructors when :func:`run` builds them.
+    library's own checks, made for the commands that read them; k, lam, dim,
+    pairs, beta and n are checked by the constructors when :func:`run` builds them.
     """
     given = _load_config_file(ns.config) if ns.config else {}
     unknown = set(given) - set(_OPTIONS)
@@ -300,12 +299,11 @@ def _resolve(ns: argparse.Namespace) -> RunConfig:
         values.setdefault("tolerance", 1e-9)
 
     config = RunConfig(command=ns.command, **values)
-    if config.dim < MIN_BASIS_DIM:
-        raise ValueError(f"--dim must be >= {MIN_BASIS_DIM}, got {config.dim}")
-    if config.dim > sys.float_info.max:  # the lattice momenta are floats
-        raise ValueError(f"--dim must be at most {sys.float_info.max:.3g}, "
+    lattice = config.command in _LATTICE  # the commands that read dim and margin
+    if lattice and abs(config.dim) > sys.float_info.max:  # the lattice momenta are floats
+        raise ValueError(f"--dim must be at most {sys.float_info.max:.3g} in size, "
                          f"got {_figure(config.dim)}")
-    CheckSpec(config.margin, config.tolerance)
+    CheckSpec(config.margin if lattice else CheckSpec.margin, config.tolerance)
     if config.command == "reduce":
         ModelParams(config.epsilon, config.phi1, config.phi2)
     return config

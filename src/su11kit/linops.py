@@ -97,7 +97,8 @@ def _integer(value, name: str = "value", least: int | None = None) -> int:
         number = int(value)
         if (isinstance(value, str) or number == value) and (least is None or number >= least):
             return number
-    kind = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}[least]
+    kind = {None: "an integer", 0: "a nonnegative integer",
+            1: "a positive integer"}.get(least, f"an integer >= {least}")
     raise ValueError(f"{name} must be {kind}, got {value}")
 
 
@@ -136,20 +137,16 @@ class FockBasis:
     Two-mode states are enumerated row-major, ``index = n_a * dim_b + n_b``.
     The :func:`tensor` convention and every golden value rely on that
     ordering, so it is fixed here and nowhere else. :func:`_integer` reads
-    each of ``dims``, so 24.5, inf and nan raise ValueError.
+    each of ``dims``, so 1, 24.5, inf and nan raise ValueError.
     """
 
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        dims = tuple(_integer(d, "per-mode dimension") for d in self.dims)
+        dims = tuple(_integer(d, "per-mode dimension", MIN_BASIS_DIM) for d in self.dims)
         object.__setattr__(self, "dims", dims)
         if len(dims) not in (1, 2):
             raise ValueError(f"FockBasis supports 1 or 2 modes, got {len(dims)}")
-        if any(d < MIN_BASIS_DIM for d in dims):
-            raise ValueError(
-                f"per-mode dimension must be >= {MIN_BASIS_DIM}, got {dims}"
-            )
         _require_budget(16 * BAND_VECTORS * self.dim, "bands of {} states", self.dim)
 
     @property
@@ -177,7 +174,7 @@ class CircleBasis:
     reaches past ``|p_min| + count = 2^52`` is refused: up to there floats
     lie at most 1/2 apart, so integer and half-integer momenta are exact,
     while from 2^53 on neighbouring momenta round to one float. ``count`` is
-    read by :func:`_integer`, so 24.5, inf and nan raise ValueError.
+    read by :func:`_integer`, so 1, 24.5, inf and nan raise ValueError.
     """
 
     p_min: float
@@ -185,11 +182,9 @@ class CircleBasis:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p_min", float(self.p_min))
-        object.__setattr__(self, "count", _integer(self.count, "count"))
+        object.__setattr__(self, "count", _integer(self.count, "count", MIN_BASIS_DIM))
         if not np.isfinite(self.p_min):
             raise ValueError(f"p_min must be finite, got {self.p_min}")
-        if self.count < MIN_BASIS_DIM:
-            raise ValueError(f"count must be >= {MIN_BASIS_DIM}, got {self.count}")
         _require_budget(16 * BAND_VECTORS * self.count, "bands of {} states", self.count)
         if abs(self.p_min) + self.count > 2 ** 52:
             raise ValueError(f"p_min = {self.p_min:g} with {self.count} states puts "
@@ -214,6 +209,15 @@ class _Fresh:
 
     def __init__(self, storage: np.ndarray | dict[int, np.ndarray]) -> None:
         self.storage = storage
+
+
+def _finite(arr: np.ndarray) -> bool:
+    """Whether every entry of ``arr`` is finite, tested one row block of about
+    :data:`_BLOCK_BYTES` at a time, so that no mask as long as ``arr`` is made."""
+    if arr.nbytes <= _BLOCK_BYTES:
+        return bool(np.isfinite(arr).all())
+    step = max(1, _BLOCK_BYTES // arr[0].nbytes)
+    return all(np.isfinite(arr[r:r + step]).all() for r in range(0, len(arr), step))
 
 
 def _rows(k: int, rp: int, rq: int, p: int, q: int) -> tuple[int, int]:
@@ -523,7 +527,7 @@ class OperatorMatrix:
                 raise BasisMismatchError(
                     f"entries of shape {arr.shape} do not fit a basis of dimension {n}"
                 )
-            if not np.isfinite(arr).all():
+            if not _finite(arr):
                 raise ValueError("entries contain non-finite values")
             arr.setflags(write=False)
         self._adopt(basis, dense, bands, False)

@@ -113,13 +113,11 @@ def build_direct_hamiltonian(params: ModelParams, dim: int = 24) -> OperatorMatr
     float64 scratch blocks, and each block is written into its rows of the
     band's own vector, with +0.0 imaginary parts, so the build costs
     O(dim^2) time and one complex d^2 vector. ``dim`` is read by
-    :func:`su11kit.linops._integer`, so 2.5, inf and nan raise ValueError, as
-    does a dim below 4. A dim whose bands would pass the memory budget is
+    :func:`su11kit.linops._integer` with least value 4, so 2.5, inf, nan and
+    3 raise ValueError. A dim whose bands would pass the memory budget is
     refused before anything of the two-mode size is allocated.
     """
-    dim = _integer(dim, "dim")
-    if dim < 4:
-        raise ValueError(f"per-mode dim must be >= 4, got {dim}")
+    dim = _integer(dim, "dim", 4)
     # The ladder's basis refuses a dim past the budget for one mode, and the
     # two-mode basis one whose square is, both before anything of size dim^2.
     a, adag = bose_ladder(dim)
@@ -207,12 +205,10 @@ def verify_reduction(
     H0 + p_n^2/(2m) at the momenta p_n = n + 1 - P0, the values singled out
     by matching the diagonal generator between the pair-boson form
     (eigenvalue n + 1/2) and the shift-affine form (p + P0 - 1/2). Both lists
-    are sorted ascending before comparison. A ``n_pairs`` of 2.5, inf or nan
+    are sorted ascending before comparison. A ``n_pairs`` of 2.5, inf, nan or 1
     and a ``tol`` that :class:`su11kit.algebra.CheckSpec` refuses raise ValueError.
     """
-    n_pairs = _integer(n_pairs, "n_pairs")
-    if n_pairs < 2:
-        raise ValueError(f"n_pairs must be >= 2, got {n_pairs}")
+    n_pairs = _integer(n_pairs, "n_pairs", 2)
     CheckSpec(tolerance=tol)
     # Two spare levels per mode beyond the last pair state.
     dim = n_pairs + 2

@@ -146,8 +146,8 @@ def bose_ladder(dim: int) -> tuple[OperatorMatrix, OperatorMatrix]:
 
     ``a[n-1, n] = sqrt(n)`` and ``adag = a^dag``, so ``[a, adag]`` equals the
     identity except for the entry ``-(dim-1)`` in the bottom-right corner,
-    the unavoidable fingerprint of the cutoff. :class:`su11kit.linops.FockBasis`
-    reads ``dim``, so a dim below 2, 2.5, inf and nan raise ValueError.
+    the unavoidable fingerprint of the cutoff. ``dim`` is the per-mode
+    dimension of a :class:`su11kit.linops.FockBasis`, so 1, 2.5, inf and nan raise ValueError.
     """
     basis = FockBasis((dim,))
     a = banded(basis, {1: np.sqrt(np.arange(1, basis.dim + 1, dtype=np.float64))})
@@ -342,9 +342,7 @@ def perelomov_realization(lam: float, basis: CircleBasis) -> AlgebraTriple:
 
 def quadratures(dim: int) -> tuple[OperatorMatrix, OperatorMatrix]:
     """Canonical pair Q = (a + adag)/sqrt(2), P = (a - adag)/(i sqrt(2))."""
-    dim = _integer(dim, "dim")
-    if dim < 4:
-        raise ValueError(f"dim must be >= 4 for the quadrature pair, got {dim}")
+    dim = _integer(dim, "dim", 4)
     a, adag = bose_ladder(dim)
     q = (a + adag) * (1.0 / np.sqrt(2.0))
     p = (a - adag) * (1.0 / (1j * np.sqrt(2.0)))
@@ -378,9 +376,7 @@ def saf_bose_form(p0: complex, dim: int = 64, form: str = "form1") -> AlgebraTri
     dim x dim arrays at their peak, so a dim for which they would pass the
     memory budget (from 8 193) raises ValueError before any is built.
     """
-    dim = _integer(dim, "dim")
-    if dim < 16:
-        raise ValueError(f"dim must be >= 16 for the exponential forms, got {dim}")
+    dim = _integer(dim, "dim", 16)
     if form not in ("form1", "form2"):
         raise ValueError(f"form must be 'form1' or 'form2', got {form!r}")
     p0 = _validate_p0(p0)
@@ -410,9 +406,7 @@ def two_mode(dim: int = 24) -> AlgebraTriple:
     The Casimir is diagonal with value -1/4 + (n_a - n_b)^2 / 4, so the
     equal-occupation (pair) sector sits at exactly -1/4.
     """
-    dim = _integer(dim, "dim")
-    if dim < 4:
-        raise ValueError(f"per-mode dim must be >= 4, got {dim}")
+    dim = _integer(dim, "dim", 4)
     a, adag = bose_ladder(dim)
     one = identity(a.basis)
     kminus = tensor(a, a)

@@ -439,6 +439,9 @@ EXIT_2_CASES = [
     pytest.param(["check", "--rep", "saf", "--dim", "1" + "0" * 400], None,
                  id="dim-beyond-float"),
     pytest.param(["transfo"], '{"dim": 1' + "0" * 400 + "}", id="config-dim-beyond-float"),
+    pytest.param(["transfo"], '{"dim": 1}', id="transfo-config-dim"),
+    *(pytest.param([*argv, "--dim=-1" + "0" * 400], None, id=f"{argv[-1]}-dim-below-float")
+      for argv in (["transfo"], ["check", "--rep", "mp"], ["casimir", "--rep", "saf"])),
     pytest.param(["transfo", "--beta", "1" + "0" * 400], None, id="beta-beyond-float"),
     pytest.param(["transfo", "--beta", "1" + "0" * 104, "--n", "3"], None,
                  id="beta-power-overflow"),
@@ -500,8 +503,14 @@ NAMED_PARAMETER = {
     "config-phi2-bool": "value for phi2 is",
     "hp-spin-overflow": "spin must be",
     "villain-spin-overflow": "spin must be",
+    "dim": "count must be an integer >= 2, got 1",
+    "pairs": "n_pairs must be an integer >= 2, got 1",
     "dim-beyond-float": "--dim must be",
     "config-dim-beyond-float": "--dim must be",
+    "transfo-config-dim": "count must be an integer >= 2, got 1",
+    "transfo-dim-below-float": "--dim must be at most 1.8e+308 in size, got -1.00e+400",
+    "mp-dim-below-float": "--dim must be at most 1.8e+308 in size, got -1.00e+400",
+    "saf-dim-below-float": "--dim must be at most 1.8e+308 in size, got -1.00e+400",
     "beta-beyond-float": "beta = 1.00e+400",
     "beta-power-overflow": "beta = 1.00e+104",
     "hp-spin-inf": "spin",
@@ -614,7 +623,10 @@ class TestReportedParams:
         output, _ = run(parse_args(["transfo", "--config", str(path), "--format", "json"]))
         assert json.loads(output)["params"]["dim"] == 64
 
-    @pytest.mark.parametrize("config", ['{"rep": "hp", "dim": 5}', '{"spin": 0.7}'])
+    @pytest.mark.parametrize("config", ['{"rep": "hp", "dim": 5}', '{"spin": 0.7}',
+                                        '{"dim": 1}', '{"margin": -1}',
+                                        pytest.param('{"dim": 1' + "0" * 400 + "}",
+                                                     id="dim-beyond-float")])
     def test_reduce_ignores_the_rep_keys(self, config, tmp_path, capsys):
         path = tmp_path / "run.json"
         path.write_text(config)

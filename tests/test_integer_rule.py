@@ -28,8 +28,10 @@ PARAMS = ModelParams(1.0, 0.1, 0.3)
 LATTICE = CircleBasis(-100.0, 200)
 
 # The integer rule's own message, which an entry point that reads ``dim``
-# first gives before any rule of its own (a least dim, a norm bound).
+# first gives before any rule of its own (a norm bound), and the message of
+# the rule with a least value of 4.
 DIM_RULE = "^dim must be an integer, got "
+DIM_RULE_4 = "^dim must be an integer >= 4, got "
 
 # Entry point -> (the regex its refusal matches, the call with the value in
 # place of its integer parameter). Each call is made with 64 in that place.
@@ -41,11 +43,24 @@ ENTRY_POINTS = {
     "check_transfo beta": ("beta", lambda v: check_transfo(LATTICE, v, 2, CheckSpec(64))),
     "verify_reduction": ("n_pairs", lambda v: verify_reduction(PARAMS, v)),
     "bose_ladder": ("dim", bose_ladder),
-    "quadratures": (DIM_RULE, quadratures),
+    "quadratures": (DIM_RULE_4, quadratures),
     "mp_realization": (DIM_RULE, lambda v: mp_realization(1.25, v)),
     "saf_bose_form": ("dim", lambda v: saf_bose_form(0.5 + 1j, v)),
-    "two_mode": (DIM_RULE, two_mode),
-    "build_direct_hamiltonian": (DIM_RULE, lambda v: build_direct_hamiltonian(PARAMS, v)),
+    "two_mode": (DIM_RULE_4, two_mode),
+    "build_direct_hamiltonian": (DIM_RULE_4, lambda v: build_direct_hamiltonian(PARAMS, v)),
+}
+
+# Each reader of a size with a least value -> (that least value, the name its
+# refusal gives, the call with the value in place of the size).
+LEAST_VALUES = {
+    "FockBasis": (2, "per-mode dimension", lambda v: FockBasis((v,))),
+    "FockBasis two modes": (2, "per-mode dimension", lambda v: FockBasis((3, v))),
+    "CircleBasis": (2, "count", lambda v: CircleBasis(-3.5, v)),
+    "quadratures": (4, "dim", quadratures),
+    "two_mode": (4, "dim", two_mode),
+    "build_direct_hamiltonian": (4, "dim", lambda v: build_direct_hamiltonian(PARAMS, v)),
+    "saf_bose_form": (16, "dim", lambda v: saf_bose_form(0.5 + 1j, v)),
+    "verify_reduction": (2, "n_pairs", lambda v: verify_reduction(PARAMS, v)),
 }
 
 
@@ -70,6 +85,15 @@ def test_refuses_a_non_integer_and_reads_an_integral_value_as_the_int(name):
         with pytest.raises(ValueError, match=pattern):
             call(value)
     assert stored(call(64.0)) == stored(call(np.int64(64))) == stored(call(64))
+
+
+@pytest.mark.parametrize("name", LEAST_VALUES)
+def test_refuses_one_below_the_least_value_and_builds_at_it(name):
+    least, named, call = LEAST_VALUES[name]
+    message = f"{named} must be an integer >= {least}, got {least - 1}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(least - 1)
+    call(least)
 
 
 @pytest.mark.parametrize("n", [2.5, math.inf, math.nan])
@@ -120,6 +144,20 @@ class TestReader:
     def test_reads_least_itself(self):
         assert _integer(0.0, "margin", least=0) == 0
         assert _integer("1", "beta", least=1) == 1
+
+    @pytest.mark.parametrize("least,kind", [
+        (None, "an integer"), (0, "a nonnegative integer"), (1, "a positive integer"),
+        (2, "an integer >= 2"), (4, "an integer >= 4"), (16, "an integer >= 16"),
+    ])
+    def test_every_least_value_is_worded_and_read(self, least, kind):
+        refused = [2.5, math.inf, math.nan] + ([] if least is None else [least - 1])
+        for value in refused:
+            message = f"size must be {kind}, got {value}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                _integer(value, "size", least=least)
+        for value in (0, 1) if least is None else (least, least + 1):
+            number = _integer(float(value), "size", least=least)
+            assert number == value and type(number) is int
 
     @pytest.mark.parametrize("call,message", [
         (lambda: CheckSpec(margin=-1), "margin must be a nonnegative integer, got -1"),

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -84,10 +85,34 @@ class TestOperatorMatrix:
             OperatorMatrix(FockBasis((4,)), np.eye(5))
 
     def test_nonfinite_entries_rejected(self):
-        bad = np.eye(4)
-        bad[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            OperatorMatrix(FockBasis((4,)), bad)
+        # nan, +inf or -inf in the real or the imaginary part of a band vector
+        # and a dense array of one block each, and of a band vector and a
+        # dense array of several row blocks, in their last block.
+        long, square = 3 * (linops._BLOCK_BYTES // 16) + 5, 200
+        assert 16 * square * square > linops._BLOCK_BYTES
+        for bad in [complex(x, 0.0) for x in (np.nan, np.inf, -np.inf)] + [
+                complex(0.0, x) for x in (np.nan, np.inf, -np.inf)]:
+            short, vector = np.ones(4, dtype=np.complex128), np.ones(long, dtype=np.complex128)
+            small, matrix = np.eye(4, dtype=np.complex128), np.eye(square, dtype=np.complex128)
+            short[2] = small[1, 2] = vector[-1] = matrix[-1, -2] = bad
+            for make in (lambda: diagonal(FockBasis((4,)), short),
+                         lambda: OperatorMatrix(FockBasis((4,)), small),
+                         lambda: diagonal(CircleBasis(0.0, long), vector),
+                         lambda: OperatorMatrix(FockBasis((square,)), matrix)):
+                with pytest.raises(ValueError, match="^entries contain non-finite values$"):
+                    make()
+
+    def test_finiteness_check_makes_no_mask_as_long_as_the_entries(self):
+        n = 2 ** 20
+        values = np.ones(n, dtype=np.complex128)
+        tracemalloc.start()
+        try:
+            OperatorMatrix(CircleBasis(0.0, n), linops._Fresh({0: values}))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A whole-vector bool mask would take n bytes.
+        assert peak < n // 4
 
     def test_mixed_basis_arithmetic_rejected(self):
         a = identity(FockBasis((4,)))

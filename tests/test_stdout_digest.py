@@ -13,6 +13,7 @@ sys.path.insert(0, str(ROOT / "tools"))
 
 import cli_lines  # noqa: E402
 import stdout_digest  # noqa: E402
+from su11kit.cli import main  # noqa: E402
 from test_cli import OVER_BUDGET  # noqa: E402
 
 
@@ -93,6 +94,35 @@ def test_covers_a_config_file_and_a_refused_one():
     assert isinstance(accepted["dim"], float) and accepted["dim"] == 32
     assert "margin" in accepted and "--margin" in flags
     assert refused == {"margin": 2.5}
+
+
+def test_covers_each_size_below_its_least_value_and_an_unread_config():
+    argvs = stdout_digest.invocations()
+    assert all(argv in argvs for argv in stdout_digest.BELOW_LEAST)
+    # The parent's lines come first, in their order, so that line N of an
+    # older digest is still line N.
+    assert argvs[-len(stdout_digest.BELOW_LEAST):] == stdout_digest.BELOW_LEAST
+    *sizes, unread = stdout_digest.BELOW_LEAST
+    assert [argv[-1] for argv in sizes] == ["1", "3", "15", "1"]
+    assert unread[:2] == ["reduce", "--config"]
+    assert json.loads(Path(unread[2]).read_text()) == {"dim": 1, "margin": -1}
+
+
+def test_below_least_lines_exit_as_they_should(capsys):
+    # Each size below its least value exits 2 with the message that names
+    # it; the unread config prints what plain reduce prints.
+    messages = ["count must be an integer >= 2, got 1",
+                "dim must be an integer >= 4, got 3",
+                "dim must be an integer >= 16, got 15",
+                "n_pairs must be an integer >= 2, got 1"]
+    *sizes, unread = stdout_digest.BELOW_LEAST
+    for argv, message in zip(sizes, messages):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert main(["reduce"]) == 0
+    plain = capsys.readouterr()
+    assert main(unread) == 0
+    assert capsys.readouterr() == plain and plain.err == ""
 
 
 def test_keep_writes_each_stdout_by_digest_line(tmp_path, monkeypatch, capsys):

@@ -47,7 +47,12 @@ that invocation's bytes or exit code differ. The list covers
   infinite tolerance, and requests past the memory budget, which are refused before they allocate.
 * a ``check --config`` file of this directory that holds a null, an
   integer-valued float and a key that a flag overrides, and one refused for
-  a fractional margin.
+  a fractional margin;
+* the sizes one below their least value, each refused with exit 2: a
+  lattice of one state, a ``two_mode`` dim of 3, a bose dim of 15 and one
+  pair; and a ``reduce --config`` file of this directory whose dim and
+  margin are below theirs, which ``reduce`` does not read, so that it runs
+  as plain ``reduce`` does.
 
 Each invocation runs in its own interpreter, with one BLAS thread and an
 80-column terminal; one that runs past TIMEOUT_S seconds is recorded with
@@ -151,6 +156,13 @@ CONFIGS = [
      "--format", "json"],
     ["check", "--config", str(REPO / "tools" / "digest_config_refused.json")],
 ]
+BELOW_LEAST = [
+    ["check", "--rep", "saf", "--dim", "1"],
+    ["check", "--rep", "two_mode", "--dim", "3"],
+    ["check", "--rep", "bose1", "--dim", "15"],
+    ["reduce", "--pairs", "1"],
+    ["reduce", "--config", str(REPO / "tools" / "digest_config_unread.json")],
+]
 
 
 def _workload_argvs() -> list[list[str]]:
@@ -176,7 +188,7 @@ def invocations() -> list[list[str]]:
                         for argv in CASIMIR_PARAMS + [WIDE_VILLAIN] + MARGIN_ZERO
                         + BOSE_EDGES + FIRST_KEPT + [WIDE_REDUCE] + SHIFT_EDGES
                         + PERELOMOV_LATTICES),
-            *BEYOND_FLOAT, *REFUSED, *CONFIGS]
+            *BEYOND_FLOAT, *REFUSED, *CONFIGS, *BELOW_LEAST]
 
 
 def digest(src_root: Path, argv: list[str], keep: Path | None = None) -> dict:
