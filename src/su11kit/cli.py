@@ -260,12 +260,12 @@ def _read(key: str, value, source: str):
 
 
 def _resolve(ns: argparse.Namespace) -> RunConfig:
-    """Merge flags over the optional config file, read each value as its
-    option reads it, and fill the rep defaults of ``check`` and ``casimir``.
-
-    The domain rules (spin, margin, tolerance, the singular coupling) are the
-    library's own checks, made for the commands that read them; k, lam, dim,
-    pairs, beta and n are checked by the constructors when :func:`run` builds them.
+    """Merge flags over the optional config file, read each value of an option
+    the command takes as that option reads it (only --tol and --format with
+    ``--rep all``, whose suites fix the rest), and fill the rep defaults of
+    ``check`` and ``casimir``. The domain rules (spin, margin, tolerance, the
+    singular coupling) are the library's own checks; k, lam, dim, pairs, beta
+    and n are checked by the constructors when :func:`run` builds them.
     """
     given = _load_config_file(ns.config) if ns.config else {}
     unknown = set(given) - set(_OPTIONS)
@@ -273,17 +273,19 @@ def _resolve(ns: argparse.Namespace) -> RunConfig:
         raise ValueError(f"unknown keys in --config file: {sorted(unknown)}")
     flags = {key: value for key, value in vars(ns).items()
              if value is not None and key not in ("command", "config")}
+    merged = {**given, **flags}
+    suites = ns.command in _REP and merged.get("rep") in (None, RunConfig.rep)
     values: dict = {}
-    for key, value in {**given, **flags}.items():
-        if value is not None:  # a JSON null keeps the default
-            source = "--" + key.replace("_", "-") if key in flags else f"--config value for {key}"
-            values[_OPTIONS[key][0]] = _read(key, value, source)
+    for key, (field, _, commands, _) in _OPTIONS.items():
+        if merged.get(key) is None or ns.command not in commands:  # a null keeps the default
+            continue
+        flag = "--" + key.replace("_", "-")
+        values[field] = _read(key, merged[key], flag if key in flags else f"--config value for {key}")
+        if suites and key not in ("rep", "tol", "format"):
+            raise ValueError(f"{flag} cannot be set with --rep all, whose suites fix it")
 
-    if ns.command in ("check", "casimir"):
+    if ns.command in _REP:
         rep = values.get("rep", RunConfig.rep)
-        if rep == "all" and "margin" in values:
-            raise ValueError("--margin cannot be set with --rep all, whose suites run "
-                             "at their own fixed margins")
         if rep in ("hp", "villain"):
             block, padded = _spin_lattice(_validate_spin(values.get("spin", RunConfig.spin)))
         if rep == "hp":
@@ -299,11 +301,10 @@ def _resolve(ns: argparse.Namespace) -> RunConfig:
         values.setdefault("tolerance", 1e-9)
 
     config = RunConfig(command=ns.command, **values)
-    lattice = config.command in _LATTICE  # the commands that read dim and margin
-    if lattice and abs(config.dim) > sys.float_info.max:  # the lattice momenta are floats
+    if abs(config.dim) > sys.float_info.max:  # the lattice momenta are floats
         raise ValueError(f"--dim must be at most {sys.float_info.max:.3g} in size, "
                          f"got {_figure(config.dim)}")
-    CheckSpec(config.margin if lattice else CheckSpec.margin, config.tolerance)
+    CheckSpec(config.margin, config.tolerance)
     if config.command == "reduce":
         ModelParams(config.epsilon, config.phi1, config.phi2)
     return config

@@ -189,7 +189,7 @@ def _validate_spin(spin: float) -> float:
     spin = float(spin)
     if np.isfinite(spin) and spin > sys.float_info.max / 2:  # 2S would overflow
         raise ValueError(f"spin must be at most {sys.float_info.max / 2:.3g}, got {spin}")
-    if not (np.isfinite(spin) and spin > 0) or abs(2 * spin - round(2 * spin)) > 1e-9:
+    if not (np.isfinite(spin) and spin > 0 and (2 * spin).is_integer()):
         raise ValueError(f"spin must be a positive half-integer, got {spin}")
     return spin
 
@@ -243,13 +243,12 @@ def villain_spin(
     if not isinstance(basis, CircleBasis):
         raise ValueError("villain_spin requires a CircleBasis")
     p = basis.momenta()
-    offgrid = abs((p[0] + spin) - round(p[0] + spin))
-    if offgrid > 1e-9:
+    if not (p[0] + spin).is_integer():
         raise ValueError(
             f"momentum grid starting at {basis.p_min} is not congruent with "
             f"spin {spin} (need p_min + S integer)"
         )
-    if p[0] > -spin + 1e-9 or p[-1] < spin - 1e-9:
+    if p[0] > -spin or p[-1] < spin:
         raise ValueError(
             f"momentum range [{p[0]}, {p[-1]}] does not cover the spin range "
             f"[{-spin}, {spin}]"
@@ -410,7 +409,7 @@ def two_mode(dim: int = 24) -> AlgebraTriple:
     a, adag = bose_ladder(dim)
     one = identity(a.basis)
     kminus = tensor(a, a)
-    kplus = tensor(adag, adag)
+    kplus = kminus.dag()
     k0 = (tensor(adag @ a, one) + tensor(one, adag @ a) + tensor(one, one)) * 0.5
     occ = k0.basis.occupations()
     expected = -0.25 + (occ[:, 0] - occ[:, 1]).astype(np.float64) ** 2 / 4.0

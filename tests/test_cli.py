@@ -91,15 +91,18 @@ class TestParseArgs:
     @pytest.mark.parametrize("value", ["64", "64.0", '"64"'])
     def test_config_integer_forms(self, value, tmp_path):
         path = tmp_path / "run.json"
-        path.write_text(f'{{"dim": {value}}}')
+        path.write_text(f'{{"rep": "saf", "dim": {value}}}')
         assert parse_args(["check", "--config", str(path)]).dim == 64
 
-    def test_config_file_unknown_key(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_config_file_unknown_key(self, command, tmp_path, capsys):
+        # A key of no option is refused, beside keys the command does not read.
         path = tmp_path / "run.json"
-        path.write_text(json.dumps({"rep": "saf", "surprise": 1}))
+        path.write_text(json.dumps({"rep": "saf", "beta": 1.5, "surprise": 1}))
         with pytest.raises(SystemExit) as exc:
-            parse_args(["check", "--config", str(path)])
+            parse_args([command, "--config", str(path)])
         assert exc.value.code == 2
+        assert "unknown keys in --config file: ['surprise']" in capsys.readouterr().err
 
 
 class TestRun:
@@ -332,7 +335,7 @@ def _flag(key: str) -> str:
 
 
 def _base_argv(command: str, key: str) -> list[str]:
-    # A margin is refused with the default --rep all.
+    # The default --rep all refuses every option but rep, tol and format.
     if command in ("check", "casimir") and key != "rep":
         return [command, "--rep", "saf"]
     return [command]
@@ -371,6 +374,44 @@ class TestOptionTable:
         assert listed == ["--help", *(_flag(key) for key, (_, _, commands, _) in _OPTIONS.items()
                                       if command in commands), "--config"]
         assert ("--margin" in listed) == (command != "reduce")
+
+
+# Every option that check and casimir take, but --rep all does not: its suites
+# fix each one.
+SUITE_FIXED = [(command, key) for command, key in TAKEN
+               if command in ("check", "casimir") and key not in ("rep", "tol", "format")]
+
+
+class TestRepAll:
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    @pytest.mark.parametrize("command,key", SUITE_FIXED, ids=[f"{c}-{k}" for c, k in SUITE_FIXED])
+    def test_an_option_the_suites_fix_exits_2(self, command, key, given, tmp_path, capsys):
+        argv = [command, "--rep", "all"]
+        if given == "flag":
+            argv.append(f"{_flag(key)}={OPTION_SAMPLES[key]}")
+        else:
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps({key: OPTION_SAMPLES[key]}))
+            argv += ["--config", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            f"error: {_flag(key)} cannot be set with --rep all, whose suites fix it\n")
+
+    def test_the_first_option_in_table_order_is_named(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text('{"rep": "all", "margin": 3, "dim": "abc"}')
+        assert main(["casimir", "--config", str(path), "--k", "0.5"]) == 2
+        assert "error: --k cannot be set with --rep all" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "casimir"])
+    def test_tol_and_format_still_run(self, command, capsys):
+        assert main([command, "--rep", "all", "--tol", "1e-9", "--format", "csv"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[0] == "name,residual,tolerance,passed"
+        assert len(rows) > 1 and all(row.endswith(",True") for row in rows[1:])
+        assert ",1e-09," in rows[1]  # the tolerance of the families with none of their own
 
 
 # Spin 1/2 on a lattice whose margin-2 interior is all clamp-excluded.
@@ -626,7 +667,9 @@ class TestReportedParams:
     @pytest.mark.parametrize("config", ['{"rep": "hp", "dim": 5}', '{"spin": 0.7}',
                                         '{"dim": 1}', '{"margin": -1}',
                                         pytest.param('{"dim": 1' + "0" * 400 + "}",
-                                                     id="dim-beyond-float")])
+                                                     id="dim-beyond-float"),
+                                        '{"dim": 2.5, "k": "abc", "fidelity": "bogus", '
+                                        '"rep": "nope"}'])
     def test_reduce_ignores_the_rep_keys(self, config, tmp_path, capsys):
         path = tmp_path / "run.json"
         path.write_text(config)
@@ -634,6 +677,16 @@ class TestReportedParams:
         with_config = capsys.readouterr().out
         assert main(["reduce"]) == 0
         assert with_config == capsys.readouterr().out
+
+    @pytest.mark.parametrize("config", ['{"k": "abc", "pairs": 1.5}',
+                                        '{"rep": "nope", "fidelity": true, "phi2": "x"}'])
+    def test_transfo_ignores_the_keys_of_other_commands(self, config, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(config)
+        assert main(["transfo", "--config", str(path)]) == 0
+        with_config = capsys.readouterr()
+        assert main(["transfo"]) == 0
+        assert with_config == capsys.readouterr()
 
     @pytest.mark.parametrize("command", ["check", "casimir"])
     def test_spin_is_ignored_by_reps_that_do_not_read_it(self, command, tmp_path, capsys):
@@ -712,7 +765,7 @@ class TestSuites:
         payload = json.loads(capsys.readouterr().out)
         assert payload["overall_passed"] is True
         assert all(c["passed"] for c in payload["checks"])
-        # The default margin is echoed; an explicit --margin exits 2 (EXIT_2_CASES).
+        # The default margin is echoed; an option the suites fix exits 2 (TestRepAll).
         assert payload["params"] == {"rep": "all", "margin": 2, "tolerance": 1e-10}
         return payload
 

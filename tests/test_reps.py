@@ -11,6 +11,7 @@ from su11kit.linops import (
     identity,
     interior_projector,
     maxabs_norm,
+    tensor,
 )
 from su11kit.reps import (
     FIDELITIES,
@@ -435,6 +436,17 @@ class TestTwoMode:
         with pytest.raises(ValueError):
             two_mode(3)
 
+    @pytest.mark.parametrize("dim", [4, 24, 300])
+    def test_raising_operator_is_the_tensor_of_the_raising_ladders(self, dim):
+        # K+ is built as K-^dag, entry for entry the Kronecker product
+        # a^dag (x) a^dag, so the triple's adjointness gap is exactly 0.
+        t = two_mode(dim)
+        _, adag = bose_ladder(dim)
+        product = tensor(adag, adag)
+        assert t.kplus._bands.keys() == product._bands.keys()
+        assert all(np.array_equal(v, product._bands[k]) for k, v in t.kplus._bands.items())
+        assert maxabs_norm(t.kplus - t.kminus.dag()) == 0.0
+
 
 class TestAlgebraTriple:
     def test_mismatched_bases_rejected(self):
@@ -482,3 +494,28 @@ def test_constructor_records_its_casimir_forms(rep):
     # The forms, arrays included, leave the params comparable and hashable.
     again = build().params
     assert params == again and hash(params) == hash(again)
+
+
+# A spin is a half-integer exactly: one 1e-10 off is refused, not built with
+# the unrounded value, whose bracket then misses 2Sz by about 4e-10.
+@pytest.mark.parametrize("spin", [0.5, 1.0, 2.5, 500.0])
+@pytest.mark.parametrize("rep", ["hp", "villain"])
+def test_spin_must_be_a_half_integer_exactly(rep, spin):
+    build = ((lambda s: hp_spin(s)) if rep == "hp"
+             else (lambda s: villain_spin(s, exact_range_basis(spin))))
+    assert build(spin).basis.dim == int(2 * spin) + 1
+    for off in (spin - 1e-10, spin + 1e-10):
+        with pytest.raises(ValueError, match="spin must be a positive half-integer"):
+            build(off)
+
+
+@pytest.mark.parametrize("spin", [0.5, 1.0, 2.5, 500.0])
+def test_villain_lattice_must_hold_the_spin_range_exactly(spin):
+    # p_min + S integral, and -S..S inside the lattice, with no slack.
+    count = int(2 * spin) + 1
+    with pytest.raises(ValueError, match="not congruent"):
+        villain_spin(spin, CircleBasis(-spin + 1e-10, count))
+    with pytest.raises(ValueError, match="does not cover"):
+        villain_spin(spin, CircleBasis(-spin + 1.0, count))
+    with pytest.raises(ValueError, match="does not cover"):
+        villain_spin(spin, CircleBasis(-spin - 1.0, count))

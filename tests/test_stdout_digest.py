@@ -99,9 +99,10 @@ def test_covers_a_config_file_and_a_refused_one():
 def test_covers_each_size_below_its_least_value_and_an_unread_config():
     argvs = stdout_digest.invocations()
     assert all(argv in argvs for argv in stdout_digest.BELOW_LEAST)
-    # The parent's lines come first, in their order, so that line N of an
+    # Each list is appended after the ones before it, so that line N of an
     # older digest is still line N.
-    assert argvs[-len(stdout_digest.BELOW_LEAST):] == stdout_digest.BELOW_LEAST
+    tail = stdout_digest.BELOW_LEAST + stdout_digest.UNREAD
+    assert argvs[-len(tail):] == tail
     *sizes, unread = stdout_digest.BELOW_LEAST
     assert [argv[-1] for argv in sizes] == ["1", "3", "15", "1"]
     assert unread[:2] == ["reduce", "--config"]
@@ -119,6 +120,26 @@ def test_below_least_lines_exit_as_they_should(capsys):
     for argv, message in zip(sizes, messages):
         assert main(argv) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert main(["reduce"]) == 0
+    plain = capsys.readouterr()
+    assert main(unread) == 0
+    assert capsys.readouterr() == plain and plain.err == ""
+
+
+def test_unread_lines_exit_as_they_should(capsys):
+    # --rep all refuses an option its suites fix, an inexact spin is refused,
+    # and reduce reads no key of another command's option, whatever it holds.
+    *refused, unread = stdout_digest.UNREAD
+    messages = ["--dim cannot be set with --rep all, whose suites fix it",
+                "--fidelity cannot be set with --rep all, whose suites fix it",
+                "spin must be a positive half-integer, got 0.5000000001"]
+    for argv, message in zip(refused, messages):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.endswith(f"error: {message}\n")
+    assert unread[:2] == ["reduce", "--config"]
+    assert json.loads(Path(unread[2]).read_text()) == {
+        "dim": 2.5, "k": "abc", "fidelity": "bogus", "rep": "nope"}
     assert main(["reduce"]) == 0
     plain = capsys.readouterr()
     assert main(unread) == 0

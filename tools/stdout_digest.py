@@ -52,7 +52,12 @@ that invocation's bytes or exit code differ. The list covers
   lattice of one state, a ``two_mode`` dim of 3, a bose dim of 15 and one
   pair; and a ``reduce --config`` file of this directory whose dim and
   margin are below theirs, which ``reduce`` does not read, so that it runs
-  as plain ``reduce`` does.
+  as plain ``reduce`` does;
+* what a run does not read: a ``--dim`` given to ``check --rep all`` and a
+  ``--fidelity`` given to ``casimir --rep all``, each refused with exit 2
+  because the suites fix it, a spin 1e-10 past a half-integer, refused, and
+  a ``reduce --config`` file of this directory whose keys of other
+  commands' options hold values of the wrong type, which it leaves unread.
 
 Each invocation runs in its own interpreter, with one BLAS thread and an
 80-column terminal; one that runs past TIMEOUT_S seconds is recorded with
@@ -163,6 +168,12 @@ BELOW_LEAST = [
     ["reduce", "--pairs", "1"],
     ["reduce", "--config", str(REPO / "tools" / "digest_config_unread.json")],
 ]
+UNREAD = [
+    ["check", "--rep", "all", "--dim", "32"],
+    ["casimir", "--rep", "all", "--fidelity", "as_printed"],
+    ["check", "--rep", "hp", "--spin", "0.5000000001"],
+    ["reduce", "--config", str(REPO / "tools" / "digest_config_other.json")],
+]
 
 
 def _workload_argvs() -> list[list[str]]:
@@ -188,7 +199,7 @@ def invocations() -> list[list[str]]:
                         for argv in CASIMIR_PARAMS + [WIDE_VILLAIN] + MARGIN_ZERO
                         + BOSE_EDGES + FIRST_KEPT + [WIDE_REDUCE] + SHIFT_EDGES
                         + PERELOMOV_LATTICES),
-            *BEYOND_FLOAT, *REFUSED, *CONFIGS, *BELOW_LEAST]
+            *BEYOND_FLOAT, *REFUSED, *CONFIGS, *BELOW_LEAST, *UNREAD]
 
 
 def digest(src_root: Path, argv: list[str], keep: Path | None = None) -> dict:
