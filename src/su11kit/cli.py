@@ -433,7 +433,7 @@ def _suite_all(tolerance: float) -> list[Check]:
     result = _reduction(reduce)
     checks.append(Check(
         f"reduction[eps={reduce.epsilon:g},phi1={reduce.phi1:g},phi2={reduce.phi2:g}]"
-        "/max-spectral-deviation", result.max_deviation, result.tolerance,
+        "/max-spectral-deviation", result.max_deviation, reduce.tolerance,
         {"p0": repr(result.p0), "h0": repr(result.h0), "mass": repr(result.mass)},
     ))
     checks += _discrepancy_ledger(tolerance, casimir)
@@ -475,8 +475,7 @@ def _transfo(config: RunConfig) -> CheckReport:
 
 def _reduction(config: RunConfig) -> ReductionResult:
     """Both spectra of ``reduce`` with ``config``."""
-    return verify_reduction(ModelParams(config.epsilon, config.phi1, config.phi2),
-                            config.pairs, config.tolerance)
+    return verify_reduction(ModelParams(config.epsilon, config.phi1, config.phi2), config.pairs)
 
 
 def run(config: RunConfig) -> tuple[str, int]:
@@ -487,25 +486,26 @@ def run(config: RunConfig) -> tuple[str, int]:
     if config.command in ("check", "casimir"):
         runner = check_commutators if config.command == "check" else check_casimir
         if config.rep == "all":
-            reads = ()
+            echoed = ()  # the suites fix every other field
             checks = (_suite_all(config.tolerance) if config.command == "check"
                       else _run_suite("casimir", _CASIMIR_SUITE, config.tolerance))
         else:
             reads, build = _REALIZATIONS[config.rep]
+            echoed = (*reads, "margin")
             configs = [config]
             if "fidelity" in reads and config.fidelity == "both":
                 configs = [replace(config, fidelity=fid) for fid in ("corrected", "as_printed")]
             spec = CheckSpec(config.margin, config.tolerance)
             checks = [c for each in configs for c in _labelled(
                 each.fidelity if "fidelity" in reads else "", [runner(build(each), spec)])]
-        params = _params(config, ("rep", *reads, "margin", "tolerance"))
+        params = _params(config, ("rep", *echoed, "tolerance"))
         payload, code = _checks_payload(config, params, checks)
     elif config.command == "transfo":
         payload, code = _checks_payload(config, _params(config, taken),
                                         list(_transfo(config).checks))
     elif config.command == "reduce":
         result = _reduction(config)
-        check = Check("max-spectral-deviation", result.max_deviation, result.tolerance,
+        check = Check("max-spectral-deviation", result.max_deviation, config.tolerance,
                       {"levels": str(config.pairs)})
         payload, code = _checks_payload(config, _params(config, taken), [check])
         payload.update(

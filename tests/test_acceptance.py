@@ -209,7 +209,7 @@ def test_criterion_7_k_form_identity():
 
 
 def test_criterion_8_reduction():
-    res = verify_reduction(ModelParams(1.0, 0.1, 0.3), n_pairs=16, tol=1e-9)
+    res = verify_reduction(ModelParams(1.0, 0.1, 0.3), n_pairs=16)
     ok = (
         res.p0 == pytest.approx(-0.8, abs=1e-14)
         and res.h0 == pytest.approx(-1.62, abs=1e-14)
@@ -224,7 +224,7 @@ def test_criterion_8_reduction():
 
     worst = res.max_deviation
     for params in random_model_draws():
-        out = verify_reduction(params, n_pairs=16, tol=1e-9)
+        out = verify_reduction(params, n_pairs=16)
         worst = max(worst, out.max_deviation)
         ok &= out.max_deviation <= 1e-9
     verdict(8, "pair spectrum equals free particle", ok,

@@ -76,7 +76,7 @@ def test_misprints_detected_at_large_dim():
 def test_reduction_stays_on_the_bands():
     result = verify_reduction(ModelParams(1.0, 0.1, 0.3), 254)
     assert (254 + 2) ** 2 == DIM
-    assert result.max_deviation <= result.tolerance
+    assert result.max_deviation <= 1e-9
 
 
 @pytest.mark.parametrize("form", ["form1", "form2"])

@@ -220,6 +220,19 @@ class TestMain:
                          "--margin", "16", "--tol", "1e-3"]) == 1
             assert "FAIL" in capsys.readouterr().out
 
+    def test_reduce_gates_the_deviation_with_its_tolerance(self, capsys):
+        # The default couplings deviate by 4.26e-14 whatever the gate; only
+        # the verdict follows --tol.
+        runs = {}
+        for tol, code in (("1e-14", 1), ("1", 0)):
+            assert main(["reduce", "--tol", tol, "--format", "json"]) == code
+            runs[tol] = json.loads(capsys.readouterr().out)
+            assert runs[tol]["checks"][0]["tolerance"] == float(tol)
+        tight, loose = runs["1e-14"], runs["1"]
+        assert tight["max_deviation"] == loose["max_deviation"] == pytest.approx(4.26e-14, rel=1e-3)
+        for key in ("spectra", "p0", "h0", "mass"):
+            assert tight[key] == loose[key]
+
     def test_domain_error_from_module_exits_2(self, capsys):
         # villain lattice too small to cover the spin range
         code = main(["check", "--rep", "villain", "--spin", "2.5", "--dim", "4"])
@@ -406,6 +419,11 @@ class TestRepAll:
         assert "error: --k cannot be set with --rep all" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["check", "casimir"])
+    def test_echoes_only_the_rep_and_tolerance(self, command, capsys):
+        assert main([command, "--rep", "all", "--tol", "1e-9"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "params: rep=all tolerance=1e-09"
+
+    @pytest.mark.parametrize("command", ["check", "casimir"])
     def test_tol_and_format_still_run(self, command, capsys):
         assert main([command, "--rep", "all", "--tol", "1e-9", "--format", "csv"]) == 0
         rows = capsys.readouterr().out.splitlines()
@@ -491,6 +509,9 @@ EXIT_2_CASES = [
                  id="villain-p-min-inf"),
     pytest.param(["reduce", "--epsilon", "1e300", "--pairs", "4"], None,
                  id="reduce-epsilon-overflow"),
+    # Finite couplings whose two-oscillator levels overflow at 102 states a mode.
+    pytest.param(["reduce", "--epsilon", "1", "--phi1", "1", "--phi2", "1e307", "--pairs", "100"],
+                 None, id="reduce-levels-overflow"),
     pytest.param(["check", "--rep", "saf", "--p0", "inf"], None, id="saf-p0-inf"),
     pytest.param(["check", "--rep", "bose1", "--p0", "nan+1i"], None, id="bose1-p0-nan"),
     pytest.param(["casimir", "--rep", "bose2", "--p0", "1+infi"], None, id="bose2-p0-inf"),
@@ -557,6 +578,8 @@ NAMED_PARAMETER = {
     "hp-spin-inf": "spin",
     "villain-p-min-inf": "p_min",
     "reduce-epsilon-overflow": "epsilon",
+    "reduce-levels-overflow": "epsilon=1.0, phi1=1.0, phi2=1e+307 give non-finite levels "
+                              "at dim 102",
     "saf-p0-inf": "p0",
     "bose1-p0-nan": "p0",
     "bose2-p0-inf": "p0",
@@ -715,7 +738,9 @@ class TestReportedParams:
     def test_echoed_keys_of_each_rep(self, command, rep, keys):
         argv = [command, "--rep", rep, "--format", "json"]
         output, _ = run(parse_args(argv))
-        assert list(json.loads(output)["params"]) == ["rep", *keys, "margin", "tolerance"]
+        # --rep all reads no margin: its suites run each row at its own.
+        margin = [] if rep == "all" else ["margin"]
+        assert list(json.loads(output)["params"]) == ["rep", *keys, *margin, "tolerance"]
         if rep in ("villain", "saf", "perelomov"):
             output, _ = run(parse_args(argv + ["--p-min=-9"]))
             params = json.loads(output)["params"]
@@ -765,8 +790,9 @@ class TestSuites:
         payload = json.loads(capsys.readouterr().out)
         assert payload["overall_passed"] is True
         assert all(c["passed"] for c in payload["checks"])
-        # The default margin is echoed; an option the suites fix exits 2 (TestRepAll).
-        assert payload["params"] == {"rep": "all", "margin": 2, "tolerance": 1e-10}
+        # Only the fields the suites read are echoed; an option they fix exits
+        # 2 (TestRepAll).
+        assert payload["params"] == {"rep": "all", "tolerance": 1e-10}
         return payload
 
     def test_check_all(self, capsys):

@@ -3,7 +3,7 @@
 Each entry point reads its integer parameters through ``linops._integer``:
 64, 64.0 and np.int64(64) build byte-identical operators, and a fractional,
 infinite or nan value raises ValueError naming the parameter instead of
-being truncated. Tolerances of ``verify_reduction`` follow ``CheckSpec``.
+being truncated.
 """
 
 import math
@@ -106,12 +106,6 @@ def test_check_transfo_refuses_a_non_integer_power(n):
 def test_check_transfo_reads_an_integral_power_as_the_int(n):
     basis = CircleBasis(-8.0, 16)
     assert check_transfo(basis, 1, n) == check_transfo(basis, 1, 2)
-
-
-@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-10])
-def test_verify_reduction_refuses_the_tolerances_checkspec_refuses(tol):
-    with pytest.raises(ValueError, match="tolerance must be finite and > 0"):
-        verify_reduction(PARAMS, n_pairs=16, tol=tol)
 
 
 class TestReader:

@@ -1,5 +1,10 @@
+import ast
+import dataclasses
+import inspect
 import re
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +12,10 @@ import pytest
 from conftest import dense
 from su11kit.linops import _BLOCK_BYTES, interior_projector, maxabs_norm
 from su11kit.linops import CircleBasis, OperatorMatrix, diagonal, identity, tensor
+from su11kit import reduction
 from su11kit.reduction import (
     ModelParams,
+    ReductionResult,
     build_direct_hamiltonian,
     build_k_form,
     free_params,
@@ -311,29 +318,29 @@ class TestClosedForms:
 
 class TestVerifyReduction:
     def test_example_levels(self):
-        res = verify_reduction(EXAMPLE, n_pairs=4, tol=1e-9)
+        res = verify_reduction(EXAMPLE, n_pairs=4)
         assert res.p0 == pytest.approx(-0.8, abs=1e-14)
         assert res.h0 == pytest.approx(-1.62, abs=1e-14)
         assert res.mass == 1.0
         assert res.direct_spectrum[0] == pytest.approx(0.0, abs=1e-12)
         assert res.direct_spectrum[1] == pytest.approx(2.3, abs=1e-12)
         assert res.predicted_spectrum[1] == pytest.approx(2.3, abs=1e-12)
-        assert res.max_deviation <= res.tolerance
+        assert res.max_deviation <= 1e-9
 
     def test_sixteen_levels_within_tolerance(self):
-        res = verify_reduction(EXAMPLE, n_pairs=16, tol=1e-9)
+        res = verify_reduction(EXAMPLE, n_pairs=16)
         assert res.max_deviation <= 1e-9
         assert len(res.direct_spectrum) == 16
 
     def test_three_way_oracle_agreement(self):
-        res = verify_reduction(EXAMPLE, n_pairs=12, tol=1e-9)
+        res = verify_reduction(EXAMPLE, n_pairs=12)
         closed = sorted(pair_energy_closed_form(EXAMPLE, n) for n in range(12))
         np.testing.assert_allclose(res.direct_spectrum, closed, atol=1e-9)
         np.testing.assert_allclose(res.predicted_spectrum, closed, atol=1e-9)
 
     def test_random_draws(self):
         for params in random_params(20):
-            res = verify_reduction(params, n_pairs=16, tol=1e-9)
+            res = verify_reduction(params, n_pairs=16)
             assert res.max_deviation <= 1e-9, params
 
     def test_levels_are_the_pair_block_eigenvalues(self):
@@ -349,9 +356,53 @@ class TestVerifyReduction:
         for params in random_params(10, seed=7):
             if not params.condensate:
                 continue
-            res = verify_reduction(params, n_pairs=8, tol=1e-9)
+            res = verify_reduction(params, n_pairs=8)
             assert min(res.predicted_spectrum) >= res.h0 - 1e-12
 
     def test_too_few_pairs_rejected(self):
         with pytest.raises(ValueError):
             verify_reduction(EXAMPLE, n_pairs=1)
+
+    def test_measures_only(self):
+        # The caller gates max_deviation; verify_reduction takes no tolerance
+        # and reports none.
+        assert list(inspect.signature(verify_reduction).parameters) == ["params", "n_pairs"]
+        assert "tolerance" not in {f.name for f in dataclasses.fields(ReductionResult)}
+
+    def test_reduction_imports_nothing_from_algebra(self):
+        # Of the package, it depends on linops and reps alone.
+        nodes = list(ast.walk(ast.parse(Path(reduction.__file__).read_text())))
+        imported = {node.module for node in nodes if isinstance(node, ast.ImportFrom)}
+        imported |= {alias.name for node in nodes if isinstance(node, ast.Import)
+                     for alias in node.names}
+        assert imported == {"__future__", "dataclasses", "numpy", "linops", "reps"}
+
+
+class TestOverflow:
+    def test_overflowing_levels_are_refused_by_name(self):
+        # Finite couplings, finite P0, H0 and m, and levels past float range.
+        message = "epsilon=1.0, phi1=1.0, phi2=1e+307 give non-finite levels at dim 102"
+        params = ModelParams(1.0, 1.0, 1e307)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: build_direct_hamiltonian(params, 102),
+                         lambda: verify_reduction(params, 100)):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    call()
+
+    def test_levels_near_the_float_edge_are_built(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = verify_reduction(ModelParams(1.0, 0.1, 1e300), 16)
+        assert result.max_deviation == 7.61352657140625e+286
+
+    def test_terms_that_cancel_below_the_float_edge_are_built(self):
+        # At |3,3> the terms are 6e307, -1.71e308 and 1.2e308: each finite,
+        # and so is every partial sum, though their magnitudes add past float
+        # range. Only an overflow refuses a build.
+        params = ModelParams(1e307, 1e307, -1.9e307)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            band = build_direct_hamiltonian(params, 4)._bands[0]
+        assert band.tobytes() == whole_array_band(params, 4).tobytes()
+        assert np.isfinite(band).all()

@@ -101,7 +101,7 @@ def test_covers_each_size_below_its_least_value_and_an_unread_config():
     assert all(argv in argvs for argv in stdout_digest.BELOW_LEAST)
     # Each list is appended after the ones before it, so that line N of an
     # older digest is still line N.
-    tail = stdout_digest.BELOW_LEAST + stdout_digest.UNREAD
+    tail = stdout_digest.BELOW_LEAST + stdout_digest.UNREAD + stdout_digest.REDUCE_EDGES
     assert argvs[-len(tail):] == tail
     *sizes, unread = stdout_digest.BELOW_LEAST
     assert [argv[-1] for argv in sizes] == ["1", "3", "15", "1"]
@@ -144,6 +144,19 @@ def test_unread_lines_exit_as_they_should(capsys):
     plain = capsys.readouterr()
     assert main(unread) == 0
     assert capsys.readouterr() == plain and plain.err == ""
+
+
+def test_reduce_edge_lines_exit_as_they_should(capsys):
+    # A tighter gate fails the same measurement, levels near the float edge
+    # fail on rounding, and overflowing levels are refused by name.
+    tight, edge, overflow = stdout_digest.REDUCE_EDGES
+    assert main(tight) == 1
+    assert json.loads(capsys.readouterr().out)["checks"][0]["tolerance"] == 1e-14
+    assert main(edge) == 1
+    assert json.loads(capsys.readouterr().out)["max_deviation"] == 7.61352657140625e+286
+    assert main(overflow) == 2
+    assert capsys.readouterr() == (
+        "", "error: epsilon=1.0, phi1=1.0, phi2=1e+307 give non-finite levels at dim 102\n")
 
 
 def test_keep_writes_each_stdout_by_digest_line(tmp_path, monkeypatch, capsys):

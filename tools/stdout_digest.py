@@ -58,6 +58,10 @@ that invocation's bytes or exit code differ. The list covers
   because the suites fix it, a spin 1e-10 past a half-integer, refused, and
   a ``reduce --config`` file of this directory whose keys of other
   commands' options hold values of the wrong type, which it leaves unread.
+* ``reduce`` at its float edges and under a gate other than the default: a
+  ``--tol`` of 1e-14, below the default couplings' deviation, which exits
+  1; levels near the float edge, which exit 1 on rounding; and couplings
+  whose levels overflow, refused with exit 2 by a message that names them.
 
 Each invocation runs in its own interpreter, with one BLAS thread and an
 80-column terminal; one that runs past TIMEOUT_S seconds is recorded with
@@ -174,6 +178,11 @@ UNREAD = [
     ["check", "--rep", "hp", "--spin", "0.5000000001"],
     ["reduce", "--config", str(REPO / "tools" / "digest_config_other.json")],
 ]
+REDUCE_EDGES = [
+    ["reduce", "--tol", "1e-14", "--format", "json"],
+    ["reduce", "--phi2", "1e300", "--format", "json"],
+    ["reduce", "--epsilon", "1", "--phi1", "1", "--phi2", "1e307", "--pairs", "100"],
+]
 
 
 def _workload_argvs() -> list[list[str]]:
@@ -199,7 +208,8 @@ def invocations() -> list[list[str]]:
                         for argv in CASIMIR_PARAMS + [WIDE_VILLAIN] + MARGIN_ZERO
                         + BOSE_EDGES + FIRST_KEPT + [WIDE_REDUCE] + SHIFT_EDGES
                         + PERELOMOV_LATTICES),
-            *BEYOND_FLOAT, *REFUSED, *CONFIGS, *BELOW_LEAST, *UNREAD]
+            *BEYOND_FLOAT, *REFUSED, *CONFIGS, *BELOW_LEAST, *UNREAD,
+            *REDUCE_EDGES]
 
 
 def digest(src_root: Path, argv: list[str], keep: Path | None = None) -> dict:
