@@ -135,9 +135,14 @@ class FockBasis:
     """Truncated occupation-number basis for one or two bosonic modes.
 
     Two-mode states are enumerated row-major, ``index = n_a * dim_b + n_b``.
-    The :func:`tensor` convention and every golden value rely on that
-    ordering, so it is fixed here and nowhere else. :func:`_integer` reads
-    each of ``dims``, so 1, 24.5, inf and nan raise ValueError.
+    :meth:`occupations` tabulates that ordering, and every golden value relies
+    on it. So do four constructions that do not read the table:
+    :func:`tensor`'s band offsets ``k_a * dim_b + k_b``, the outer sum and
+    difference of :func:`su11kit.reps.two_mode`, the d x d row blocks of
+    :func:`su11kit.reduction.build_direct_hamiltonian`, and the pair index
+    ``n * dim + n`` of :func:`su11kit.reduction.verify_reduction`. A change of
+    ordering changes each of them. :func:`_integer` reads each of ``dims``,
+    so 1, 24.5, inf and nan raise ValueError.
     """
 
     dims: tuple[int, ...]
@@ -805,7 +810,9 @@ def tensor(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     convention of :class:`FockBasis` (first factor is the major index). Bands
     ``k_a`` and ``k_b`` give band ``k_a * dim_b + k_b``, ``kron(a_k, b_k)``,
     formed as the flattened outer product of the two vectors.
-    A dense operand raises ValueError.
+    A dense operand raises ValueError. Its one caller in the package is
+    :func:`su11kit.reps.two_mode`, for K- = a (x) a; the benchmark tracer fits
+    its ``linops.tensor`` layer to this function by name.
     """
     for op in (a, b):
         if not (isinstance(op.basis, FockBasis) and op.basis.modes == 1):

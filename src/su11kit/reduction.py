@@ -208,7 +208,9 @@ def verify_reduction(params: ModelParams, n_pairs: int = 16) -> ReductionResult:
     by matching the diagonal generator between the pair-boson form
     (eigenvalue n + 1/2) and the shift-affine form (p + P0 - 1/2). Both lists
     are sorted ascending before comparison; the caller gates ``max_deviation``.
-    A ``n_pairs`` of 2.5, inf, nan or 1 raises ValueError.
+    A ``n_pairs`` of 2.5, inf, nan or 1 raises ValueError, and so do couplings
+    whose predicted levels, or their deviations from the direct ones,
+    overflow; the message names the couplings and ``n_pairs``.
     """
     n_pairs = _integer(n_pairs, "n_pairs", 2)
     # Two spare levels per mode beyond the last pair state.
@@ -221,9 +223,14 @@ def verify_reduction(params: ModelParams, n_pairs: int = 16) -> ReductionResult:
     p0 = p0_of(params)
     h0, mass = free_params(params)
     momenta = np.arange(n_pairs, dtype=np.float64) + 1.0 - p0
-    predicted = np.sort(h0 + momenta ** 2 / (2.0 * mass))
-
-    max_deviation = float(np.max(np.abs(direct - predicted)))
+    try:
+        with np.errstate(over="raise"):
+            predicted = np.sort(h0 + momenta ** 2 / (2.0 * mass))
+            max_deviation = float(np.max(np.abs(direct - predicted)))
+    except FloatingPointError:
+        raise ValueError(f"epsilon={params.epsilon!r}, phi1={params.phi1!r}, "
+                         f"phi2={params.phi2!r} give non-finite predicted levels "
+                         f"or deviations at n_pairs {n_pairs}") from None
     return ReductionResult(
         p0=p0,
         h0=h0,

@@ -512,6 +512,9 @@ EXIT_2_CASES = [
     # Finite couplings whose two-oscillator levels overflow at 102 states a mode.
     pytest.param(["reduce", "--epsilon", "1", "--phi1", "1", "--phi2", "1e307", "--pairs", "100"],
                  None, id="reduce-levels-overflow"),
+    # Finite couplings, P0, H0 and m whose free-particle prediction overflows.
+    pytest.param(["reduce", "--epsilon=-1e150", "--phi1", "0", "--phi2", "1e-7"], None,
+                 id="reduce-prediction-overflow"),
     pytest.param(["check", "--rep", "saf", "--p0", "inf"], None, id="saf-p0-inf"),
     pytest.param(["check", "--rep", "bose1", "--p0", "nan+1i"], None, id="bose1-p0-nan"),
     pytest.param(["casimir", "--rep", "bose2", "--p0", "1+infi"], None, id="bose2-p0-inf"),
@@ -580,6 +583,8 @@ NAMED_PARAMETER = {
     "reduce-epsilon-overflow": "epsilon",
     "reduce-levels-overflow": "epsilon=1.0, phi1=1.0, phi2=1e+307 give non-finite levels "
                               "at dim 102",
+    "reduce-prediction-overflow": "epsilon=-1e+150, phi1=0.0, phi2=1e-07 give non-finite "
+                                  "predicted levels or deviations at n_pairs 16",
     "saf-p0-inf": "p0",
     "bose1-p0-nan": "p0",
     "bose2-p0-inf": "p0",

@@ -390,6 +390,16 @@ class TestOverflow:
                 with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                     call()
 
+    def test_overflowing_prediction_is_refused_by_name(self):
+        # P0 1e157, H0 -1e307 and m 5e6 are finite, and so are the direct
+        # levels; the momenta's squares are not.
+        message = ("epsilon=-1e+150, phi1=0.0, phi2=1e-07 give non-finite predicted levels "
+                   "or deviations at n_pairs 16")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                verify_reduction(ModelParams(-1e150, 0.0, 1e-7), 16)
+
     def test_levels_near_the_float_edge_are_built(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

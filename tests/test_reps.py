@@ -437,6 +437,23 @@ class TestTwoMode:
             two_mode(3)
 
     @pytest.mark.parametrize("dim", [4, 24, 300])
+    def test_k0_and_casimir_are_the_kronecker_construction_byte_for_byte(self, dim):
+        # The reference is the Kronecker sum of n = a^dag a and the identity,
+        # and the Casimir formula on the occupation table. n's diagonal holds
+        # sqrt(i)^2, which is not i at i = 2, 3, 5, ..., so a K0 built from
+        # integer labels differs here.
+        t = two_mode(dim)
+        a, adag = bose_ladder(dim)
+        n, one = adag @ a, identity(a.basis)
+        k0 = (tensor(n, one) + tensor(one, n) + tensor(one, one)) * 0.5
+        assert t.k0._bands.keys() == k0._bands.keys() == {0}
+        assert t.k0._bands[0].tobytes() == k0._bands[0].tobytes()
+        occ = t.basis.occupations()
+        expected = -0.25 + (occ[:, 0] - occ[:, 1]).astype(np.float64) ** 2 / 4.0
+        (_, casimir), = t.params.casimir
+        assert casimir.dtype == expected.dtype and casimir.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dim", [4, 24, 300])
     def test_raising_operator_is_the_tensor_of_the_raising_ladders(self, dim):
         # K+ is built as K-^dag, entry for entry the Kronecker product
         # a^dag (x) a^dag, so the triple's adjointness gap is exactly 0.

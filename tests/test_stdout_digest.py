@@ -148,8 +148,8 @@ def test_unread_lines_exit_as_they_should(capsys):
 
 def test_reduce_edge_lines_exit_as_they_should(capsys):
     # A tighter gate fails the same measurement, levels near the float edge
-    # fail on rounding, and overflowing levels are refused by name.
-    tight, edge, overflow = stdout_digest.REDUCE_EDGES
+    # fail on rounding, and overflowing levels or predictions are refused by name.
+    tight, edge, overflow, predicted = stdout_digest.REDUCE_EDGES
     assert main(tight) == 1
     assert json.loads(capsys.readouterr().out)["checks"][0]["tolerance"] == 1e-14
     assert main(edge) == 1
@@ -157,6 +157,10 @@ def test_reduce_edge_lines_exit_as_they_should(capsys):
     assert main(overflow) == 2
     assert capsys.readouterr() == (
         "", "error: epsilon=1.0, phi1=1.0, phi2=1e+307 give non-finite levels at dim 102\n")
+    assert main(predicted) == 2
+    assert capsys.readouterr() == (
+        "", "error: epsilon=-1e+150, phi1=0.0, phi2=1e-07 give non-finite predicted levels "
+            "or deviations at n_pairs 16\n")
 
 
 def test_keep_writes_each_stdout_by_digest_line(tmp_path, monkeypatch, capsys):

@@ -60,8 +60,10 @@ that invocation's bytes or exit code differ. The list covers
   commands' options hold values of the wrong type, which it leaves unread.
 * ``reduce`` at its float edges and under a gate other than the default: a
   ``--tol`` of 1e-14, below the default couplings' deviation, which exits
-  1; levels near the float edge, which exit 1 on rounding; and couplings
-  whose levels overflow, refused with exit 2 by a message that names them.
+  1; levels near the float edge, which exit 1 on rounding; couplings whose
+  levels overflow, refused with exit 2 by a message that names them; and
+  couplings whose free-particle prediction overflows while the levels do
+  not, refused with exit 2 by a message that names them and the pair count.
 
 Each invocation runs in its own interpreter, with one BLAS thread and an
 80-column terminal; one that runs past TIMEOUT_S seconds is recorded with
@@ -182,6 +184,7 @@ REDUCE_EDGES = [
     ["reduce", "--tol", "1e-14", "--format", "json"],
     ["reduce", "--phi2", "1e300", "--format", "json"],
     ["reduce", "--epsilon", "1", "--phi1", "1", "--phi2", "1e307", "--pairs", "100"],
+    ["reduce", "--epsilon=-1e150", "--phi1", "0", "--phi2", "1e-7"],
 ]
 
 
