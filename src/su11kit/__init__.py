@@ -23,7 +23,6 @@ from .linops import (
     FockBasis,
     OperatorMatrix,
     banded,
-    commutator,
     diagonal,
     hermitian_eigensystem,
     identity,
@@ -77,7 +76,6 @@ __all__ = [
     "check_casimir",
     "check_commutators",
     "check_transfo",
-    "commutator",
     "compare_triples",
     "diagonal",
     "free_params",

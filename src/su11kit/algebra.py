@@ -10,18 +10,16 @@ Residuals are evaluated on the kept block: the interior states away from the
 truncation boundary, less, for clamped spin realizations, the states that
 touch a clamped square-root amplitude. Each residual is written once, as a
 function of ``form``, which forms its products ``form(a, b)`` and terms
-``form(a)``, and handed to ``measure``, which :func:`_kept_form` returns with
-the kept states: the one place that decides how a residual is formed and
-reduced to its largest absolute entry on the kept block. A triple held in
-bands has its residual formed whole, and reduced behind the 0/1 interior
-projector of :func:`_kept_states`, the one place that builds and applies it.
-A triple with a dense generator, such as the bose forms, has it formed one
-row tile of the kept block at a time, with the same floating-point
-operations as the whole product has there, and only the tiles of the upper
-triangle when the residual is Hermitian by construction. On the kept block
-each identity either holds to machine precision or fails by a finite,
-reportable amount; the reports never auto-resolve a discrepancy, they record
-it.
+``form(a)``, and handed to the ``measure`` that :func:`_kept_form` returns:
+the three brackets, the Casimir less its closed form, the shift identity of
+:func:`check_transfo` and the villain offset of the ``--rep all`` ledger.
+:func:`_kept_form` is the one place that builds and applies the 0/1 interior
+projector, and that decides how a residual is formed and reduced to its
+largest absolute entry on the kept block: whole behind the projector for
+band operators, one row tile at a time for a triple with a dense generator.
+On the kept block each identity either holds to machine precision or fails
+by a finite, reportable amount; the reports never auto-resolve a
+discrepancy, they record it.
 """
 
 from __future__ import annotations
@@ -87,30 +85,25 @@ def _casimir(triple: AlgebraTriple, form) -> OperatorMatrix | np.ndarray:
     return form(k0, k0) - ladder
 
 
-def _kept_states(basis: BasisSpec, margin: int, excluded=()):
+def _kept_form(basis: BasisSpec, margin: int, excluded=(), generators=()):
     """The kept states of ``basis`` at ``margin``, less ``excluded``, as
-    ascending indices, and the function giving ``maxabs_norm(P @ R @ P)`` for
-    a band residual R: the one place that builds and applies the 0/1 interior
-    projector P."""
-    proj = interior_projector(basis, margin, excluded)
-    return np.flatnonzero(proj.diagonal()), lambda residual: maxabs_norm(proj @ residual @ proj)
+    ascending indices, and ``measure(residual, hermitian=False)``: the
+    largest absolute entry on the kept block of ``residual(form)``, where
+    ``form(a, b)`` forms the product ``a @ b`` and ``form(a)`` the term ``a``.
+    It measures the brackets, the Casimir, the shift identity and the
+    ledger's villain offset. ``generators`` are a triple's (K0, K+, K-), when
+    there is a triple.
 
-
-def _kept_form(triple: AlgebraTriple, margin: int):
-    """The kept states of ``triple`` at ``margin``, as ascending indices, and
-    ``measure(residual, hermitian=False)``: the largest absolute entry on the
-    kept block of ``residual(form)``, where ``form(a, b)`` forms the product
-    ``a @ b`` and ``form(a)`` the term ``a``.
-
-    The kept states are those of :func:`_kept_states`, less the triple's
-    clamp-touching states. For a triple held in bands the residual is formed
-    whole and reduced behind :func:`_kept_states`' projector. For a triple
-    with a dense generator it is formed one tile of :data:`su11kit.linops._TILE`
-    kept rows at a time, each tile :func:`su11kit.linops._kept_block` of those
-    rows, reduced before the next is formed; a last tile of one row is formed
-    beside a neighbouring row (see :func:`su11kit.linops._span`). Its largest
-    entry is the one the projector, whose 0/1 entries keep the kept entries
-    and zero all others, would leave.
+    This is the one place that builds and applies the 0/1 interior projector
+    P. When every generator is held in bands, and when there are none, the
+    residual R is formed whole and reduced as ``maxabs_norm(P @ R @ P)``.
+    For a triple with a dense generator it is formed one tile of
+    :data:`su11kit.linops._TILE` kept rows at a time, each tile
+    :func:`su11kit.linops._kept_block` of those rows, reduced before the next
+    is formed; a last tile of one row is formed beside a neighbouring row
+    (see :func:`su11kit.linops._span`). Its largest entry is the one the
+    projector, whose 0/1 entries keep the kept entries and zero all others,
+    would leave.
 
     ``hermitian`` marks a residual that is Hermitian when K+ is the adjoint
     of K- and K0 is Hermitian: [K+,K-]+2K0, and the Casimir less a real
@@ -122,10 +115,13 @@ def _kept_form(triple: AlgebraTriple, margin: int):
     of the one above, in exact arithmetic, and each entry formed is the same
     as in the whole tile. For any other triple ``hermitian`` changes nothing.
     """
-    keep, projected = _kept_states(triple.basis, margin, triple.params.clamp_excluded)
-    if all(op._bands is not None for op in (triple.k0, triple.kplus, triple.kminus)):
-        return keep, lambda residual, hermitian=False: projected(residual(_whole))
-    upper = _is_adjoint_view(triple.kplus, triple.kminus) and triple.k0.hermiticity_defect() == 0.0
+    proj = interior_projector(basis, margin, excluded)
+    keep = np.flatnonzero(proj.diagonal())
+    if all(op._bands is not None for op in generators):
+        return keep, lambda residual, hermitian=False: maxabs_norm(
+            proj @ residual(_whole) @ proj)
+    k0, kplus, kminus = generators
+    upper = _is_adjoint_view(kplus, kminus) and k0.hermiticity_defect() == 0.0
 
     def measure(residual, hermitian=False):
         tiles = (partial(_kept_block, keep, rows=slice(r, r + _TILE),
@@ -142,8 +138,9 @@ def check_commutators(triple: AlgebraTriple, spec: CheckSpec = CheckSpec()) -> C
     :func:`_kept_form` before the next is formed; the third is Hermitian
     when K+ is the adjoint of K- and K0 is Hermitian.
     """
-    _, measure = _kept_form(triple, spec.margin)
     z, plus, minus = triple.k0, triple.kplus, triple.kminus
+    _, measure = _kept_form(triple.basis, spec.margin, triple.params.clamp_excluded,
+                            (z, plus, minus))
     residuals = (
         measure(lambda form: (form(z, plus) - form(plus, z)) - form(plus)),
         measure(lambda form: (form(z, minus) - form(minus, z)) + form(minus)),
@@ -189,8 +186,9 @@ def check_casimir(triple: AlgebraTriple, spec: CheckSpec = CheckSpec()) -> Check
     params = triple.params
     if not params.casimir:
         raise ValueError(f"no closed-form Casimir recorded for variant {params.variant!r}")
-    keep, measure = _kept_form(triple, spec.margin)
     basis = triple.basis
+    keep, measure = _kept_form(basis, spec.margin, params.clamp_excluded,
+                               (triple.k0, triple.kplus, triple.kminus))
     residuals = {}
     for formula, expected in params.casimir:
         target = diagonal(basis, np.full(basis.dim, expected))
@@ -250,10 +248,10 @@ def check_transfo(
                          f"float range, with max|p| = {top:g}")
     up = banded(basis, {-beta: np.ones(basis.count)})
     # p * p * p from the left, the order in which band products would form it.
-    lhs = up @ diagonal(basis, np.prod([p] * n, axis=0)) @ up.dag()
+    power = diagonal(basis, np.prod([p] * n, axis=0))
     rhs = diagonal(basis, (p - beta) ** n)
-    _, projected = _kept_states(basis, spec.margin)
-    residual = projected(lhs - rhs)
+    _, measure = _kept_form(basis, spec.margin)
+    residual = measure(lambda form: form(up @ power, up.dag()) - form(rhs))
     metadata = {"margin": str(spec.margin), "beta": str(beta), "n": str(n)}
     return CheckReport(
         (Check(f"E+^{beta} P^{n} E-^{beta} - (P-{beta})^{n}", residual,

@@ -38,7 +38,6 @@ from .linops import (
     CircleBasis,
     _figure,
     _integer,
-    commutator,
     identity,
 )
 from .reduction import ModelParams, ReductionResult, verify_reduction
@@ -388,17 +387,20 @@ def _discrepancy_ledger(tolerance: float, casimir: list[Check]) -> list[Check]:
     The villain and hp triples are built as ``--rep REP --fidelity as_printed``
     builds them; the Perelomov entry restates ``perelomov[lam=1]`` of ``casimir``.
     """
-    tri, spec = _suite_build("check", "villain", tolerance,
-                             {"spin": 1.0, "fidelity": "as_printed"})
-    _, measure = _kept_form(tri, spec.margin)
-    offset = commutator(tri.kplus, tri.kminus) - 2.0 * tri.k0 + 2.0 * identity(tri.basis)
-    tri, _ = _suite_build("check", "hp", tolerance, {"spin": 0.5, "fidelity": "as_printed"})
-    gap = check_adjointness(tri).checks[0].residual
+    villain, spec = _suite_build("check", "villain", tolerance,
+                                 {"spin": 1.0, "fidelity": "as_printed"})
+    z, plus, minus = villain.k0, villain.kplus, villain.kminus
+    _, measure = _kept_form(villain.basis, spec.margin, villain.params.clamp_excluded,
+                            (z, plus, minus))
+    offset = measure(lambda form: (form(plus, minus) - form(minus, plus))
+                     - form(2.0 * z) + form(2.0 * identity(villain.basis)))
+    hp, _ = _suite_build("check", "hp", tolerance, {"spin": 0.5, "fidelity": "as_printed"})
+    gap = check_adjointness(hp).checks[0].residual
     expected_gap = 2.0 ** 0.5 - 1.0
     perelomov = next(c for c in casimir if c.name.startswith("perelomov[lam=1]/"))
     return [
         Check("ledger/villain[as_printed,S=1]: [S+,S-]-2Sz = -2 on unclamped interior",
-              measure(lambda form: form(offset)), tolerance, {"documented_offset": "-2"}),
+              offset, tolerance, {"documented_offset": "-2"}),
         Check("ledger/hp[as_printed,S=1/2]: adjointness gap = sqrt(2)-1",
               abs(gap - expected_gap), tolerance,
               {"gap": repr(gap), "expected_gap": repr(expected_gap)}),

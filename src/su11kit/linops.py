@@ -655,12 +655,6 @@ def diagonal(basis: BasisSpec, values) -> OperatorMatrix:
     return banded(basis, {0: values})
 
 
-def commutator(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
-    """AB - BA on the shared basis of the operands."""
-    a._require_same_basis(b)
-    return a @ b - b @ a
-
-
 def maxabs_norm(a: OperatorMatrix) -> float:
     """Maximum absolute entry of a band operator; the residual norm used by
     every band check."""

@@ -19,7 +19,6 @@ from su11kit.algebra import (
     CheckSpec,
     _casimir,
     _kept_form,
-    _kept_states,
     _whole,
     check_adjointness,
     check_casimir,
@@ -36,7 +35,6 @@ from su11kit.linops import (
     FockBasis,
     OperatorMatrix,
     banded,
-    commutator,
     diagonal,
     interior_projector,
     maxabs_norm,
@@ -57,6 +55,13 @@ from su11kit.reps import (
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def kept_form(triple, margin):
+    """What :func:`_kept_form` returns for ``triple``'s checks at ``margin``."""
+    return _kept_form(triple.basis, margin, triple.params.clamp_excluded,
+                      (triple.k0, triple.kplus, triple.kminus))
+
 
 P0_GRID = [complex(re, im) for re in (-1.0, -0.3, 0.0, 0.7, 2.0)
            for im in (-1.0, -0.3, 0.0, 0.7, 2.0)]
@@ -179,7 +184,7 @@ class TestKeptStates:
         sizes = labels.max(axis=0) + 1
         mask = np.all((labels >= margin) & (labels <= sizes - 1 - margin), axis=1)
         mask[list(excluded)] = False
-        keep, _ = _kept_states(basis, margin, excluded)
+        keep, _ = _kept_form(basis, margin, excluded)
         assert keep.dtype == np.intp
         assert np.array_equal(keep, np.flatnonzero(mask))
 
@@ -190,8 +195,8 @@ class TestKeptStates:
         residual = linops.banded(basis, {k: rng.normal(size=n) + 1j * rng.normal(size=n)
                                          for k in (-3, -1, 0, 2)})
         proj = interior_projector(basis, margin, excluded)
-        _, norm = _kept_states(basis, margin, excluded)
-        assert norm(residual) == maxabs_norm(proj @ residual @ proj)
+        _, measure = _kept_form(basis, margin, excluded)
+        assert measure(lambda form: form(residual)) == maxabs_norm(proj @ residual @ proj)
 
     def test_every_projector_of_the_cli_is_built_there(self, monkeypatch, capsys):
         from su11kit.cli import main
@@ -208,9 +213,12 @@ class TestKeptStates:
                     if value is original:
                         monkeypatch.setattr(module, attr, spy)
         assert main(["check", "--rep", "all"]) == 0
+        assert main(["casimir", "--rep", "all"]) == 0
         assert main(["transfo", "--beta", "2", "--n", "3"]) == 0
+        assert main(["transfo", "--beta", "2", "--n", "3", "--p-min", "0.3",
+                     "--margin", "2"]) == 0
         capsys.readouterr()
-        assert callers and set(callers) == {_kept_states.__code__}
+        assert callers and set(callers) == {_kept_form.__code__}
 
 
 class TestCheckCommutators:
@@ -475,13 +483,13 @@ class TestAlgebraProperties:
         t = saf_realization(p0, circle64)
         c = _casimir(t, _whole)
         proj = interior_projector(circle64, 2)
-        assert maxabs_norm(proj @ commutator(c, t.k0) @ proj) <= 1e-10
+        assert maxabs_norm(proj @ (c @ t.k0 - t.k0 @ c) @ proj) <= 1e-10
 
     def test_casimir_centrality_two_mode(self):
         t = two_mode(10)
         c = _casimir(t, _whole)
         proj = interior_projector(t.basis, 2)
-        assert maxabs_norm(proj @ commutator(c, t.k0) @ proj) <= 1e-10
+        assert maxabs_norm(proj @ (c @ t.k0 - t.k0 @ c) @ proj) <= 1e-10
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -644,7 +652,7 @@ def test_bose_kept_blocks_equal_the_projected_residuals(dim, margin, form):
     # the kept states; up to 64 states BLAS forms every product on one thread.
     bose = saf_bose_form(0.3 - 0.8j, dim, form)
     spec = CheckSpec(margin=margin, tolerance=1e-3)
-    keep = _kept_states(bose.basis, margin, bose.params.clamp_excluded)[0]
+    keep = kept_form(bose, margin)[0]
     kept = np.ix_(keep, keep)
     z, plus, minus = bose.k0, bose.kplus, bose.kminus
     brackets = ((dense(z, plus) - dense(plus, z)) - dense(plus),
@@ -709,7 +717,7 @@ def row_tile_mismatches():
         for form_name in ("form1", "form2"):
             bose = saf_bose_form(0.3 - 0.8j, dim, form_name)
             spec = CheckSpec(margin=margin, tolerance=1e-3)
-            keep, measure = _kept_form(bose, margin)
+            keep, measure = kept_form(bose, margin)
             reported = {c.name: c.residual for report in (check_commutators(bose, spec),
                                                           check_casimir(bose, spec))
                         for c in report.checks}
@@ -742,7 +750,7 @@ def test_row_tiles_cover_the_kept_rows(dim, margin, sizes, columns):
     # The tiles of a Hermitian residual start their columns at their first
     # kept row: the upper triangle of the kept block, and the diagonal tiles.
     bose = saf_bose_form(0.3 - 0.8j, dim)
-    keep, measure = _kept_form(bose, margin)
+    keep, measure = kept_form(bose, margin)
     for hermitian, expected in ((False, [keep.size] * len(sizes)), (True, columns)):
         with kept_blocks() as blocks:
             measure(lambda form: form(bose.kminus), hermitian=hermitian)
@@ -760,7 +768,7 @@ def upper_triangle_mismatches():
             for form_name in ("form1", "form2"):
                 bose = saf_bose_form(0.3 - 0.8j, dim, form_name)
                 spec = CheckSpec(margin=margin, tolerance=1e-3)
-                keep = _kept_states(bose.basis, margin, bose.params.clamp_excluded)[0]
+                keep = kept_form(bose, margin)[0]
                 reported = {c.name: c.residual for report in (check_commutators(bose, spec),
                                                               check_casimir(bose, spec))
                             for c in report.checks}

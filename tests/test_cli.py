@@ -119,6 +119,10 @@ class TestRun:
         assert len(payload["checks"]) == 3
         assert all(c["passed"] for c in payload["checks"])
 
+    def test_unknown_command_rejected(self):
+        with pytest.raises(ValueError, match="^unknown command 'bogus'$"):
+            run(RunConfig(command="bogus"))
+
     def test_check_villain_as_printed_fails(self):
         config = parse_args([
             "check", "--rep", "villain", "--fidelity", "as_printed",
@@ -475,6 +479,9 @@ EXIT_2_CASES = [
     pytest.param(["check", "--rep", "hp", "--spin", "1", "--dim", "5"], None, id="hp-dim"),
     pytest.param(["check"], "<missing>", id="config-missing"),
     pytest.param(["check"], "<dir>", id="config-unreadable"),
+    pytest.param(["check"], "[1]", id="config-not-object"),
+    pytest.param(["check"], '{"format": "xml"}', id="config-format-unknown"),
+    pytest.param(["check", "--rep", "saf", "--p0", ""], None, id="p0-empty"),
     pytest.param(["check"], '{"spin": [1]}', id="config-spin-list"),
     pytest.param(["check"], '{"p0": [1]}', id="config-p0-list"),
     pytest.param(["check"], '{"margin": 2.5}', id="config-margin-fraction"),
@@ -549,6 +556,9 @@ EXIT_2_CASES = [
 
 # Cases whose message must name the offending parameter or size, by case id.
 NAMED_PARAMETER = {
+    "config-not-object": "must hold a JSON object",
+    "config-format-unknown": "--format must be one of ('text', 'json', 'csv'), got 'xml'",
+    "p0-empty": "--p0 is not a finite number: ''",
     "config-margin-fraction": "margin",
     "tol-inf": "tolerance must be finite and > 0, got inf",
     "reduce-tol-inf": "tolerance must be finite and > 0, got inf",

@@ -20,7 +20,6 @@ from su11kit.linops import (
     FockBasis,
     OperatorMatrix,
     banded,
-    commutator,
     diagonal,
     hermitian_eigensystem,
     identity,
@@ -83,6 +82,18 @@ class TestOperatorMatrix:
     def test_shape_must_match_basis(self):
         with pytest.raises(BasisMismatchError):
             OperatorMatrix(FockBasis((4,)), np.eye(5))
+
+    @pytest.mark.parametrize("make,error,message", [
+        (lambda op: OperatorMatrix(op.basis, np.ones((4, 3))), ValueError,
+         r"^entries must be a square matrix, got shape \(4, 3\)$"),
+        (lambda op: setattr(op, "basis", None), AttributeError,
+         "^OperatorMatrix is immutable; cannot set 'basis'$"),
+        (lambda op: op @ 3, TypeError, "^expected OperatorMatrix, got int$"),
+        (lambda op: op * "x", TypeError, "OperatorMatrix"),
+    ], ids=["non-square", "set-attribute", "matmul-scalar", "times-string"])
+    def test_refusals(self, make, error, message):
+        with pytest.raises(error, match=message):
+            make(identity(FockBasis((4,))))
 
     def test_nonfinite_entries_rejected(self):
         # nan, +inf or -inf in the real or the imaginary part of a band vector
@@ -588,18 +599,19 @@ class TestKeptBlock:
 class TestCommutator:
     def test_identity_commutes(self):
         b = random_bands(FockBasis((5,)), seed=0)
-        assert maxabs_norm(commutator(identity(b.basis), b)) == 0.0
+        one = identity(b.basis)
+        assert maxabs_norm(one @ b - b @ one) == 0.0
 
     def test_self_commutator_vanishes(self):
         a = random_bands(FockBasis((5,)), seed=1)
-        assert maxabs_norm(commutator(a, a)) == 0.0
+        assert maxabs_norm(a @ a - a @ a) == 0.0
 
     def test_ladder_commutator_dim4(self):
         # Hand expansion of [a, adag] with a[n-1, n] = sqrt(n) at dim 4:
         # aa^dag = diag(1, 2, 3, 0), a^dag a = diag(0, 1, 2, 3).
         a, adag = bose_ladder(4)
         expected = np.diag([1.0, 1.0, 1.0, -3.0])
-        np.testing.assert_allclose(dense(commutator(a, adag)), expected, atol=1e-15)
+        np.testing.assert_allclose(dense(a @ adag - adag @ a), expected, atol=1e-15)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1))
@@ -607,8 +619,8 @@ class TestCommutator:
         basis = FockBasis((6,))
         a = random_bands(basis, seed)
         b = random_bands(basis, seed + 1)
-        ab = dense(commutator(a, b))
-        ba = dense(commutator(b, a))
+        ab = dense(a @ b - b @ a)
+        ba = dense(b @ a - a @ b)
         assert np.array_equal(ab, -ba)
 
 

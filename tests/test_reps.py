@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import dense, exact_range_basis, spin_ladder_matrices
+from su11kit.algebra import check_transfo
 from su11kit.linops import (
     CircleBasis,
     FockBasis,
     banded,
-    commutator,
     diagonal,
     identity,
     interior_projector,
@@ -46,7 +46,7 @@ class TestBoseLadder:
         a, adag = bose_ladder(dim)
         expected = np.eye(dim)
         expected[-1, -1] = -(dim - 1)
-        np.testing.assert_allclose(dense(commutator(a, adag)), expected, atol=1e-14)
+        np.testing.assert_allclose(dense(a @ adag - adag @ a), expected, atol=1e-14)
 
     def test_dim_too_small(self):
         with pytest.raises(ValueError):
@@ -145,13 +145,14 @@ class TestCircleMomentum:
         p = diagonal(basis, basis.momenta())
         eplus, _ = shift_pair(basis)
         np.testing.assert_allclose(
-            dense(commutator(p, eplus)), dense(eplus), atol=1e-14
+            dense(p @ eplus - eplus @ p), dense(eplus), atol=1e-14
         )
 
     def test_fock_basis_rejected(self):
         basis = FockBasis((5,))
         for build in (lambda: villain_spin(2.0, basis), lambda: saf_realization(0.5, basis),
-                      lambda: perelomov_realization(1.0, basis)):
+                      lambda: perelomov_realization(1.0, basis),
+                      lambda: check_transfo(basis, 1, 1)):
             with pytest.raises(ValueError, match="requires a CircleBasis"):
                 build()
 
@@ -260,7 +261,7 @@ class TestVillain:
         basis = CircleBasis(-spin - 6, int(2 * spin) + 13)
         t = villain_spin(spin, basis, "corrected")
         proj = interior_projector(t.basis, 1, t.params.clamp_excluded)
-        residual = proj @ (commutator(t.kplus, t.kminus) - 2.0 * t.k0) @ proj
+        residual = proj @ ((t.kplus @ t.kminus - t.kminus @ t.kplus) - 2.0 * t.k0) @ proj
         assert maxabs_norm(residual) <= 1e-12
 
     def test_as_printed_constant_offset(self):
@@ -270,7 +271,7 @@ class TestVillain:
         basis = CircleBasis(-spin - 5, int(2 * spin) + 11)
         t = villain_spin(spin, basis, "as_printed")
         proj = interior_projector(t.basis, 1, t.params.clamp_excluded)
-        offset = commutator(t.kplus, t.kminus) - 2.0 * t.k0 + 2.0 * identity(basis)
+        offset = (t.kplus @ t.kminus - t.kminus @ t.kplus) - 2.0 * t.k0 + 2.0 * identity(basis)
         assert maxabs_norm(proj @ offset @ proj) <= 1e-12
 
     def test_clamp_region_recorded(self):
@@ -306,6 +307,10 @@ class TestVillain:
         if count == 2 * spin + 1:
             assert excluded.size == 0
 
+    def test_unknown_fidelity_rejected(self):
+        with pytest.raises(ValueError, match="^fidelity must be one of"):
+            villain_spin(1.0, CircleBasis(-1.0, 3), "verbatim")
+
     def test_range_not_covered_rejected(self):
         with pytest.raises(ValueError, match="cover"):
             villain_spin(2.5, CircleBasis(-1.5, 4))
@@ -325,9 +330,9 @@ class TestSafRealization:
         t = saf_realization(0.7 + 0.4j, circle64)
         proj = interior_projector(circle64, 2)
         for residual in (
-            commutator(t.k0, t.kplus) - t.kplus,
-            commutator(t.k0, t.kminus) + t.kminus,
-            commutator(t.kplus, t.kminus) + 2.0 * t.k0,
+            (t.k0 @ t.kplus - t.kplus @ t.k0) - t.kplus,
+            (t.k0 @ t.kminus - t.kminus @ t.k0) + t.kminus,
+            (t.kplus @ t.kminus - t.kminus @ t.kplus) + 2.0 * t.k0,
         ):
             assert maxabs_norm(proj @ residual @ proj) <= 1e-12
 
@@ -358,7 +363,7 @@ class TestQuadratures:
     def test_canonical_bracket_on_interior(self):
         q, p = quadratures(32)
         proj = interior_projector(q.basis, 1)
-        residual = commutator(q, p) - 1j * identity(q.basis)
+        residual = (q @ p - p @ q) - 1j * identity(q.basis)
         assert maxabs_norm(proj @ residual @ proj) <= 1e-12
 
     def test_hermitian(self):
@@ -476,6 +481,11 @@ class TestAlgebraTriple:
         t = mp_realization(1.0, 8)
         with pytest.raises(ValueError):
             AlgebraTriple("elliptic", t.k0, t.kplus, t.kminus, t.params)
+
+    def test_non_hermitian_k0_rejected(self):
+        t = mp_realization(1.0, 8)
+        with pytest.raises(ValueError, match="^diagonal generator is not Hermitian"):
+            AlgebraTriple("hyperbolic", 1j * t.k0, t.kplus, t.kminus, t.params)
 
 
 SAF_FORM = "-1/4 + (P0 - conj(P0))^2/4"
