@@ -31,7 +31,6 @@ from functools import partial
 import numpy as np
 
 from .linops import (
-    _TILE,
     BasisMismatchError,
     BasisSpec,
     Check,
@@ -43,6 +42,7 @@ from .linops import (
     _integer,
     _is_adjoint_view,
     _kept_block,
+    _kept_max,
     _require_tolerance,
     banded,
     diagonal,
@@ -97,23 +97,20 @@ def _kept_form(basis: BasisSpec, margin: int, excluded=(), generators=()):
     This is the one place that builds and applies the 0/1 interior projector
     P. When every generator is held in bands, and when there are none, the
     residual R is formed whole and reduced as ``maxabs_norm(P @ R @ P)``.
-    For a triple with a dense generator it is formed one tile of
-    :data:`su11kit.linops._TILE` kept rows at a time, each tile
-    :func:`su11kit.linops._kept_block` of those rows, reduced before the next
-    is formed; a last tile of one row is formed beside a neighbouring row
-    (see :func:`su11kit.linops._span`). Its largest entry is the one the
-    projector, whose 0/1 entries keep the kept entries and zero all others,
-    would leave.
+    For a triple with a dense generator it is walked by
+    :func:`su11kit.linops._kept_max`, one row tile of kept states at a time.
+    Its largest entry is the one the projector, whose 0/1 entries keep the
+    kept entries and zero all others, would leave.
 
     ``hermitian`` marks a residual that is Hermitian when K+ is the adjoint
     of K- and K0 is Hermitian: [K+,K-]+2K0, and the Casimir less a real
     closed form. When K+ is the adjoint view of K- (one array, so exactly
     its adjoint) and K0's Hermiticity defect is exactly 0, such a residual's
-    tile of rows ``keep[r:r + _TILE]`` is formed on the columns ``keep[r:]``
-    only: the diagonal tile whole and the tiles right of it, which make the
-    upper triangle of the kept block. Below it each entry is the conjugate
-    of the one above, in exact arithmetic, and each entry formed is the same
-    as in the whole tile. For any other triple ``hermitian`` changes nothing.
+    tiles are formed on the upper triangle of the kept block only: each
+    tile's kept columns from its first row on. Below it each entry is the
+    conjugate of the one above, in exact arithmetic, and each entry formed
+    is the same as in the whole tile. For any other triple ``hermitian``
+    changes nothing.
     """
     proj = interior_projector(basis, margin, excluded)
     keep = np.flatnonzero(proj.diagonal())
@@ -122,14 +119,8 @@ def _kept_form(basis: BasisSpec, margin: int, excluded=(), generators=()):
             proj @ residual(_whole) @ proj)
     k0, kplus, kminus = generators
     upper = _is_adjoint_view(kplus, kminus) and k0.hermiticity_defect() == 0.0
-
-    def measure(residual, hermitian=False):
-        tiles = (partial(_kept_block, keep, rows=slice(r, r + _TILE),
-                         cols=slice(r if hermitian and upper else 0, None))
-                 for r in range(0, keep.size, _TILE))
-        return max(float(np.max(np.abs(residual(form)))) for form in tiles)
-
-    return keep, measure
+    return keep, lambda residual, hermitian=False: _kept_max(
+        keep, residual, hermitian and upper)
 
 
 def check_commutators(triple: AlgebraTriple, spec: CheckSpec = CheckSpec()) -> CheckReport:

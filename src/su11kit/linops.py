@@ -17,10 +17,12 @@ Dense storage holds the arrays handed to the constructor and K-, which
 Arithmetic takes bands only; a dense operand raises ValueError naming the
 operation. A dense operator is read in one place,
 :func:`_kept_block`, which forms a block of it or of a product with it with
-the same floating-point operations for each entry as the whole product: a
-residual a row tile at a time (of one Hermitian by construction, only its
-upper triangle of tiles), the gap to the adjoint of another by row tiles of
-all states, and ``.entries`` as the block of all states. It may hold its
+the same floating-point operations for each entry as the whole product.
+One walk, :func:`_kept_max`, forms a residual that way a row tile of kept
+states at a time and reduces each tile before the next: a dense check's
+residual (of one Hermitian by construction, only its upper triangle of
+tiles), and the gap to the adjoint of another on the tiles of all states;
+``.entries`` is the block of all states. It may hold its
 array conjugate-transposed, as BLAS's ``op(A) = A^H`` does, so its adjoint
 shares the array and rows of it are read as one conjugated copy of columns
 of the array; the gap between an operator and such a view of its own
@@ -39,6 +41,7 @@ does a bose realization whose :data:`DENSE_ARRAYS` arrays would not fit it.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import numbers
 import operator
@@ -74,9 +77,8 @@ DENSE_ARRAYS = 2
 #: enough for the block and its scratch to stay in cache.
 _BLOCK_BYTES = 2 ** 18
 
-#: Rows of the tiles in which dense arrays are walked: a dense adjointness gap
-#: is reduced in row blocks of this height, and a dense residual in tiles of
-#: this many kept rows, over every kept column or, for a residual Hermitian by
+#: Kept rows of the tiles in which :func:`_kept_max` walks a dense residual or
+#: adjointness gap, over every kept column or, for a residual Hermitian by
 #: construction, over the kept columns from the tile's first row on. Each
 #: tile of a product is one BLAS call, which repacks its right operand, so
 #: much smaller tiles cost time.
@@ -134,15 +136,10 @@ class BasisMismatchError(ValueError):
 class FockBasis:
     """Truncated occupation-number basis for one or two bosonic modes.
 
-    Two-mode states are enumerated row-major, ``index = n_a * dim_b + n_b``.
-    :meth:`occupations` tabulates that ordering, and every golden value relies
-    on it. So do four constructions that do not read the table:
-    :func:`tensor`'s band offsets ``k_a * dim_b + k_b``, the outer sum and
-    difference of :func:`su11kit.reps.two_mode`, the d x d row blocks of
-    :func:`su11kit.reduction.build_direct_hamiltonian`, and the pair index
-    ``n * dim + n`` of :func:`su11kit.reduction.verify_reduction`. A change of
-    ordering changes each of them. :func:`_integer` reads each of ``dims``,
-    so 1, 24.5, inf and nan raise ValueError.
+    Two-mode states are enumerated row-major, ``index = n_a * dim_b + n_b``;
+    every construction on two modes and every golden value relies on it.
+    :func:`_integer` reads each of ``dims``, so 1, 24.5, inf and nan raise
+    ValueError.
     """
 
     dims: tuple[int, ...]
@@ -161,13 +158,6 @@ class FockBasis:
     @property
     def dim(self) -> int:
         return math.prod(self.dims)
-
-    def occupations(self) -> np.ndarray:
-        """Occupation numbers of every basis state, shape ``(dim, modes)``."""
-        if self.modes == 1:
-            return np.arange(self.dims[0], dtype=np.int64)[:, None]
-        na, nb = np.divmod(np.arange(self.dim, dtype=np.int64), self.dims[1])
-        return np.stack([na, nb], axis=1)
 
 
 @dataclass(frozen=True)
@@ -462,26 +452,36 @@ def _is_adjoint_view(a: "OperatorMatrix", b: "OperatorMatrix") -> bool:
     return a._dense is not None and a._dense is b._dense and a._adjointed != b._adjointed
 
 
+def _kept_max(keep: np.ndarray, residual, upper: bool = False) -> float:
+    """The largest absolute entry of a residual on the kept block of the
+    ascending state indices ``keep``, formed :data:`_TILE` kept rows at a
+    time: ``residual(form)`` of each tile, where ``form(a, b)`` and ``form(a)``
+    are the :func:`_kept_block` of the tile's rows, over every kept column
+    or, with ``upper``, over the kept columns from the tile's first row on.
+    Each tile is reduced before the next is formed; a last tile of one row
+    is formed beside a neighbouring row (see :func:`_span`)."""
+    tiles = (functools.partial(_kept_block, keep, rows=slice(r, r + _TILE),
+                               cols=slice(r if upper else 0, None))
+             for r in range(0, keep.size, _TILE))
+    return max(float(np.max(np.abs(residual(form)))) for form in tiles)
+
+
 def _adjoint_gap(a: "OperatorMatrix", b: "OperatorMatrix") -> float:
     """max|A - B^dag|, zero when A is exactly the adjoint of B.
 
     An operator and the adjoint view of it that :meth:`OperatorMatrix.dag`
     returns share one array, so their gap is 0 and nothing is read. Two band
     operands are compared as ``a - b.dag()``. Any other two dense operands
-    are compared :data:`_TILE` rows at a time: each tile of A and of B^dag
-    is their :func:`_kept_block` over every column, and their difference is
-    reduced to its largest entry before the next tile is formed. A band and
-    a dense operand raise ValueError.
+    are compared by :func:`_kept_max` on every state, a tile of A less the
+    tile of B^dag. A band and a dense operand raise ValueError.
     """
     a._require_same_basis(b)
     if _is_adjoint_view(a, b):
         return 0.0
     if a._bands is not None or b._bands is not None:
         return maxabs_norm(a - b.dag())
-    keep, b = np.arange(a.dim), b.dag()
-    tiles = (slice(r, r + _TILE) for r in range(0, a.dim, _TILE))
-    return max(float(np.max(np.abs(_kept_block(keep, a, rows=t) - _kept_block(keep, b, rows=t))))
-               for t in tiles)
+    b = b.dag()
+    return _kept_max(np.arange(a.dim), lambda form: form(a) - form(b))
 
 
 def _require_bands(what: str, a: "OperatorMatrix", b: "OperatorMatrix | None" = None) -> None:
@@ -826,23 +826,25 @@ def interior_projector(
 ) -> OperatorMatrix:
     """Diagonal 0/1 projector onto states away from the truncation boundary.
 
-    Keeps the states whose labels all lie in ``[margin, size - 1 - margin]``:
+    Keeps a state when each mode's label lies in ``[margin, size - 1 - margin]``:
     the occupation of each mode of a Fock basis, the lattice index of a
-    circle basis. The states indexed by ``excluded`` are dropped as well;
-    an ``np.intp`` array indexes the mask as it is, without a copy.
-    Shift-built operators are only faithful on this interior, so residual
-    checks evaluate there. A margin that :func:`_integer` refuses, an ``excluded``
-    of non-integer dtype or index outside [0, dim), or no state kept raise ValueError.
+    circle basis. Each mode's range is one mask, and two modes' masks are
+    joined row-major, as :class:`FockBasis` enumerates its states. The states
+    indexed by ``excluded`` are dropped as well; an ``np.intp`` array indexes
+    the mask as it is, without a copy. Shift-built operators are only
+    faithful on this interior, so residual checks evaluate there. A margin
+    that :func:`_integer` refuses, an ``excluded`` of non-integer dtype or
+    index outside [0, dim), or no state kept raise ValueError.
     """
     margin = _integer(margin, "margin", least=0)
     drop = np.asarray(excluded)
     if drop.size and (drop.dtype.kind not in "iu" or drop.min() < 0 or drop.max() >= basis.dim):
         raise ValueError(f"excluded must be integer indices in [0, {basis.dim}), got {drop}")
-    if isinstance(basis, FockBasis):
-        labels, sizes = basis.occupations(), np.array(basis.dims)
-    else:
-        labels, sizes = np.arange(basis.dim)[:, None], np.array([basis.dim])
-    keep = np.all((labels >= margin) & (sizes - 1 - labels >= margin), axis=1)
+    sizes = basis.dims if isinstance(basis, FockBasis) else (basis.dim,)
+    masks = [np.zeros(size, dtype=bool) for size in sizes]
+    for mask in masks:
+        mask[margin:mask.size - margin] = True
+    keep = functools.reduce(np.logical_and.outer, masks).reshape(-1)
     keep[drop.astype(np.intp, copy=False)] = False
     if not keep.any():
         raise ValueError(f"no interior states left on {basis} with margin {margin} and "

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import su11kit.algebra as algebra
 import su11kit.linops as linops
 from conftest import dense, exact_range_basis, spin_ladder_matrices
+from oracle import occupations
 from su11kit.algebra import (
     CheckSpec,
     _casimir,
@@ -101,7 +102,7 @@ class TestCasimirSu11:
     def test_two_mode_diagonal_formula(self):
         t = two_mode(6)
         c = _casimir(t, _whole)
-        occ = t.basis.occupations()
+        occ = occupations(t.basis.dims)
         expected = -0.25 + (occ[:, 0] - occ[:, 1]) ** 2 / 4.0
         proj = interior_projector(t.basis, 1)
         residual = np.real(np.diag((dense(c) - np.diag(expected))))
@@ -682,15 +683,17 @@ HERMITIAN = ("[K+,K-]+2K0", "casimir closed form")
 @contextlib.contextmanager
 def kept_blocks():
     """The list of the ``(keep[rows], keep[cols])`` states of each
-    algebra._kept_block call made while it is open."""
+    _kept_block call made while it is open: by linops._kept_max's tiles, and
+    by check_casimir for the first kept state."""
     blocks = []
-    kept_block = algebra._kept_block
+    kept_block = linops._kept_block
 
     def spy(keep, a, b=None, rows=slice(None), cols=slice(None)):
         blocks.append((keep[rows], keep[cols]))
         return kept_block(keep, a, b, rows=rows, cols=cols)
 
-    with mock.patch.object(algebra, "_kept_block", spy):
+    with mock.patch.object(linops, "_kept_block", spy), \
+            mock.patch.object(algebra, "_kept_block", spy):
         yield blocks
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import su11kit.linops as linops
 from conftest import dense
+from oracle import kept_states, occupations
 from su11kit.linops import (
     BasisMismatchError,
     Check,
@@ -29,7 +30,7 @@ from su11kit.linops import (
     _exponential,
 )
 from su11kit.algebra import CheckSpec
-from su11kit.reps import bose_ladder, quadratures
+from su11kit.reps import bose_ladder, quadratures, two_mode
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -50,11 +51,22 @@ def random_bands(basis, seed):
 
 class TestBases:
     def test_two_mode_indexing_is_row_major(self):
-        basis = FockBasis((3, 4))
-        assert basis.dim == 12
-        occ = basis.occupations()
-        # index = n_a * dim_b + n_b
-        assert tuple(occ[1 * 4 + 2]) == (1, 2)
+        # Against the reference labels, index = n_a * dim_b + n_b, which
+        # tensor, two_mode and interior_projector each produce without them.
+        dims = (3, 4)
+        occ = occupations(dims)
+        assert FockBasis(dims).dim == 12 and tuple(occ[1 * 4 + 2]) == (1, 2)
+        # tensor's band 1 * dim_b + 1 joins |n_a - 1, n_b - 1> to |n_a, n_b>.
+        rows, cols = np.nonzero(dense(tensor(bose_ladder(3)[0], bose_ladder(4)[0])))
+        assert rows.size == 2 * 3 and (occ[cols] - occ[rows] == 1).all()
+        square = occupations((5, 5))
+        np.testing.assert_allclose(two_mode(5).k0.diagonal().real,
+                                   (square[:, 0] + square[:, 1] + 1) / 2.0, atol=1e-14)
+        # Unequal modes, so a column-major mask would keep other states.
+        dims = (5, 7)
+        occ = occupations(dims)
+        kept = np.all((occ >= 1) & (occ <= np.array(dims) - 2), axis=1)
+        assert np.array_equal(interior_projector(FockBasis(dims), 1).diagonal(), kept)
 
     def test_too_many_modes_rejected(self):
         with pytest.raises(ValueError):
@@ -984,6 +996,45 @@ class TestInteriorProjector:
     def test_excluded_states_are_dropped(self):
         proj = interior_projector(CircleBasis(0.0, 6), 1, excluded=(1, 4))
         np.testing.assert_array_equal(np.diag(dense(proj)), [0, 0, 1, 1, 0, 0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_keeps_what_the_label_table_keeps(self, data):
+        # Against the keep rule as a table of every state's labels, as it was
+        # written before the per-mode masks: margins from 0 to past half of
+        # the largest mode, and random exclusions; with no state left, the
+        # message is the one it was.
+        basis = data.draw(st.one_of(
+            st.builds(lambda d: FockBasis((d,)), st.integers(2, 12)),
+            st.builds(lambda a, b: FockBasis((a, b)), st.integers(2, 9), st.integers(2, 9)),
+            st.builds(CircleBasis, st.floats(-50, 50), st.integers(2, 12))))
+        sizes = basis.dims if isinstance(basis, FockBasis) else (basis.dim,)
+        margin = data.draw(st.integers(0, max(sizes) // 2 + 2))
+        excluded = tuple(data.draw(st.lists(st.integers(0, basis.dim - 1), max_size=4,
+                                            unique=True)))
+        expected = np.zeros(basis.dim)
+        expected[kept_states(sizes, margin, excluded)] = 1.0
+        if expected.any():
+            assert np.array_equal(interior_projector(basis, margin, excluded).diagonal(),
+                                  expected)
+        else:
+            message = (f"no interior states left on {basis} with margin {margin} and "
+                       f"{len(excluded)} excluded states")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                interior_projector(basis, margin, excluded)
+
+    @pytest.mark.parametrize("margin,drop", [(2 ** 63, False), (10 ** 400, False), (2, True)],
+                             ids=["past-int64", "past-float", "interior-excluded"])
+    @pytest.mark.parametrize("basis,interior", [
+        (FockBasis((6,)), (2, 3)), (FockBasis((6, 6)), (14, 15, 20, 21)),
+        (CircleBasis(0.0, 6), (2, 3))], ids=["fock1", "fock2", "circle"])
+    def test_no_state_kept_names_the_margin_and_exclusions(self, basis, interior, margin, drop):
+        # ``interior`` holds the states that margin 2 keeps.
+        excluded = interior if drop else ()
+        message = (f"no interior states left on {basis} with margin {margin} and "
+                   f"{len(excluded)} excluded states")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            interior_projector(basis, margin, excluded)
 
 
 class TestMaxAbsNorm:

@@ -14,6 +14,7 @@ sys.path.insert(0, str(ROOT / "tools"))
 import cli_lines  # noqa: E402
 import stdout_digest  # noqa: E402
 from su11kit.cli import main  # noqa: E402
+from su11kit.linops import FockBasis, interior_projector  # noqa: E402
 from test_cli import OVER_BUDGET  # noqa: E402
 
 
@@ -101,7 +102,8 @@ def test_covers_each_size_below_its_least_value_and_an_unread_config():
     assert all(argv in argvs for argv in stdout_digest.BELOW_LEAST)
     # Each list is appended after the ones before it, so that line N of an
     # older digest is still line N.
-    tail = stdout_digest.BELOW_LEAST + stdout_digest.UNREAD + stdout_digest.REDUCE_EDGES
+    tail = (stdout_digest.BELOW_LEAST + stdout_digest.UNREAD + stdout_digest.REDUCE_EDGES
+            + stdout_digest.TWO_MODE_EDGES)
     assert argvs[-len(tail):] == tail
     *sizes, unread = stdout_digest.BELOW_LEAST
     assert [argv[-1] for argv in sizes] == ["1", "3", "15", "1"]
@@ -161,6 +163,20 @@ def test_reduce_edge_lines_exit_as_they_should(capsys):
     assert capsys.readouterr() == (
         "", "error: epsilon=-1e+150, phi1=0.0, phi2=1e-07 give non-finite predicted levels "
             "or deviations at n_pairs 16\n")
+
+
+def test_two_mode_edge_lines_exit_as_they_should(capsys):
+    # One kept state, a 2x2 kept block and one kept state of the Casimir
+    # pass; margin 2 on four states per mode keeps none.
+    *kept, empty = stdout_digest.TWO_MODE_EDGES
+    for argv, states in zip(kept, (1, 4, 1)):
+        dim, margin = (int(argv[argv.index(flag) + 1]) for flag in ("--dim", "--margin"))
+        assert interior_projector(FockBasis((dim, dim)), margin).diagonal().sum() == states
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["overall_passed"]
+    assert main(empty) == 2
+    assert capsys.readouterr() == ("", "error: no interior states left on FockBasis(dims=(4, 4)) "
+                                       "with margin 2 and 0 excluded states\n")
 
 
 def test_keep_writes_each_stdout_by_digest_line(tmp_path, monkeypatch, capsys):

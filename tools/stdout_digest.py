@@ -64,6 +64,9 @@ that invocation's bytes or exit code differ. The list covers
   levels overflow, refused with exit 2 by a message that names them; and
   couplings whose free-particle prediction overflows while the levels do
   not, refused with exit 2 by a message that names them and the pair count.
+* the edges of the two-mode interior, in json: one kept state, a 2x2 kept
+  block, and a ``casimir`` on one kept state; and a margin that keeps no
+  state, refused with exit 2.
 
 Each invocation runs in its own interpreter, with one BLAS thread and an
 80-column terminal; one that runs past TIMEOUT_S seconds is recorded with
@@ -186,6 +189,12 @@ REDUCE_EDGES = [
     ["reduce", "--epsilon", "1", "--phi1", "1", "--phi2", "1e307", "--pairs", "100"],
     ["reduce", "--epsilon=-1e150", "--phi1", "0", "--phi2", "1e-7"],
 ]
+TWO_MODE_EDGES = [
+    ["check", "--rep", "two_mode", "--dim", "5", "--margin", "2", "--format", "json"],
+    ["check", "--rep", "two_mode", "--dim", "6", "--margin", "2", "--format", "json"],
+    ["casimir", "--rep", "two_mode", "--dim", "7", "--margin", "3", "--format", "json"],
+    ["check", "--rep", "two_mode", "--dim", "4", "--margin", "2"],
+]
 
 
 def _workload_argvs() -> list[list[str]]:
@@ -212,7 +221,7 @@ def invocations() -> list[list[str]]:
                         + BOSE_EDGES + FIRST_KEPT + [WIDE_REDUCE] + SHIFT_EDGES
                         + PERELOMOV_LATTICES),
             *BEYOND_FLOAT, *REFUSED, *CONFIGS, *BELOW_LEAST, *UNREAD,
-            *REDUCE_EDGES]
+            *REDUCE_EDGES, *TWO_MODE_EDGES]
 
 
 def digest(src_root: Path, argv: list[str], keep: Path | None = None) -> dict:
